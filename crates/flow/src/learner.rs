@@ -97,20 +97,6 @@ impl L3Learner {
         self.switches.get(&sw)?.bindings.get(&ip).copied()
     }
 
-    /// Look up `ip` across all switches (single-switch deployments).
-    pub fn binding_any(&self, ip: Ipv4) -> Option<(SwitchId, Mac, Port)> {
-        let mut found: Option<(SwitchId, Mac, Port)> = None;
-        for (&sw, st) in &self.switches {
-            if let Some(&(mac, port)) = st.bindings.get(&ip) {
-                // Deterministic: smallest switch id wins.
-                if found.is_none_or(|(s, _, _)| sw < s) {
-                    found = Some((sw, mac, port));
-                }
-            }
-        }
-        found
-    }
-
     /// Handle a packet-in from `sw`; learns sources, resolves/floods ARP,
     /// installs unicast rules, and forwards buffered packets. Returns
     /// discovery events for the embedding controller.

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use node_rt::{Ipv4, Time};
 
 use crate::error::KvError;
-use crate::telemetry::{MetricsRegistry, Phase, Telemetry};
+use crate::telemetry::{MetricsRegistry, Telemetry};
 use crate::types::{OpId, Value};
 
 /// Timer token for the start/idle-poll timer.
@@ -250,10 +250,9 @@ pub struct ClientCore {
     pub records: Vec<OpRecord>,
     /// Set once the queue drains.
     pub done_at: Option<Time>,
-    /// Telemetry bundle: end-to-end and retry-wait histograms plus the
-    /// issue/retry/complete trace ring. Shaped by
-    /// [`TelemetryCfg`](crate::TelemetryCfg) through the cluster spec;
-    /// defaults to enabled.
+    /// Telemetry bundle: end-to-end and retry-wait histograms. Shaped
+    /// by [`TelemetryCfg`](crate::TelemetryCfg) through the cluster
+    /// spec; defaults to enabled.
     pub tel: Telemetry,
 }
 
@@ -362,7 +361,6 @@ impl ClientCore {
             start: now,
             attempts: 1,
         });
-        self.tel.event(now, id, Phase::Issue, 1);
         Issue::Attempt(Attempt {
             op,
             id,
@@ -413,8 +411,6 @@ impl ClientCore {
             self.tel.record("client.failed_e2e", e2e);
             self.tel.add("client.failures", 1);
         }
-        self.tel
-            .event(now, inf.id, Phase::Complete, u64::from(result.is_ok()));
         self.records.push(OpRecord {
             is_put: matches!(inf.op, ClientOp::Put { .. }),
             key: inf.op.key().to_owned(),
@@ -515,7 +511,6 @@ impl ClientCore {
         self.tel
             .record("client.retry_wait", now.saturating_sub(start));
         self.tel.add("client.retries", 1);
-        self.tel.event(now, id, Phase::Retry, u64::from(attempts));
         RetryAction::Resend(resend)
     }
 

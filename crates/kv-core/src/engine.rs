@@ -21,7 +21,7 @@ use node_rt::{Ipv4, Time};
 
 use crate::error::KvError;
 use crate::store::{ObjectStore, StorageCfg};
-use crate::telemetry::{MetricsRegistry, Phase, Telemetry, TelemetryCfg};
+use crate::telemetry::{MetricsRegistry, Telemetry, TelemetryCfg};
 use crate::types::{NodeIdx, OpId, Timestamp, Value};
 
 /// Unified observable counters for both systems' storage nodes.
@@ -93,8 +93,7 @@ pub struct EngineCfg {
     /// memory only.
     pub durable_pending: bool,
     /// Telemetry shape for this engine's [`Telemetry`] bundle
-    /// (histograms of 2PC phase timings, WAL-sync cost, and the
-    /// structured trace ring).
+    /// (histograms of 2PC phase timings and WAL-sync cost).
     pub telemetry: TelemetryCfg,
     /// Break a conflicting lock whose holder has been silent this long.
     /// NICE runs `None`: its deadline + failure-detector machinery (§4.4)
@@ -432,7 +431,7 @@ pub struct TwoPcEngine {
     client_floors: BTreeMap<Ipv4, u64>,
     counters: Counters,
     last_internal_error: Option<KvError>,
-    /// Telemetry bundle (phase histograms + trace ring).
+    /// Telemetry bundle (phase histograms + counters).
     tel: Telemetry,
     /// Lock time of each live round, for phase-duration histograms.
     started: BTreeMap<(String, OpId), Time>,
@@ -514,15 +513,10 @@ impl TwoPcEngine {
     /// failed sync is an internal error (the ack still goes out — the
     /// protocol must progress — but the node records that it is no
     /// longer crash-safe). Records the modeled device sync cost into
-    /// the `wal.sync` histogram and — when the barrier belongs to a
-    /// specific round — a [`Phase::WalSync`] trace event.
-    fn wal_barrier(&mut self, key: &str, op: Option<OpId>) {
+    /// the `wal.sync` histogram.
+    fn wal_barrier(&mut self, key: &str) {
         let cost = self.store.sync_cost();
         self.tel.record("wal.sync", cost);
-        if let Some(op) = op {
-            let at = self.clock;
-            self.tel.event(at, op, Phase::WalSync, cost.as_ns());
-        }
         if !self.store.wal_sync() {
             self.tel.add("wal.sync_failed", 1);
             self.note_internal(KvError::WalFailed {
@@ -559,15 +553,9 @@ impl TwoPcEngine {
         &mut self.counters
     }
 
-    /// This engine's telemetry bundle (phase histograms + trace ring).
+    /// This engine's telemetry bundle (phase histograms + counters).
     pub fn telemetry(&self) -> &Telemetry {
         &self.tel
-    }
-
-    /// Mutable telemetry access for the adapter-owned instrumentation
-    /// points (transport retransmits, routing decisions).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.tel
     }
 
     /// The metrics snapshot: the live registry plus store/WAL facts
@@ -659,7 +647,6 @@ impl TwoPcEngine {
             self.started.remove(&(key.to_owned(), old));
             self.counters.puts_aborted += 1;
             self.tel.add("engine.stale_locks_broken", 1);
-            self.tel.event(now, old, Phase::Abort, 0);
         }
     }
 
@@ -724,13 +711,12 @@ impl TwoPcEngine {
             self.counters.puts_committed += 1;
         }
         self.note_commit_ts(ts);
-        self.wal_barrier(key, Some(op));
+        self.wal_barrier(key);
         let at = self.clock;
         if let Some(t0) = self.started.remove(&k) {
             self.tel
                 .record("engine.lock_to_commit", at.saturating_sub(t0));
         }
-        self.tel.event(at, op, Phase::Commit, ts.primary_seq);
         fx.push(Effect::Commit {
             key: key.to_owned(),
             op,
@@ -754,8 +740,6 @@ impl TwoPcEngine {
         self.coords.remove(&k);
         self.started.remove(&k);
         if !replied {
-            let at = self.clock;
-            self.tel.event(at, op, Phase::Reply, 1);
             fx.push(Effect::Reply {
                 client,
                 op,
@@ -790,13 +774,12 @@ impl TwoPcEngine {
             let client = c.client;
             // The client-visible ack of the direct path: the local copy
             // it counts on must be on stable storage first.
-            self.wal_barrier(key, Some(op));
+            self.wal_barrier(key);
             let at = self.clock;
             if let Some(&t0) = self.started.get(&k) {
                 self.tel
                     .record("engine.lock_to_commit", at.saturating_sub(t0));
             }
-            self.tel.event(at, op, Phase::Reply, 1);
             fx.push(Effect::Reply {
                 client,
                 op,
@@ -850,7 +833,6 @@ impl ReplicationEngine for TwoPcEngine {
                 q.push((op, value));
             }
             self.tel.add("engine.queued", 1);
-            self.tel.event(now, op, Phase::Queued, 0);
             return false;
         }
         // +L (forced) then W: both on the storage device.
@@ -858,7 +840,6 @@ impl ReplicationEngine for TwoPcEngine {
         self.store.write_delay(now, 100, true);
         let done = self.store.write_delay(now, size, false);
         self.started.entry((key.to_owned(), op)).or_insert(now);
-        self.tel.event(now, op, Phase::Lock, u64::from(size));
         fx.push(Effect::WriteDone {
             at: done,
             key: key.to_owned(),
@@ -878,8 +859,6 @@ impl ReplicationEngine for TwoPcEngine {
         self.store.write_delay(now, 100, true);
         let done = self.store.write_delay(now, value.size(), false);
         self.started.entry((key.to_owned(), op)).or_insert(now);
-        self.tel
-            .event(now, op, Phase::Lock, u64::from(value.size()));
         fx.push(Effect::WriteDone {
             at: done,
             key: key.to_owned(),
@@ -912,7 +891,6 @@ impl ReplicationEngine for TwoPcEngine {
             self.tel
                 .record("engine.lock_to_write", now.saturating_sub(t0));
         }
-        self.tel.event(now, op, Phase::Write, 0);
         let durable = self.cfg.durable_pending;
         match self.store.pending_mut(key) {
             Some(p) if p.op == op => {
@@ -963,7 +941,7 @@ impl ReplicationEngine for TwoPcEngine {
             EngineRole::Peer => {
                 // The ack vouches for the +L lock record: force it down
                 // before telling the coordinator this replica holds it.
-                self.wal_barrier(key, Some(op));
+                self.wal_barrier(key);
                 fx.push(Effect::Ack1 {
                     key: key.to_owned(),
                     op,
@@ -987,7 +965,6 @@ impl ReplicationEngine for TwoPcEngine {
             self.tel
                 .record("engine.lock_to_ack1", now.saturating_sub(t0));
         }
-        self.tel.event(now, op, Phase::Ack1, u64::from(from.0));
         let k = (key.to_owned(), op);
         if !self.coords.contains_key(&k) {
             // An ack can outrun the primary's own write completion: a
@@ -1021,8 +998,6 @@ impl ReplicationEngine for TwoPcEngine {
         g: Option<&Group>,
         fx: &mut Vec<Effect>,
     ) {
-        let at = self.clock;
-        self.tel.event(at, op, Phase::Ack2, u64::from(from.0));
         if let Some(c) = self.coords.get_mut(&(key.to_owned(), op)) {
             c.acks2.insert(from);
         }
@@ -1051,13 +1026,12 @@ impl ReplicationEngine for TwoPcEngine {
             self.tel
                 .record("engine.lock_to_commit", at.saturating_sub(t0));
         }
-        self.tel.event(at, op, Phase::Commit, ts.primary_seq);
         match role {
             EngineRole::Primary(g) => self.check_done(key, op, g, fx),
             EngineRole::Peer => {
                 // The ack vouches for the commit record: force it down
                 // before the coordinator counts this replica committed.
-                self.wal_barrier(key, Some(op));
+                self.wal_barrier(key);
                 fx.push(Effect::Ack2 {
                     key: key.to_owned(),
                     op,
@@ -1074,8 +1048,6 @@ impl ReplicationEngine for TwoPcEngine {
         if applied {
             self.counters.puts_aborted += 1;
             self.started.remove(&(key.to_owned(), op));
-            let at = self.clock;
-            self.tel.event(at, op, Phase::Abort, 0);
         }
         self.drain(key, fx);
         applied
@@ -1097,8 +1069,6 @@ impl ReplicationEngine for TwoPcEngine {
             };
             c.timeouts += 1;
             self.tel.add("engine.deadlines", 1);
-            self.tel
-                .event(now, op, Phase::Deadline, u64::from(c.timeouts));
             if c.timeouts < 2 {
                 if let Some(t) = self.cfg.op_timeout {
                     fx.push(Effect::Deadline {
@@ -1133,7 +1103,6 @@ impl ReplicationEngine for TwoPcEngine {
             self.counters.puts_aborted += 1;
             self.started.remove(&(key.to_owned(), op));
             self.tel.add("engine.deadline_aborts", 1);
-            self.tel.event(now, op, Phase::Abort, 0);
             fx.push(Effect::Abort {
                 key: key.to_owned(),
                 op,
@@ -1166,12 +1135,7 @@ impl ReplicationEngine for TwoPcEngine {
         self.counters.puts_committed += 1;
         // A directly applied copy is acked (or served) the moment this
         // returns: force it down now.
-        let op = OpId {
-            client: ts.client,
-            client_seq: ts.client_seq,
-        };
-        self.wal_barrier(key, Some(op));
-        self.tel.event(now, op, Phase::Commit, ts.primary_seq);
+        self.wal_barrier(key);
         done
     }
 
@@ -1204,7 +1168,7 @@ impl ReplicationEngine for TwoPcEngine {
             self.note_commit_ts(ts);
         }
         // One barrier for the whole drained batch.
-        self.wal_barrier("<ingest>", None);
+        self.wal_barrier("<ingest>");
     }
 
     fn forget(&mut self, key: &str) {

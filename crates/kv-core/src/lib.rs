@@ -29,6 +29,7 @@
 
 mod chaos;
 mod client;
+pub mod codec;
 mod engine;
 mod error;
 pub mod explore;
@@ -55,9 +56,7 @@ pub use explore::{
 pub use history::{History, HistoryOp, Outcome, Violation, ViolationKind, MAX_OPS_PER_KEY};
 pub use spec::ClusterSpec;
 pub use store::{Committed, LogEntry, ObjectStore, Pending, StorageCfg};
-pub use telemetry::{
-    LatencyHistogram, MetricsRegistry, Phase, Telemetry, TelemetryCfg, TraceEvent, TraceSink,
-};
+pub use telemetry::{LatencyHistogram, MetricsRegistry, Telemetry, TelemetryCfg};
 pub use types::{
     NodeIdx, OpId, PartitionId, Timestamp, Value, CTRL_COST, CTRL_MSG_BYTES, DATA_SEND_COST,
     DATA_SEND_THRESHOLD, REQ_COST,

@@ -1,6 +1,5 @@
 //! The zero-dependency telemetry substrate: log-bucketed latency
-//! histograms, a registry of named counters/gauges/histograms, and a
-//! bounded structured trace ring.
+//! histograms and a registry of named counters/gauges/histograms.
 //!
 //! Every duration that enters here was produced by [`node_rt`]'s clock
 //! — virtual time on the simulator, wall-clock on the UDP runtime — at
@@ -19,12 +18,10 @@
 //!   shortest-representation rounding is a portability hazard;
 //! * no clock is read here — callers pass [`Time`] in.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use node_rt::Time;
-
-use crate::types::OpId;
 
 /// Sub-bucket resolution: each power-of-two octave is split into
 /// `2^SUB_BITS` linear buckets, bounding the relative quantile error at
@@ -303,170 +300,23 @@ impl MetricsRegistry {
     }
 }
 
-/// Which protocol phase a trace event marks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Client issued (or re-issued) an attempt.
-    Issue,
-    /// Client retry timer fired and the attempt was re-sent.
-    Retry,
-    /// Client completed the op (`arg` = 1 ok / 0 failed).
-    Complete,
-    /// 2PC phase 1: the lock was taken and +L/W scheduled.
-    Lock,
-    /// Phase 1 found the lock held: the attempt queued behind it.
-    Queued,
-    /// The local object write completed.
-    Write,
-    /// A phase-1 ack arrived at the coordinator.
-    Ack1,
-    /// A phase-2 ack arrived at the coordinator.
-    Ack2,
-    /// The commit timestamp applied.
-    Commit,
-    /// The round aborted.
-    Abort,
-    /// The WAL was forced ahead of an acknowledgement.
-    WalSync,
-    /// A coordination deadline fired.
-    Deadline,
-    /// The coordinator replied to the client.
-    Reply,
-}
-
-impl Phase {
-    /// The stable render tag.
-    fn tag(self) -> &'static str {
-        match self {
-            Phase::Issue => "issue",
-            Phase::Retry => "retry",
-            Phase::Complete => "complete",
-            Phase::Lock => "lock",
-            Phase::Queued => "queued",
-            Phase::Write => "write",
-            Phase::Ack1 => "ack1",
-            Phase::Ack2 => "ack2",
-            Phase::Commit => "commit",
-            Phase::Abort => "abort",
-            Phase::WalSync => "wal-sync",
-            Phase::Deadline => "deadline",
-            Phase::Reply => "reply",
-        }
-    }
-}
-
-/// One structured trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// When it happened (the caller's [`node_rt::NodeIo`] clock).
-    pub at: Time,
-    /// The operation it belongs to.
-    pub op: OpId,
-    /// The protocol phase.
-    pub phase: Phase,
-    /// Phase-specific detail (attempt number, ok flag, byte count …).
-    pub arg: u64,
-}
-
-/// A bounded ring buffer of [`TraceEvent`]s.
-///
-/// When full, the oldest event is dropped and counted — a long run
-/// keeps its most recent window instead of growing without bound.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceSink {
-    cap: usize,
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-impl TraceSink {
-    /// A sink holding at most `cap` events.
-    pub fn new(cap: usize) -> TraceSink {
-        TraceSink {
-            cap,
-            events: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Append an event, evicting the oldest when full.
-    pub fn push(&mut self, ev: TraceEvent) {
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(ev);
-    }
-
-    /// Events currently held (oldest first).
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Held event count.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if no events are held.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted (or refused) so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The byte-stable render: one line per event, insertion order,
-    /// integer fields only.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            let _ = writeln!(
-                out,
-                "trace t_ns={} op={}#{} phase={} arg={}",
-                ev.at.as_ns(),
-                ev.op.client,
-                ev.op.client_seq,
-                ev.phase.tag(),
-                ev.arg
-            );
-        }
-        if self.dropped > 0 {
-            let _ = writeln!(out, "trace dropped={}", self.dropped);
-        }
-        out
-    }
-}
-
 /// Telemetry configuration — a sibling of [`crate::EngineCfg`] in the
 /// layered cluster config ([`crate::ClusterSpec`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryCfg {
-    /// Record metrics and trace events at all. Off turns every
-    /// instrumentation point into a no-op (the DPOR explorer runs with
-    /// telemetry on; it is cheap because empty structures clone for
-    /// free).
+    /// Record metrics at all. Off turns every instrumentation point
+    /// into a no-op (the DPOR explorer runs with telemetry on; it is
+    /// cheap because empty structures clone for free).
     pub enabled: bool,
-    /// Ring capacity of each component's [`TraceSink`].
-    pub trace_capacity: usize,
 }
 
 impl Default for TelemetryCfg {
     fn default() -> TelemetryCfg {
-        TelemetryCfg {
-            enabled: true,
-            trace_capacity: 256,
-        }
+        TelemetryCfg { enabled: true }
     }
 }
 
-/// One component's telemetry: a metrics registry plus a trace ring.
+/// One component's telemetry: a metrics registry behind an on/off gate.
 ///
 /// [`crate::ClientCore`] and [`crate::TwoPcEngine`] each embed one;
 /// cluster-level `metrics()` accessors merge the registries.
@@ -475,8 +325,6 @@ pub struct Telemetry {
     enabled: bool,
     /// The named metrics.
     pub reg: MetricsRegistry,
-    /// The bounded trace ring.
-    pub trace: TraceSink,
 }
 
 impl Default for Telemetry {
@@ -491,7 +339,6 @@ impl Telemetry {
         Telemetry {
             enabled: cfg.enabled,
             reg: MetricsRegistry::new(),
-            trace: TraceSink::new(if cfg.enabled { cfg.trace_capacity } else { 0 }),
         }
     }
 
@@ -520,26 +367,11 @@ impl Telemetry {
             self.reg.set_gauge(name, v);
         }
     }
-
-    /// Append a trace event (no-op when disabled).
-    pub fn event(&mut self, at: Time, op: OpId, phase: Phase, arg: u64) {
-        if self.enabled {
-            self.trace.push(TraceEvent { at, op, phase, arg });
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use node_rt::Ipv4;
-
-    fn op(seq: u64) -> OpId {
-        OpId {
-            client: Ipv4::new(10, 0, 1, 1),
-            client_seq: seq,
-        }
-    }
 
     #[test]
     fn buckets_contain_their_values_and_stay_tight() {
@@ -683,35 +515,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_ring_bounds_and_counts_drops() {
-        let mut t = TraceSink::new(3);
-        for i in 0..5u64 {
-            t.push(TraceEvent {
-                at: Time(i),
-                op: op(i),
-                phase: Phase::Issue,
-                arg: i,
-            });
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 2);
-        let firsts: Vec<u64> = t.events().map(|e| e.arg).collect();
-        assert_eq!(firsts, vec![2, 3, 4], "oldest evicted first");
-        let text = t.render();
-        assert!(text.contains("phase=issue"));
-        assert!(text.contains("trace dropped=2"));
-    }
-
-    #[test]
     fn disabled_telemetry_records_nothing() {
-        let mut tel = Telemetry::new(&TelemetryCfg {
-            enabled: false,
-            trace_capacity: 64,
-        });
+        let mut tel = Telemetry::new(&TelemetryCfg { enabled: false });
         tel.add("ops", 1);
         tel.record("lat", Time::from_us(1));
-        tel.event(Time::ZERO, op(1), Phase::Issue, 1);
         assert!(tel.reg.is_empty());
-        assert!(tel.trace.is_empty());
     }
 }

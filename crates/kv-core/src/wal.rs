@@ -25,10 +25,10 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 
-use node_rt::{ByteReader, ByteWriter, Ipv4};
+use node_rt::{ByteReader, ByteWriter};
 
+use crate::codec::{get_op, get_ts, get_value, put_op, put_ts, put_value};
 use crate::types::{OpId, Timestamp, Value};
 
 /// One durable mutation of the object store.
@@ -88,48 +88,6 @@ const FRAME_HDR: usize = 8;
 /// file is corruption, not a record.
 const MAX_RECORD: u32 = 64 << 20;
 
-fn put_op(w: &mut ByteWriter, op: OpId) {
-    w.u32(op.client.0);
-    w.u64(op.client_seq);
-}
-
-fn get_op(r: &mut ByteReader<'_>) -> Option<OpId> {
-    Some(OpId {
-        client: Ipv4(r.u32()?),
-        client_seq: r.u64()?,
-    })
-}
-
-fn put_ts(w: &mut ByteWriter, ts: Timestamp) {
-    w.u64(ts.primary_seq);
-    w.u32(ts.primary.0);
-    w.u64(ts.client_seq);
-    w.u32(ts.client.0);
-}
-
-fn get_ts(r: &mut ByteReader<'_>) -> Option<Timestamp> {
-    Some(Timestamp {
-        primary_seq: r.u64()?,
-        primary: Ipv4(r.u32()?),
-        client_seq: r.u64()?,
-        client: Ipv4(r.u32()?),
-    })
-}
-
-fn put_value(w: &mut ByteWriter, v: &Value) {
-    w.bytes(&v.bytes);
-    w.u32(v.pad);
-}
-
-fn get_value(r: &mut ByteReader<'_>) -> Option<Value> {
-    let bytes = r.bytes()?.to_vec();
-    let pad = r.u32()?;
-    Some(Value {
-        bytes: Rc::new(bytes),
-        pad,
-    })
-}
-
 impl WalRecord {
     /// Serialize the record payload (no frame header).
     pub fn encode(&self) -> Vec<u8> {
@@ -138,25 +96,25 @@ impl WalRecord {
             WalRecord::Lock { key, op, value } => {
                 w.u8(TAG_LOCK);
                 w.str(key);
-                put_op(&mut w, *op);
+                put_op(&mut w, op);
                 put_value(&mut w, value);
             }
             WalRecord::Commit { key, op, ts } => {
                 w.u8(TAG_COMMIT);
                 w.str(key);
-                put_op(&mut w, *op);
-                put_ts(&mut w, *ts);
+                put_op(&mut w, op);
+                put_ts(&mut w, ts);
             }
             WalRecord::Apply { key, value, ts } => {
                 w.u8(TAG_APPLY);
                 w.str(key);
                 put_value(&mut w, value);
-                put_ts(&mut w, *ts);
+                put_ts(&mut w, ts);
             }
             WalRecord::Release { key, op } => {
                 w.u8(TAG_RELEASE);
                 w.str(key);
-                put_op(&mut w, *op);
+                put_op(&mut w, op);
             }
         }
         w.into_vec()
@@ -428,6 +386,7 @@ fn scan(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use node_rt::Ipv4;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_wal(tag: &str) -> PathBuf {

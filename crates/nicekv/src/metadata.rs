@@ -255,13 +255,6 @@ impl MetadataApp {
         self.views.get(&p)
     }
 
-    /// Current view of a partition, as a typed result.
-    pub fn try_view(&self, p: PartitionId) -> Result<&PartitionView, KvError> {
-        self.views
-            .get(&p)
-            .ok_or(KvError::ViewMissing { partition: p })
-    }
-
     /// Liveness state of a node.
     ///
     /// # Panics

@@ -127,15 +127,6 @@ impl ServerApp {
         self.engine.store()
     }
 
-    /// Rejoin progress (inspection): are we mid-drain, and which
-    /// partitions still owe us handoff data.
-    pub fn rejoin_state(&self) -> (bool, Vec<PartitionId>) {
-        (
-            self.rejoining,
-            self.rejoin_pending.iter().copied().collect(),
-        )
-    }
-
     /// Observable counters.
     pub fn counters(&self) -> Counters {
         self.engine.counters()

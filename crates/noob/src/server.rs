@@ -241,13 +241,6 @@ impl NoobServerApp {
         self.ring.ring.primary(self.ring.partition_of(key)) == self.node
     }
 
-    /// Is this node in the key's replica set? (exposed for tests)
-    pub fn is_replica_for(&self, key: &str) -> bool {
-        self.ring
-            .ring
-            .is_replica(self.ring.partition_of(key), self.node)
-    }
-
     /// The engine's view of a key's replica group: every replica that
     /// must ack, excluding this node.
     fn group_for(&self, key: &str, ctx: &dyn NodeIo) -> Group {

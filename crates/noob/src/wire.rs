@@ -7,9 +7,10 @@
 use std::any::Any;
 use std::rc::Rc;
 
+use kv_core::codec::{get_op, get_ts, get_value, put_op, put_ts, put_value};
 use node_rt::{ByteReader, ByteWriter, Ipv4, Payload, WireCodec};
 
-use crate::msg::{NoobMsg, OpId, Timestamp, Value};
+use crate::msg::NoobMsg;
 use nice_ring::NodeIdx;
 
 const TAG_PUT: u8 = 0;
@@ -27,48 +28,6 @@ const TAG_SYNC_RESP: u8 = 10;
 /// Corruption bound on [`NoobMsg::SyncResp`] item counts: rejoin
 /// transfers are store-sized, never larger than this.
 const MAX_SYNC_ITEMS: u32 = 1 << 20;
-
-fn put_value(w: &mut ByteWriter, v: &Value) {
-    w.bytes(&v.bytes);
-    w.u32(v.pad);
-}
-
-fn get_value(r: &mut ByteReader) -> Option<Value> {
-    let bytes = r.bytes()?.to_vec();
-    let pad = r.u32()?;
-    Some(Value {
-        bytes: Rc::new(bytes),
-        pad,
-    })
-}
-
-fn put_op(w: &mut ByteWriter, op: &OpId) {
-    w.u32(op.client.0);
-    w.u64(op.client_seq);
-}
-
-fn get_op(r: &mut ByteReader) -> Option<OpId> {
-    Some(OpId {
-        client: Ipv4(r.u32()?),
-        client_seq: r.u64()?,
-    })
-}
-
-fn put_ts(w: &mut ByteWriter, ts: &Timestamp) {
-    w.u64(ts.primary_seq);
-    w.u32(ts.primary.0);
-    w.u64(ts.client_seq);
-    w.u32(ts.client.0);
-}
-
-fn get_ts(r: &mut ByteReader) -> Option<Timestamp> {
-    Some(Timestamp {
-        primary_seq: r.u64()?,
-        primary: Ipv4(r.u32()?),
-        client_seq: r.u64()?,
-        client: Ipv4(r.u32()?),
-    })
-}
 
 /// Serializes the NOOB message vocabulary.
 pub struct NoobCodec;
@@ -271,6 +230,7 @@ impl WireCodec for NoobCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::{OpId, Timestamp, Value};
 
     fn roundtrip(msg: &NoobMsg) -> NoobMsg {
         let wire = NoobCodec.encode(msg).expect("encodable");

@@ -90,12 +90,6 @@ impl PhysicalRing {
         1 << self.bits
     }
 
-    /// log2 of the partition count.
-    #[inline]
-    pub fn partition_bits(&self) -> u32 {
-        self.bits
-    }
-
     /// Replication level R.
     #[inline]
     pub fn replication(&self) -> usize {

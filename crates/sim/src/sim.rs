@@ -14,7 +14,7 @@ use nice_workload::XorShiftRng;
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::host::{App, Ctx, Effect, HostCfg};
 use crate::ids::{ChannelId, Endpoint, HostId, Port, SwitchId};
-use crate::link::{Channel, ChannelCfg, ChannelStats, Enqueue};
+use crate::link::{Channel, ChannelCfg, Enqueue};
 use crate::net::{ArpOp, Packet, Proto};
 use crate::switch::{SwitchAction, SwitchCfg, SwitchLogic, SwitchView};
 use crate::time::Time;
@@ -408,19 +408,6 @@ impl Simulation {
         self.hosts[host.0 as usize].stats
     }
 
-    /// Number of hosts.
-    pub fn num_hosts(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Counters for every channel.
-    pub fn channel_stats(&self) -> Vec<ChannelStats> {
-        self.channels
-            .iter()
-            .map(super::link::Channel::stats)
-            .collect()
-    }
-
     /// Total wire bytes accepted across all links — the paper's "total
     /// network link load" metric (Figure 6).
     pub fn total_link_bytes(&self) -> u64 {
@@ -432,22 +419,9 @@ impl Simulation {
         self.channels.iter().map(|c| c.stats().drops).sum()
     }
 
-    /// Run a closure against each host's stats (id, stats).
-    pub fn for_each_host_stats(&self, mut f: impl FnMut(HostId, HostStats)) {
-        for (i, h) in self.hosts.iter().enumerate() {
-            f(HostId(i as u32), h.stats);
-        }
-    }
-
     // ---------------------------------------------------------------
     // Event loop
     // ---------------------------------------------------------------
-
-    /// Process events until the heap is empty (only safe when no app arms
-    /// periodic timers) — mainly for tests.
-    pub fn run_idle(&mut self) {
-        while self.step() {}
-    }
 
     /// Advance to absolute time `t`, processing every event up to and
     /// including it. The clock lands exactly on `t`.

@@ -59,19 +59,6 @@ impl StarBuilder {
         let port = sim.connect_asym(host, self.switch, self.link.host_uplink(), self.link);
         (host, ip, port)
     }
-
-    /// Add a host with an explicit config (custom CPU model or address).
-    pub fn add_with_cfg(
-        &mut self,
-        sim: &mut Simulation,
-        app: Box<dyn App>,
-        cfg: HostCfg,
-    ) -> (HostId, Port) {
-        self.next_host += 1;
-        let host = sim.add_host(app, cfg);
-        let port = sim.connect_asym(host, self.switch, self.link.host_uplink(), self.link);
-        (host, port)
-    }
 }
 
 #[cfg(test)]

@@ -567,11 +567,6 @@ impl RecvState {
         }
         false
     }
-
-    /// Re-acknowledge (used when a duplicate chunk arrives after delivery).
-    pub fn reack(&self, ctx: &mut dyn NodeIo, my_port: u16) {
-        self.send_ack(ctx, my_port);
-    }
 }
 
 #[cfg(test)]

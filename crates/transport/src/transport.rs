@@ -109,11 +109,6 @@ impl Transport {
         self.port
     }
 
-    /// In-flight reliable sends (diagnostics).
-    pub fn inflight_sends(&self) -> usize {
-        self.senders.len()
-    }
-
     fn arm(&mut self, ctx: &mut dyn NodeIo) {
         if !self.tick_armed {
             self.tick_armed = true;

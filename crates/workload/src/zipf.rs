@@ -15,7 +15,6 @@ pub struct Zipf {
     alpha: f64,
     zeta_n: f64,
     eta: f64,
-    zeta_two: f64,
 }
 
 impl Zipf {
@@ -36,7 +35,6 @@ impl Zipf {
             alpha,
             zeta_n,
             eta,
-            zeta_two,
         }
     }
 
@@ -72,11 +70,6 @@ impl Zipf {
     /// The probability mass of rank 0 (diagnostics/tests).
     pub fn head_mass(&self) -> f64 {
         1.0 / self.zeta_n
-    }
-
-    /// Internal zeta(2) (exposed for tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta_two
     }
 }
 

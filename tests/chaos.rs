@@ -671,12 +671,31 @@ fn same_seed_chaos_runs_yield_byte_identical_telemetry() {
     let b = run();
     assert_eq!(a, b, "same seed must replay to identical telemetry");
     // The snapshot must be non-vacuous: the hot-path histograms and the
-    // engine counters all saw traffic.
+    // engine counters all saw traffic. The list also pins the spelling
+    // of every name `perfbench/` reads by string — `counter()` returns 0
+    // for an unknown name, so a rename would silently zero a per-layer
+    // metric. Kind prefix + trailing space make each needle a whole name
+    // (`wal.sync` vs `wal.syncs`). Not pinned here: `engine.queued`,
+    // which this low-contention run never bumps.
     for needle in [
-        "client.put_e2e",
-        "client.get_e2e",
-        "wal.sync",
-        "engine.puts_committed",
+        "hist client.put_e2e ",
+        "hist client.get_e2e ",
+        "counter client.retries ",
+        "hist client.retry_wait ",
+        "hist engine.lock_to_write ",
+        "hist engine.lock_to_ack1 ",
+        "hist engine.lock_to_commit ",
+        "counter engine.puts_committed ",
+        "counter engine.puts_aborted ",
+        "counter engine.forwarded ",
+        "hist wal.sync ",
+        "counter wal.syncs ",
+        "counter wal.appends ",
+        "counter store.bytes_written ",
+        "counter transport.probes ",
+        "counter transport.nacks_sent ",
+        "counter transport.repairs ",
+        "counter transport.syn_retries ",
     ] {
         assert!(a.contains(needle), "snapshot is missing {needle}:\n{a}");
     }
