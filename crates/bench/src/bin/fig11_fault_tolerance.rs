@@ -181,16 +181,25 @@ fn main() {
         .filter(|&&(start, end, _)| start <= healed && end >= crash)
         .map(|&(_, _, attempts)| attempts)
         .collect();
-    assert!(
-        straddlers.iter().any(|&a| a > 1),
-        "no put was blocked by the failure; the workload cannot corroborate the window"
-    );
-    assert!(
-        straddlers.iter().all(|&a| a <= 2),
-        "a put straddling the failure needed {} attempts — the partition \
-         was still unavailable a full retry period after the crash",
-        straddlers.iter().max().unwrap()
-    );
+    if args.quick && straddlers.is_empty() {
+        // At quick scale the clients drain before the crash: there is
+        // nothing to corroborate with, which is not a failure.
+        eprintln!(
+            "--quick: no put straddles the t={FAIL_AT_S}s failure; \
+             client-side corroboration skipped"
+        );
+    } else {
+        assert!(
+            straddlers.iter().any(|&a| a > 1),
+            "no put was blocked by the failure; the workload cannot corroborate the window"
+        );
+        assert!(
+            straddlers.iter().all(|&a| a <= 2),
+            "a put straddling the failure needed {} attempts — the partition \
+             was still unavailable a full retry period after the crash",
+            straddlers.iter().max().unwrap()
+        );
+    }
     assert!(
         !c.server(victim).store().is_empty(),
         "the rejoined node never drained its missed objects"

@@ -24,7 +24,9 @@ use crate::store::{ObjectStore, StorageCfg};
 use crate::telemetry::{MetricsRegistry, Telemetry, TelemetryCfg};
 use crate::types::{NodeIdx, OpId, Timestamp, Value};
 
-/// Unified observable counters for both systems' storage nodes.
+/// Unified protocol tallies for both systems' storage nodes: plain
+/// integers on the hot path, published under `engine.*` by
+/// [`TwoPcEngine::metrics`].
 ///
 /// The engine itself bumps `puts_committed` / `puts_aborted` /
 /// `internal_errors`; the policy adapters bump the routing-dependent
@@ -51,22 +53,6 @@ pub struct Counters {
     /// Internal invariant violations survived without panicking
     /// (see [`KvError`]); nonzero indicates a protocol bug.
     pub internal_errors: u64,
-}
-
-impl Counters {
-    /// Fold these counters into a metrics registry under `engine.*` —
-    /// the uniform snapshot surface, so harnesses need not harvest
-    /// [`Counters`] structs per system.
-    pub fn fold_into(&self, m: &mut MetricsRegistry) {
-        m.add("engine.gets_served", self.gets_served);
-        m.add("engine.forwarded", self.forwarded);
-        m.add("engine.puts_committed", self.puts_committed);
-        m.add("engine.puts_aborted", self.puts_aborted);
-        m.add("engine.puts_coordinated", self.puts_coordinated);
-        m.add("engine.replica_writes", self.replica_writes);
-        m.add("engine.failure_reports", self.failure_reports);
-        m.add("engine.internal_errors", self.internal_errors);
-    }
 }
 
 /// Policy knobs fixed per system at construction time.
@@ -542,31 +528,36 @@ impl TwoPcEngine {
         &mut self.store
     }
 
-    /// Observable counters.
-    pub fn counters(&self) -> Counters {
-        self.counters
-    }
-
     /// Mutable counter access for the routing-dependent counters the
     /// adapter owns (`gets_served`, `forwarded`, …).
     pub fn counters_mut(&mut self) -> &mut Counters {
         &mut self.counters
     }
 
-    /// This engine's telemetry bundle (phase histograms + counters).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.tel
-    }
-
-    /// The metrics snapshot: the live registry plus store/WAL facts
-    /// (appends, syncs, object writes, bytes) folded in as counters so
-    /// per-node snapshots merge into cluster totals by plain addition.
+    /// The metrics snapshot: the live registry plus the protocol
+    /// tallies (`engine.*`) and store/WAL facts (appends, syncs, object
+    /// writes, bytes) folded in as counters, so every name is always
+    /// present and per-node snapshots merge into cluster totals by plain
+    /// addition.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut m = self.tel.reg.clone();
-        m.add("wal.appends", self.store.wal().appends());
-        m.add("wal.syncs", self.store.wal().syncs());
-        m.add("store.writes", self.store.writes());
-        m.add("store.bytes_written", self.store.bytes_written());
+        let c = &self.counters;
+        for (name, n) in [
+            ("engine.gets_served", c.gets_served),
+            ("engine.forwarded", c.forwarded),
+            ("engine.puts_committed", c.puts_committed),
+            ("engine.puts_aborted", c.puts_aborted),
+            ("engine.puts_coordinated", c.puts_coordinated),
+            ("engine.replica_writes", c.replica_writes),
+            ("engine.failure_reports", c.failure_reports),
+            ("engine.internal_errors", c.internal_errors),
+            ("wal.appends", self.store.wal().appends()),
+            ("wal.syncs", self.store.wal().syncs()),
+            ("store.writes", self.store.writes()),
+            ("store.bytes_written", self.store.bytes_written()),
+        ] {
+            m.add(name, n);
+        }
         m
     }
 
@@ -1364,11 +1355,11 @@ mod tests {
         // generated: a lost multicast loopback must never leave the
         // acked value missing from the primary's store.
         assert_eq!(*e.store().get("k").unwrap().value.bytes, vec![7]);
-        assert_eq!(e.counters().puts_committed, 1);
+        assert_eq!(e.counters.puts_committed, 1);
         fx.clear();
         // The loopback re-delivery is a no-op (already applied).
         assert!(!e.on_commit("k", op(1), ts, EngineRole::Primary(&g), &mut fx));
-        assert_eq!(e.counters().puts_committed, 1);
+        assert_eq!(e.counters.puts_committed, 1);
         fx.clear();
         e.on_ack2("k", op(1), NodeIdx(1), Some(&g), &mut fx);
         assert!(fx.is_empty());
@@ -1438,7 +1429,7 @@ mod tests {
         assert!(matches!(fx[1], Effect::Abort { .. }));
         assert!(matches!(fx[2], Effect::Reply { ok: false, .. }));
         assert!(!e.store().locked("k"), "lock released");
-        assert_eq!(e.counters().puts_aborted, 1);
+        assert_eq!(e.counters.puts_aborted, 1);
     }
 
     #[test]
@@ -1541,7 +1532,7 @@ mod tests {
             "newer attempt from the same client supersedes the orphan"
         );
         assert_eq!(e.store().pending("k").unwrap().op, op(2));
-        assert_eq!(e.counters().puts_aborted, 1);
+        assert_eq!(e.counters.puts_aborted, 1);
     }
 
     #[test]

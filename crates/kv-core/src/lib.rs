@@ -57,8 +57,5 @@ pub use history::{History, HistoryOp, Outcome, Violation, ViolationKind, MAX_OPS
 pub use spec::ClusterSpec;
 pub use store::{Committed, LogEntry, ObjectStore, Pending, StorageCfg};
 pub use telemetry::{LatencyHistogram, MetricsRegistry, Telemetry, TelemetryCfg};
-pub use types::{
-    NodeIdx, OpId, PartitionId, Timestamp, Value, CTRL_COST, CTRL_MSG_BYTES, DATA_SEND_COST,
-    DATA_SEND_THRESHOLD, REQ_COST,
-};
+pub use types::{NodeIdx, OpId, PartitionId, Timestamp, Value, CTRL_MSG_BYTES};
 pub use wal::{crc32, DurableLog, FileWal, MemLog, WalRecord};

@@ -1,5 +1,5 @@
 //! The zero-dependency telemetry substrate: log-bucketed latency
-//! histograms and a registry of named counters/gauges/histograms.
+//! histograms and a registry of named counters/histograms.
 //!
 //! Every duration that enters here was produced by [`node_rt`]'s clock
 //! — virtual time on the simulator, wall-clock on the UDP runtime — at
@@ -186,16 +186,15 @@ impl LatencyHistogram {
     }
 }
 
-/// A registry of named counters, gauges, and latency histograms.
+/// A registry of named counters and latency histograms.
 ///
-/// All three maps are ordered, so [`MetricsRegistry::render`] is a pure
+/// Both maps are ordered, so [`MetricsRegistry::render`] is a pure
 /// function of the recorded values — the simulator's determinism
 /// contract extends to telemetry. Merging registries (per-node →
 /// cluster-wide) is bucket-wise/sum-wise.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
     hists: BTreeMap<String, LatencyHistogram>,
 }
 
@@ -215,11 +214,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Set gauge `name` to `v`.
-    pub fn set_gauge(&mut self, name: &str, v: u64) {
-        self.gauges.insert(name.to_owned(), v);
-    }
-
     /// Record duration `d` into histogram `name` (created empty).
     pub fn record(&mut self, name: &str, d: Time) {
         match self.hists.get_mut(name) {
@@ -237,36 +231,16 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Gauge `name`, if set.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Histogram `name`, if any samples were recorded.
     pub fn hist(&self, name: &str) -> Option<&LatencyHistogram> {
         self.hists.get(name)
     }
 
-    /// Iterate all histograms in name order.
-    pub fn hists(&self) -> impl Iterator<Item = (&str, &LatencyHistogram)> {
-        self.hists.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Iterate all counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
     /// Fold `other` into this registry: counters and histogram buckets
-    /// add; a gauge takes the maximum (gauges here are monotone facts
-    /// like "WAL records replayed").
+    /// add.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (k, &v) in &other.counters {
             self.add(k, v);
-        }
-        for (k, &v) in &other.gauges {
-            let g = self.gauges.entry(k.clone()).or_insert(0);
-            *g = (*g).max(v);
         }
         for (k, h) in &other.hists {
             match self.hists.get_mut(k) {
@@ -280,7 +254,7 @@ impl MetricsRegistry {
 
     /// True if nothing was ever recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
+        self.counters.is_empty() && self.hists.is_empty()
     }
 
     /// The byte-stable snapshot: one line per metric, name order within
@@ -289,9 +263,6 @@ impl MetricsRegistry {
         let mut out = String::new();
         for (k, v) in &self.counters {
             let _ = writeln!(out, "counter {k} {v}");
-        }
-        for (k, v) in &self.gauges {
-            let _ = writeln!(out, "gauge {k} {v}");
         }
         for (k, h) in &self.hists {
             h.render(k, &mut out);
@@ -358,13 +329,6 @@ impl Telemetry {
     pub fn add(&mut self, name: &str, n: u64) {
         if self.enabled {
             self.reg.add(name, n);
-        }
-    }
-
-    /// Set a gauge (no-op when disabled).
-    pub fn set_gauge(&mut self, name: &str, v: u64) {
-        if self.enabled {
-            self.reg.set_gauge(name, v);
         }
     }
 }
@@ -474,7 +438,6 @@ mod tests {
             let mut r = MetricsRegistry::new();
             r.add("z.last", 3);
             r.add("a.first", 1);
-            r.set_gauge("mid", 7);
             r.record("lat", Time::from_us(10));
             r.record("lat", Time::from_us(20));
             r
@@ -487,7 +450,6 @@ mod tests {
         let z = text.find("z.last").unwrap();
         assert!(a < z, "counters render in name order");
         assert!(text.contains("counter a.first 1"));
-        assert!(text.contains("gauge mid 7"));
         assert!(text.contains("hist lat count=2"));
         assert!(
             !text.contains('.') || !text.contains("e-"),
@@ -504,11 +466,9 @@ mod tests {
         b.add("ops", 3);
         b.add("only_b", 1);
         b.record("lat", Time::from_us(500));
-        b.set_gauge("floor", 9);
         a.merge(&b);
         assert_eq!(a.counter("ops"), 5);
         assert_eq!(a.counter("only_b"), 1);
-        assert_eq!(a.gauge("floor"), Some(9));
         let h = a.hist("lat").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), Time::from_us(500));

@@ -1,9 +1,8 @@
-//! Identity and value types shared by every layer of both systems, plus
-//! the CPU cost model both storage stacks are calibrated to.
+//! Identity and value types shared by every layer of both systems.
 
 use std::rc::Rc;
 
-use node_rt::{Ipv4, Time};
+use node_rt::Ipv4;
 
 /// Index of a storage node (dense, assigned by the cluster builder).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -83,21 +82,6 @@ pub struct OpId {
 
 /// Approximate wire size of small protocol messages (acks, queries).
 pub const CTRL_MSG_BYTES: u32 = 64;
-/// App-level CPU cost of serving one client request (parse, hash, index,
-/// buffer management, reply serialization). Calibrated to a Swift-class
-/// 2017 storage stack (§6: "NOOB-RAG performance was equivalent or
-/// slightly better than Swift storage").
-pub const REQ_COST: Time = Time::from_us(300);
-/// App-level CPU cost of handling one small protocol/control message
-/// (acks, timestamps, membership).
-pub const CTRL_COST: Time = Time::from_us(15);
-/// App-level CPU cost of *sending* one value-carrying message (socket
-/// write, stack traversal, segmentation). This is what makes a NOOB
-/// primary that fans out R-1 object copies a CPU hotspot as well as a
-/// network one (Figures 7 and 12).
-pub const DATA_SEND_COST: Time = Time::from_us(100);
-/// Messages larger than this pay [`DATA_SEND_COST`] on send.
-pub const DATA_SEND_THRESHOLD: u32 = 512;
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,6 @@ use kv_core::{
     Attempt, ClientCore, Issue, KvClient, ReplyAction, RetryAction, CTRL_MSG_BYTES, IDLE_POLL,
     NOT_FOUND_BACKOFF, TOK_RETRY_BASE, TOK_START,
 };
-use nice_ring::{hash_str, PartitionId};
 use nice_transport::{Msg, MsgToken, Transport, TransportEvent, TRANSPORT_TICK};
 use node_rt::{NodeApp, NodeIo, Packet, Time};
 
@@ -75,10 +74,6 @@ impl ClientApp {
         }
     }
 
-    fn partition_of(&self, key: &str) -> PartitionId {
-        PartitionId((hash_str(key) >> (64 - self.cfg.partitions.trailing_zeros())) as u32)
-    }
-
     /// Ask the core for the next attempt and put it on the wire.
     fn pump(&mut self, ctx: &mut dyn NodeIo) {
         match self.core.issue_next(ctx.ip(), ctx.now()) {
@@ -96,7 +91,7 @@ impl ClientApp {
         let seq = at.id.client_seq;
         match &at.op {
             ClientOp::Put { key, value } => {
-                let p = self.partition_of(key);
+                let p = self.cfg.partition_of(key);
                 let group = self.cfg.multicast.vnode_for_key(p, key.as_bytes());
                 let msg = KvMsg::PutRequest {
                     key: key.clone(),
@@ -124,7 +119,7 @@ impl ClientApp {
                 }
             }
             ClientOp::Get { key } => {
-                let p = self.partition_of(key);
+                let p = self.cfg.partition_of(key);
                 let vnode = self.cfg.unicast.vnode_for_key(p, key.as_bytes());
                 let msg = KvMsg::GetRequest {
                     key: key.clone(),

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use nice_flow::{prio, Action, FlowMatch, FlowRule, FlowSwitch, FlowTable, L3Learner};
-use nice_ring::{hash_str, NodeIdx, PartitionId, PhysicalRing};
+use nice_ring::{NodeIdx, PartitionId, PhysicalRing};
 use nice_sim::{
     ChannelCfg, FaultPlan, HostCfg, HostId, Ipv4, Mac, Simulation, SwitchCfg, SwitchId, Time,
 };
@@ -334,7 +334,7 @@ impl NiceCluster {
 
     /// The partition a key hashes into (static: independent of membership).
     pub fn partition_of_key(&self, key: &str) -> PartitionId {
-        PartitionId((hash_str(key) >> (64 - self.cfg.partitions.trailing_zeros())) as u32)
+        self.cfg.partition_of(key)
     }
 
     /// Queue an administrator ring-reconfiguration command (§4.4); it is
@@ -362,12 +362,11 @@ impl NiceCluster {
     /// Generate `count` distinct keys that all hash into partition `p` —
     /// how experiments pin "all objects in the same partition" (§6.6).
     pub fn keys_in_partition(&self, p: PartitionId, count: usize) -> Vec<String> {
-        let bits = self.cfg.partitions.trailing_zeros();
         let mut keys = Vec::with_capacity(count);
         let mut i = 0u64;
         while keys.len() < count {
             let k = format!("pinned-{i}");
-            if PartitionId((hash_str(&k) >> (64 - bits)) as u32) == p {
+            if self.cfg.partition_of(&k) == p {
                 keys.push(k);
             }
             i += 1;
@@ -387,7 +386,7 @@ mod tests {
         assert_eq!(keys.len(), 10);
         let bits = c.cfg.partitions.trailing_zeros();
         for k in &keys {
-            assert_eq!((hash_str(k) >> (64 - bits)) as u32, 5);
+            assert_eq!((nice_ring::hash_str(k) >> (64 - bits)) as u32, 5);
         }
     }
 

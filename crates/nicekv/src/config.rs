@@ -2,7 +2,7 @@
 //! metadata service.
 
 use kv_core::{RetryPolicy, TelemetryCfg};
-use nice_ring::VRing;
+use nice_ring::{hash_str, PartitionId, VRing};
 use node_rt::{Ipv4, Time};
 
 /// Optional exponential-backoff upgrade for the client retry schedule.
@@ -98,6 +98,12 @@ impl KvConfig {
             client_space: (Ipv4::new(10, 0, 1, 0), 24),
             telemetry: TelemetryCfg::default(),
         }
+    }
+
+    /// The partition `key` hashes into: the top bits of its hash (static,
+    /// independent of membership).
+    pub fn partition_of(&self, key: &str) -> PartitionId {
+        PartitionId((hash_str(key) >> (64 - self.partitions.trailing_zeros())) as u32)
     }
 
     /// The client retry schedule this config describes: the fixed §6.6

@@ -36,7 +36,7 @@ pub use client::{ClientApp, ClientOp, OpRecord};
 pub use cluster::{ClusterCfg, NiceCluster, SimHostCfg};
 pub use config::{KvConfig, PutMode, RetryBackoff};
 pub use kv_core::ClusterSpec;
-pub use kv_core::{Counters, KvClient, KvError, MetricsRegistry, ObjectStore, StorageCfg};
+pub use kv_core::{KvClient, KvError, MetricsRegistry, ObjectStore, StorageCfg};
 pub use metadata::{AdminOp, MetaEvent, MetaRole, MetadataApp, SwitchHandle};
 pub use msg::{HandoffRecord, NodeState};
 pub use msg::{KvMsg, LoadStats, OpId, PartitionView, Role, Timestamp, Value};

@@ -1192,32 +1192,7 @@ impl App for MetadataApp {
         for info in &mut self.nodes {
             info.last_hb = now;
         }
-        if let MetaRole::Standby { .. } = self.role {
-            // Passive: just build the same initial views locally and wait
-            // for syncs; the active instance owns the switch.
-            for p in 0..self.ring.num_partitions() {
-                let p = PartitionId(p);
-                let members: Vec<(NodeIdx, Ipv4)> = self
-                    .ring
-                    .replica_set(p)
-                    .iter()
-                    .map(|&n| (n, self.addr(n)))
-                    .collect();
-                self.views.insert(
-                    p,
-                    PartitionView {
-                        partition: p,
-                        primary: self.ring.primary(p),
-                        members,
-                        handoffs: Vec::new(),
-                        syncing: Vec::new(),
-                    },
-                );
-            }
-            ctx.set_timer(self.cfg.hb_interval, TOK_HBCHECK);
-            return;
-        }
-        // Build initial views from the static ring and install everything.
+        // Both instances build the same initial views from the static ring.
         for p in 0..self.ring.num_partitions() {
             let p = PartitionId(p);
             let members: Vec<(NodeIdx, Ipv4)> = self
@@ -1234,7 +1209,14 @@ impl App for MetadataApp {
                 syncing: Vec::new(),
             };
             self.views.insert(p, view);
-            self.install_partition(p, now);
+        }
+        if let MetaRole::Standby { .. } = self.role {
+            // Passive: wait for syncs; the active instance owns the switch.
+            ctx.set_timer(self.cfg.hb_interval, TOK_HBCHECK);
+            return;
+        }
+        for p in 0..self.ring.num_partitions() {
+            self.install_partition(PartitionId(p), now);
         }
         // Initial membership push: each node gets the views it serves.
         let mut per_node: BTreeMap<NodeIdx, Vec<PartitionView>> = BTreeMap::new();

@@ -25,12 +25,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use kv_core::{
-    Counters, Effect, EngineCfg, EngineRole, Group, KvError, LockResolution, MetricsRegistry,
-    ObjectStore, ReplicationEngine, StorageCfg, TwoPcEngine, CTRL_COST, CTRL_MSG_BYTES,
-    DATA_SEND_COST, DATA_SEND_THRESHOLD, REQ_COST,
+    Effect, EngineCfg, EngineRole, Group, KvError, LockResolution, MetricsRegistry, ObjectStore,
+    ReplicationEngine, StorageCfg, TwoPcEngine, CTRL_MSG_BYTES,
 };
-use nice_ring::{hash_str, NodeIdx, PartitionId};
-use nice_transport::{Msg, Transport, TransportEvent, TRANSPORT_TICK};
+use nice_ring::{NodeIdx, PartitionId};
+use nice_transport::endpoint::{charge_send, CTRL_COST, REQ_COST};
+use nice_transport::{Endpoint, Fired, Msg};
 use node_rt::{Ipv4, NodeApp, NodeIo, Packet, Time};
 
 use crate::config::{KvConfig, PutMode};
@@ -39,7 +39,6 @@ use crate::msg::{KvMsg, LoadStats, OpId, PartitionView, Role, Timestamp, Value};
 const TOK_HEARTBEAT: u64 = 1;
 const TOK_SWEEP: u64 = 2;
 const TOK_REJOIN_RETRY: u64 = 3;
-const TOK_CONT_BASE: u64 = 1000;
 
 /// Deferred work resumed by a timer (storage-write completions and
 /// coordination deadlines).
@@ -48,9 +47,6 @@ enum Cont {
     Written { key: String, op: OpId },
     /// A 2PC coordination round deadline.
     CoordDeadline { key: String, op: OpId },
-    /// A received message cleared the CPU queue: process it now. This is
-    /// how request processing time becomes part of response latency.
-    Process { msg: Box<KvMsg>, src: Ipv4 },
     /// A recovery drain waiting for its gate: the fetcher must be in our
     /// view and the put rounds that predate it must retire first.
     FetchGate {
@@ -67,11 +63,9 @@ pub struct ServerApp {
     cfg: KvConfig,
     node: NodeIdx,
     meta: Ipv4,
-    tp: Transport,
+    ep: Endpoint<KvMsg, Cont>,
     engine: TwoPcEngine,
     views: BTreeMap<PartitionId, PartitionView>,
-    conts: BTreeMap<u64, Cont>,
-    next_cont: u64,
     resolves: BTreeMap<PartitionId, LockResolution>,
     /// When each in-flight resolution started: one whose queried member
     /// died mid-protocol never completes, so the stale-lock sweep
@@ -88,7 +82,7 @@ impl ServerApp {
     /// A storage node `node` reporting to the metadata service at `meta`.
     pub fn new(cfg: KvConfig, node: NodeIdx, meta: Ipv4, storage: StorageCfg) -> ServerApp {
         ServerApp {
-            tp: Transport::new(cfg.port),
+            ep: Endpoint::new(cfg.port, msg_cost),
             engine: TwoPcEngine::new(EngineCfg {
                 storage,
                 // NICE runs the coordinator deadlines of §4.4, commits on
@@ -106,8 +100,6 @@ impl ServerApp {
             node,
             meta,
             views: BTreeMap::new(),
-            conts: BTreeMap::new(),
-            next_cont: TOK_CONT_BASE,
             resolves: BTreeMap::new(),
             resolve_started: BTreeMap::new(),
             rejoin_pending: BTreeSet::new(),
@@ -127,23 +119,14 @@ impl ServerApp {
         self.engine.store()
     }
 
-    /// Observable counters.
-    pub fn counters(&self) -> Counters {
-        self.engine.counters()
-    }
-
     /// The node's full metrics snapshot: engine phase histograms and
     /// WAL facts, protocol counters under `engine.*`, and transport
     /// reliability effort under `transport.*`.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut m = self.engine.metrics();
-        self.engine.counters().fold_into(&mut m);
-        let tp = self.tp.stats();
-        m.add("transport.probes", tp.probes);
-        m.add("transport.nacks_sent", tp.nacks_sent);
-        m.add("transport.nacks_received", tp.nacks_received);
-        m.add("transport.repairs", tp.repairs);
-        m.add("transport.syn_retries", tp.syn_retries);
+        for (name, n) in self.ep.stats().named() {
+            m.add(name, n);
+        }
         m
     }
 
@@ -156,10 +139,6 @@ impl ServerApp {
     /// correct run keeps this `None`).
     pub fn last_internal_error(&self) -> Option<&KvError> {
         self.engine.last_internal_error()
-    }
-
-    fn partition_of(&self, key: &str) -> PartitionId {
-        PartitionId((hash_str(key) >> (64 - self.cfg.partitions.trailing_zeros())) as u32)
     }
 
     fn my_role(&self, view: &PartitionView) -> Option<Role> {
@@ -188,35 +167,41 @@ impl ServerApp {
         }
     }
 
-    fn defer(&mut self, ctx: &mut dyn NodeIo, at: Time, cont: Cont) {
-        let tok = self.next_cont;
-        self.next_cont += 1;
-        self.conts.insert(tok, cont);
-        ctx.set_timer(at.saturating_sub(ctx.now()), tok);
+    /// Run one engine transition under this node's role in `view`. The
+    /// replica group is built only where the engine reads it (primary).
+    fn as_role(
+        &mut self,
+        view: &PartitionView,
+        ctx: &dyn NodeIo,
+        f: impl FnOnce(&mut TwoPcEngine, EngineRole<'_>),
+    ) {
+        match self.my_role(view) {
+            Some(Role::Primary) => {
+                let g = self.group_of(view, ctx);
+                f(&mut self.engine, EngineRole::Primary(&g));
+            }
+            Some(Role::Secondary | Role::Handoff) => f(&mut self.engine, EngineRole::Peer),
+            None => f(&mut self.engine, EngineRole::Observer),
+        }
     }
 
-    fn send_kv(&mut self, ctx: &mut dyn NodeIo, dst: Ipv4, msg: KvMsg, size: u32) {
-        // Sending costs CPU too (syscall + copy), and materially more for
-        // value-carrying messages than for small control messages.
-        ctx.cpu_work(if size > DATA_SEND_THRESHOLD {
-            DATA_SEND_COST
-        } else {
-            CTRL_COST
-        });
-        self.tp
-            .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, size));
+    /// A small control message to the metadata service.
+    fn tell_meta(&mut self, msg: KvMsg, ctx: &mut dyn NodeIo) {
+        self.ep.send(ctx, self.meta, msg, CTRL_MSG_BYTES);
+    }
+
+    /// A phase ack, point-to-point to partition `p`'s primary.
+    fn ack_primary(&mut self, p: PartitionId, ack: KvMsg, ctx: &mut dyn NodeIo) {
+        if let Some(primary) = self.views.get(&p).and_then(PartitionView::primary_addr) {
+            self.ep.send(ctx, primary, ack, CTRL_MSG_BYTES);
+        }
     }
 
     fn report_failure(&mut self, suspect: NodeIdx, ctx: &mut dyn NodeIo) {
         if self.reported_down.insert(suspect) {
             self.engine.counters_mut().failure_reports += 1;
             let from = self.node;
-            self.send_kv(
-                ctx,
-                self.meta,
-                KvMsg::FailureReport { suspect, from },
-                CTRL_MSG_BYTES,
-            );
+            self.tell_meta(KvMsg::FailureReport { suspect, from }, ctx);
         }
     }
 
@@ -227,47 +212,29 @@ impl ServerApp {
         for e in fx {
             match e {
                 Effect::WriteDone { at, key, op } => {
-                    self.defer(ctx, at, Cont::Written { key, op });
+                    self.ep.defer(ctx, at, Cont::Written { key, op });
                 }
                 Effect::Deadline { at, key, op } => {
-                    self.defer(ctx, at, Cont::CoordDeadline { key, op });
+                    self.ep.defer(ctx, at, Cont::CoordDeadline { key, op });
                 }
                 Effect::Ack1 { key, op } => {
-                    let p = self.partition_of(&key);
-                    if let Some(primary) = self.views.get(&p).and_then(PartitionView::primary_addr)
-                    {
-                        let from = self.node;
-                        self.send_kv(
-                            ctx,
-                            primary,
-                            KvMsg::PutAck1 { key, op, from },
-                            CTRL_MSG_BYTES,
-                        );
-                    }
+                    let (p, from) = (self.cfg.partition_of(&key), self.node);
+                    self.ack_primary(p, KvMsg::PutAck1 { key, op, from }, ctx);
                 }
                 Effect::Ack2 { key, op } => {
-                    let p = self.partition_of(&key);
-                    if let Some(primary) = self.views.get(&p).and_then(PartitionView::primary_addr)
-                    {
-                        let from = self.node;
-                        self.send_kv(
-                            ctx,
-                            primary,
-                            KvMsg::PutAck2 { key, op, from },
-                            CTRL_MSG_BYTES,
-                        );
-                    }
+                    let (p, from) = (self.cfg.partition_of(&key), self.node);
+                    self.ack_primary(p, KvMsg::PutAck2 { key, op, from }, ctx);
                 }
                 Effect::Commit { key, op, ts } => {
                     // Figure 3's "timestamp" message: multicast to the
                     // whole replica group (including ourselves).
-                    let p = self.partition_of(&key);
+                    let p = self.cfg.partition_of(&key);
                     if let Some(view) = self.views.get(&p) {
                         let members = view.len();
                         let group = self.cfg.multicast.vnode_for_key(p, key.as_bytes());
                         let msg = KvMsg::Commit { key, op, ts };
-                        ctx.cpu_work(CTRL_COST);
-                        self.tp.mcast_send(
+                        charge_send(ctx, CTRL_MSG_BYTES);
+                        self.ep.transport().mcast_send(
                             ctx,
                             group,
                             self.cfg.port,
@@ -277,12 +244,12 @@ impl ServerApp {
                     }
                 }
                 Effect::Abort { key, op, issued } => {
-                    let p = self.partition_of(&key);
+                    let p = self.cfg.partition_of(&key);
                     if let Some(view) = self.views.get(&p) {
                         let n = view.len();
                         let group = self.cfg.multicast.vnode_for_key(p, key.as_bytes());
                         let msg = KvMsg::Abort { key, op, issued };
-                        self.tp.mcast_send(
+                        self.ep.transport().mcast_send(
                             ctx,
                             group,
                             self.cfg.port,
@@ -292,7 +259,8 @@ impl ServerApp {
                     }
                 }
                 Effect::Reply { client, op, ok } => {
-                    self.send_kv(ctx, client, KvMsg::PutReply { op, ok }, CTRL_MSG_BYTES);
+                    self.ep
+                        .send(ctx, client, KvMsg::PutReply { op, ok }, CTRL_MSG_BYTES);
                 }
                 Effect::Unresponsive { members } => {
                     for m in members {
@@ -311,7 +279,7 @@ impl ServerApp {
     // -----------------------------------------------------------------
 
     fn on_put_request(&mut self, key: String, value: Value, op: OpId, ctx: &mut dyn NodeIo) {
-        let p = self.partition_of(&key);
+        let p = self.cfg.partition_of(&key);
         let Some(view) = self.views.get(&p).cloned() else {
             return; // not (or no longer) a member: stale multicast rule
         };
@@ -361,31 +329,20 @@ impl ServerApp {
     }
 
     fn on_written(&mut self, key: String, op: OpId, ctx: &mut dyn NodeIo) {
-        let p = self.partition_of(&key);
+        let p = self.cfg.partition_of(&key);
         let Some(view) = self.views.get(&p).cloned() else {
             return;
         };
         let mut fx = Vec::new();
-        match self.my_role(&view) {
-            Some(Role::Primary) => {
-                let g = self.group_of(&view, ctx);
-                self.engine
-                    .on_written(&key, op, EngineRole::Primary(&g), ctx.now(), &mut fx);
-            }
-            Some(Role::Secondary) | Some(Role::Handoff) => {
-                self.engine
-                    .on_written(&key, op, EngineRole::Peer, ctx.now(), &mut fx);
-            }
-            None => {
-                self.engine
-                    .on_written(&key, op, EngineRole::Observer, ctx.now(), &mut fx);
-            }
-        }
+        let now = ctx.now();
+        self.as_role(&view, ctx, |e, role| {
+            e.on_written(&key, op, role, now, &mut fx);
+        });
         self.apply_effects(fx, ctx);
     }
 
     fn on_ack1(&mut self, key: String, op: OpId, from: NodeIdx, ctx: &mut dyn NodeIo) {
-        let p = self.partition_of(&key);
+        let p = self.cfg.partition_of(&key);
         let Some(view) = self.views.get(&p).cloned() else {
             return;
         };
@@ -399,32 +356,20 @@ impl ServerApp {
     }
 
     fn on_commit(&mut self, key: String, op: OpId, ts: Timestamp, ctx: &mut dyn NodeIo) {
-        let p = self.partition_of(&key);
+        let p = self.cfg.partition_of(&key);
         let Some(view) = self.views.get(&p).cloned() else {
             return;
         };
         let mut fx = Vec::new();
-        match self.my_role(&view) {
-            Some(Role::Primary) => {
-                // our own multicast copy: counts as the ack2 path
-                let g = self.group_of(&view, ctx);
-                self.engine
-                    .on_commit(&key, op, ts, EngineRole::Primary(&g), &mut fx);
-            }
-            Some(Role::Secondary) | Some(Role::Handoff) => {
-                self.engine
-                    .on_commit(&key, op, ts, EngineRole::Peer, &mut fx);
-            }
-            None => {
-                self.engine
-                    .on_commit(&key, op, ts, EngineRole::Observer, &mut fx);
-            }
-        }
+        // As primary this is our own multicast copy: the ack2 path.
+        self.as_role(&view, ctx, |e, role| {
+            e.on_commit(&key, op, ts, role, &mut fx);
+        });
         self.apply_effects(fx, ctx);
     }
 
     fn on_ack2(&mut self, key: String, op: OpId, from: NodeIdx, ctx: &mut dyn NodeIo) {
-        let p = self.partition_of(&key);
+        let p = self.cfg.partition_of(&key);
         let view = self.views.get(&p).cloned();
         let g = view.as_ref().map(|v| self.group_of(v, ctx));
         let mut fx = Vec::new();
@@ -433,7 +378,7 @@ impl ServerApp {
     }
 
     fn on_coord_deadline(&mut self, key: String, op: OpId, ctx: &mut dyn NodeIo) {
-        let p = self.partition_of(&key);
+        let p = self.cfg.partition_of(&key);
         let view = self.views.get(&p).cloned();
         let g = view.as_ref().map(|v| self.group_of(v, ctx));
         let mut fx = Vec::new();
@@ -463,7 +408,7 @@ impl ServerApp {
     }
 
     fn on_get_request(&mut self, key: String, op: OpId, ctx: &mut dyn NodeIo) {
-        let p = self.partition_of(&key);
+        let p = self.cfg.partition_of(&key);
         self.record_get_source(p, op.client);
         let view = self.views.get(&p).cloned();
         if let Some(c) = self.engine.store().get(&key) {
@@ -476,7 +421,7 @@ impl ServerApp {
             self.engine.counters_mut().gets_served += 1;
             self.stats.gets += 1;
             self.stats.bytes_out += size as u64;
-            self.send_kv(ctx, op.client, reply, size);
+            self.ep.send(ctx, op.client, reply, size);
             return;
         }
         // Miss: a handoff node forwards to the primary (§4.4).
@@ -484,13 +429,14 @@ impl ServerApp {
             if self.my_role(&view) == Some(Role::Handoff) && view.primary != self.node {
                 if let Some(primary) = view.primary_addr() {
                     self.engine.counters_mut().forwarded += 1;
-                    self.send_kv(ctx, primary, KvMsg::GetForward { key, op }, CTRL_MSG_BYTES);
+                    self.ep
+                        .send(ctx, primary, KvMsg::GetForward { key, op }, CTRL_MSG_BYTES);
                     return;
                 }
             }
         }
         self.stats.gets += 1;
-        self.send_kv(
+        self.ep.send(
             ctx,
             op.client,
             KvMsg::GetReply {
@@ -524,7 +470,7 @@ impl ServerApp {
         self.engine.counters_mut().gets_served += 1;
         self.stats.gets += 1;
         self.stats.bytes_out += size as u64;
-        self.send_kv(ctx, op.client, reply, size);
+        self.ep.send(ctx, op.client, reply, size);
     }
 
     // -----------------------------------------------------------------
@@ -532,7 +478,6 @@ impl ServerApp {
     // -----------------------------------------------------------------
 
     fn on_membership(&mut self, views: Vec<PartitionView>, ctx: &mut dyn NodeIo) {
-        let bits = self.cfg.partitions.trailing_zeros();
         for view in views {
             let p = view.partition;
             let am_member = view.members.iter().any(|&(n, _)| n == self.node);
@@ -555,7 +500,7 @@ impl ServerApp {
                         .store()
                         .in_doubt()
                         .into_iter()
-                        .any(|(k, _)| PartitionId((hash_str(&k) >> (64 - bits)) as u32) == p);
+                        .any(|(k, _)| self.cfg.partition_of(&k) == p);
                     if in_doubt {
                         self.on_become_primary(p, ctx);
                     }
@@ -576,7 +521,7 @@ impl ServerApp {
                     .engine
                     .store()
                     .iter()
-                    .filter(|(k, _)| PartitionId((hash_str(k) >> (64 - bits)) as u32) == p)
+                    .filter(|(k, _)| self.cfg.partition_of(k) == p)
                     .map(|(k, _)| k.clone())
                     .collect();
                 for k in gone {
@@ -596,7 +541,7 @@ impl ServerApp {
             if let Some(ip) = handoff {
                 self.rejoin_pending.insert(p);
                 let from = self.node;
-                self.send_kv(
+                self.ep.send(
                     ctx,
                     ip,
                     KvMsg::HandoffFetch { partition: p, from },
@@ -618,24 +563,8 @@ impl ServerApp {
         if !self.rejoining || self.rejoin_pending.is_empty() {
             return;
         }
-        let node = self.node;
-        self.send_kv(
-            ctx,
-            self.meta,
-            KvMsg::RejoinRequest { node },
-            CTRL_MSG_BYTES,
-        );
+        self.tell_meta(KvMsg::RejoinRequest { node: self.node }, ctx);
         ctx.set_timer(self.cfg.op_timeout * 8, TOK_REJOIN_RETRY);
-    }
-
-    fn on_handoff_fetch(
-        &mut self,
-        partition: PartitionId,
-        from: NodeIdx,
-        src: Ipv4,
-        ctx: &mut dyn NodeIo,
-    ) {
-        self.serve_fetch(partition, from, src, None, 0, ctx);
     }
 
     /// Answer a recovery drain — but only once it is safe. The snapshot
@@ -658,26 +587,12 @@ impl ServerApp {
         ctx: &mut dyn NodeIo,
     ) {
         const FETCH_GATE_TRIES: u32 = 64;
-        let bits = self.cfg.partitions.trailing_zeros();
-        let retry_in = self.cfg.op_timeout / 8;
         // We are ourselves mid-drain: answering now would propagate an
         // incomplete snapshot (e.g. chained admin reconfigurations where
         // the freshest member is named as the next sync source). Hold
         // the reply until we are consistent.
         if self.rejoining && tries < FETCH_GATE_TRIES {
-            let at = ctx.now() + retry_in;
-            self.defer(
-                ctx,
-                at,
-                Cont::FetchGate {
-                    partition,
-                    from,
-                    src,
-                    barrier: None,
-                    tries: tries + 1,
-                },
-            );
-            return;
+            return self.hold_fetch(partition, from, src, None, tries, ctx);
         }
         // Gate (a) is vacuous when we no longer hold a view: we left the
         // partition (deferred-GC sync source), so no new put round can
@@ -687,48 +602,24 @@ impl ServerApp {
             .get(&partition)
             .is_none_or(|v| v.members.iter().any(|&(n, _)| n == from));
         if !in_view && tries < FETCH_GATE_TRIES {
-            let at = ctx.now() + retry_in;
-            self.defer(
-                ctx,
-                at,
-                Cont::FetchGate {
-                    partition,
-                    from,
-                    src,
-                    barrier: None,
-                    tries: tries + 1,
-                },
-            );
-            return;
+            return self.hold_fetch(partition, from, src, None, tries, ctx);
         }
         let barrier = barrier.unwrap_or_else(|| {
             self.engine
-                .in_flight(&|k| PartitionId((hash_str(k) >> (64 - bits)) as u32) == partition)
+                .in_flight(&|k| self.cfg.partition_of(k) == partition)
         });
         let live: Vec<(String, OpId)> = barrier
             .into_iter()
             .filter(|(k, op)| self.engine.coord_live(k, *op))
             .collect();
         if !live.is_empty() && tries < FETCH_GATE_TRIES {
-            let at = ctx.now() + retry_in;
-            self.defer(
-                ctx,
-                at,
-                Cont::FetchGate {
-                    partition,
-                    from,
-                    src,
-                    barrier: Some(live),
-                    tries: tries + 1,
-                },
-            );
-            return;
+            return self.hold_fetch(partition, from, src, Some(live), tries, ctx);
         }
         let objects: Vec<(String, Value, Timestamp)> = self
             .engine
             .store()
             .iter()
-            .filter(|(k, _)| PartitionId((hash_str(k) >> (64 - bits)) as u32) == partition)
+            .filter(|(k, _)| self.cfg.partition_of(k) == partition)
             .map(|(k, c)| (k.clone(), c.value.clone(), c.ts))
             .collect();
         let size: u32 = objects
@@ -736,7 +627,33 @@ impl ServerApp {
             .map(|(k, v, _)| v.size() + k.len() as u32 + 32)
             .sum::<u32>()
             + CTRL_MSG_BYTES;
-        self.send_kv(ctx, src, KvMsg::HandoffData { partition, objects }, size);
+        self.ep
+            .send(ctx, src, KvMsg::HandoffData { partition, objects }, size);
+    }
+
+    /// The gate is shut: look at this drain again a little later.
+    fn hold_fetch(
+        &mut self,
+        partition: PartitionId,
+        from: NodeIdx,
+        src: Ipv4,
+        barrier: Option<Vec<(String, OpId)>>,
+        tries: u32,
+        ctx: &mut dyn NodeIo,
+    ) {
+        let at = ctx.now() + self.cfg.op_timeout / 8;
+        let tries = tries + 1;
+        self.ep.defer(
+            ctx,
+            at,
+            Cont::FetchGate {
+                partition,
+                from,
+                src,
+                barrier,
+                tries,
+            },
+        );
     }
 
     fn on_handoff_data(
@@ -753,8 +670,7 @@ impl ServerApp {
     fn maybe_recovery_done(&mut self, ctx: &mut dyn NodeIo) {
         if self.rejoining && self.rejoin_pending.is_empty() {
             self.rejoining = false;
-            let node = self.node;
-            self.send_kv(ctx, self.meta, KvMsg::RecoveryDone { node }, CTRL_MSG_BYTES);
+            self.tell_meta(KvMsg::RecoveryDone { node: self.node }, ctx);
         }
     }
 
@@ -770,10 +686,9 @@ impl ServerApp {
             .filter(|&n| n != self.node)
             .collect();
         // Seed with our own lock table.
-        let bits = self.cfg.partitions.trailing_zeros();
         let (seed, max_seq) = self
             .engine
-            .lock_report(&|k| PartitionId((hash_str(k) >> (64 - bits)) as u32) == partition);
+            .lock_report(&|k| self.cfg.partition_of(k) == partition);
         let res = LockResolution::new(others.clone(), seed, max_seq);
         if res.complete() {
             self.resolves.insert(partition, res);
@@ -782,19 +697,19 @@ impl ServerApp {
         }
         for &n in &others {
             if let Some(ip) = view.addr_of(n) {
-                self.send_kv(ctx, ip, KvMsg::LockQuery { partition }, CTRL_MSG_BYTES);
+                self.ep
+                    .send(ctx, ip, KvMsg::LockQuery { partition }, CTRL_MSG_BYTES);
             }
         }
         self.resolves.insert(partition, res);
     }
 
     fn on_lock_query(&mut self, partition: PartitionId, src: Ipv4, ctx: &mut dyn NodeIo) {
-        let bits = self.cfg.partitions.trailing_zeros();
         let (locked, max_seq) = self
             .engine
-            .lock_report(&|k| PartitionId((hash_str(k) >> (64 - bits)) as u32) == partition);
+            .lock_report(&|k| self.cfg.partition_of(k) == partition);
         let from = self.node;
-        self.send_kv(
+        self.ep.send(
             ctx,
             src,
             KvMsg::LockReport {
@@ -867,7 +782,7 @@ impl ServerApp {
                     issued: started,
                 },
             };
-            self.tp.mcast_send(
+            self.ep.transport().mcast_send(
                 ctx,
                 group,
                 self.cfg.port,
@@ -886,7 +801,8 @@ impl ServerApp {
             node: self.node,
             stats: std::mem::take(&mut self.stats),
         };
-        self.tp
+        self.ep
+            .transport()
             .udp_send(ctx, self.meta, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES));
         ctx.set_timer(self.cfg.hb_interval, TOK_HEARTBEAT);
     }
@@ -897,13 +813,12 @@ impl ServerApp {
     fn sweep_stale_locks(&mut self, ctx: &mut dyn NodeIo) {
         let now = ctx.now();
         let threshold = self.cfg.op_timeout * 2;
-        let bits = self.cfg.partitions.trailing_zeros();
         let mut stale: BTreeSet<PartitionId> = BTreeSet::new();
         for (k, pd) in self.engine.store().pending_iter() {
             if now.saturating_sub(pd.locked_at) < threshold {
                 continue;
             }
-            stale.insert(PartitionId((hash_str(k) >> (64 - bits)) as u32));
+            stale.insert(self.cfg.partition_of(k));
         }
         // Ask the partition primary to settle the orphan via §4.4 lock
         // resolution rather than declaring it failed: the lock usually
@@ -930,7 +845,7 @@ impl ServerApp {
                     self.on_become_primary(p, ctx);
                 }
             } else if let Some(dst) = view.addr_of(view.primary) {
-                self.send_kv(
+                self.ep.send(
                     ctx,
                     dst,
                     KvMsg::ResolveRequest { partition: p },
@@ -945,8 +860,8 @@ impl ServerApp {
     // Event plumbing
     // -----------------------------------------------------------------
 
-    fn on_kv(&mut self, msg: &KvMsg, src: Ipv4, ctx: &mut dyn NodeIo) {
-        match msg.clone() {
+    fn on_kv(&mut self, msg: KvMsg, src: Ipv4, ctx: &mut dyn NodeIo) {
+        match msg {
             KvMsg::PutRequest { key, value, op } => self.on_put_request(key, value, op, ctx),
             KvMsg::GetRequest { key, op } => self.on_get_request(key, op, ctx),
             KvMsg::PutAck1 { key, op, from } => self.on_ack1(key, op, from, ctx),
@@ -965,18 +880,12 @@ impl ServerApp {
                 // new active so it sends us a drain plan.
                 self.meta = new_meta;
                 if self.rejoining {
-                    let node = self.node;
-                    self.send_kv(
-                        ctx,
-                        self.meta,
-                        KvMsg::RejoinRequest { node },
-                        CTRL_MSG_BYTES,
-                    );
+                    self.tell_meta(KvMsg::RejoinRequest { node: self.node }, ctx);
                 }
             }
             KvMsg::RejoinPlan { sources } => self.on_rejoin_plan(sources, ctx),
             KvMsg::HandoffFetch { partition, from } => {
-                self.on_handoff_fetch(partition, from, src, ctx);
+                self.serve_fetch(partition, from, src, None, 0, ctx);
             }
             KvMsg::HandoffData { partition, objects } => {
                 self.on_handoff_data(partition, objects, ctx);
@@ -1012,41 +921,18 @@ impl ServerApp {
             | KvMsg::RecoveryDone { .. } => {}
         }
     }
+}
 
-    /// CPU cost of processing one message: full requests (data-carrying
-    /// or storage-touching) vs small control messages.
-    fn msg_cost(msg: &KvMsg) -> Time {
-        match msg {
-            KvMsg::PutRequest { .. }
-            | KvMsg::GetRequest { .. }
-            | KvMsg::GetForward { .. }
-            | KvMsg::HandoffData { .. }
-            | KvMsg::HandoffFetch { .. } => REQ_COST,
-            _ => CTRL_COST,
-        }
-    }
-
-    fn drive(&mut self, events: Vec<TransportEvent>, ctx: &mut dyn NodeIo) {
-        for ev in events {
-            if let TransportEvent::Delivered { from, msg, .. } = ev {
-                if let Some(kv) = msg.downcast::<KvMsg>() {
-                    // Queue the message on the serial CPU; it is processed
-                    // (and replied to) when its processing slot completes.
-                    let kv = kv.clone();
-                    let cost = Self::msg_cost(&kv);
-                    let tok = self.next_cont;
-                    self.next_cont += 1;
-                    self.conts.insert(
-                        tok,
-                        Cont::Process {
-                            msg: Box::new(kv),
-                            src: from.0,
-                        },
-                    );
-                    ctx.cpu_defer(cost, tok);
-                }
-            }
-        }
+/// CPU cost of processing one message: full requests (data-carrying
+/// or storage-touching) vs small control messages.
+fn msg_cost(msg: &KvMsg) -> Time {
+    match msg {
+        KvMsg::PutRequest { .. }
+        | KvMsg::GetRequest { .. }
+        | KvMsg::GetForward { .. }
+        | KvMsg::HandoffData { .. }
+        | KvMsg::HandoffFetch { .. } => REQ_COST,
+        _ => CTRL_COST,
     }
 }
 
@@ -1057,44 +943,34 @@ impl NodeApp for ServerApp {
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut dyn NodeIo) {
-        let events = self.tp.on_packet(&pkt, ctx);
-        self.drive(events, ctx);
+        self.ep.on_packet(&pkt, ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut dyn NodeIo) {
-        if token == TRANSPORT_TICK {
-            let events = self.tp.on_timer(token, ctx);
-            self.drive(events, ctx);
-            return;
-        }
-        match token {
-            TOK_HEARTBEAT => self.heartbeat(ctx),
-            TOK_SWEEP => self.sweep_stale_locks(ctx),
-            TOK_REJOIN_RETRY => self.rejoin_retry(ctx),
-            t => {
-                if let Some(cont) = self.conts.remove(&t) {
-                    match cont {
-                        Cont::Written { key, op } => self.on_written(key, op, ctx),
-                        Cont::CoordDeadline { key, op } => self.on_coord_deadline(key, op, ctx),
-                        Cont::Process { msg, src } => self.on_kv(&msg, src, ctx),
-                        Cont::FetchGate {
-                            partition,
-                            from,
-                            src,
-                            barrier,
-                            tries,
-                        } => self.serve_fetch(partition, from, src, barrier, tries, ctx),
-                    }
-                }
-            }
+        match self.ep.on_timer(token, ctx) {
+            Some(Fired::Message { msg, src }) => self.on_kv(msg, src, ctx),
+            Some(Fired::Cont(cont)) => match cont {
+                Cont::Written { key, op } => self.on_written(key, op, ctx),
+                Cont::CoordDeadline { key, op } => self.on_coord_deadline(key, op, ctx),
+                Cont::FetchGate {
+                    partition,
+                    from,
+                    src,
+                    barrier,
+                    tries,
+                } => self.serve_fetch(partition, from, src, barrier, tries, ctx),
+            },
+            Some(Fired::App(TOK_HEARTBEAT)) => self.heartbeat(ctx),
+            Some(Fired::App(TOK_SWEEP)) => self.sweep_stale_locks(ctx),
+            Some(Fired::App(TOK_REJOIN_RETRY)) => self.rejoin_retry(ctx),
+            Some(Fired::App(_)) | None => {}
         }
     }
 
     fn on_crash(&mut self) {
         // Volatile state dies; committed objects and the log survive.
-        self.tp.on_crash();
+        self.ep.crash();
         self.engine.reset();
-        self.conts.clear();
         self.views.clear();
         self.resolves.clear();
         self.rejoin_pending.clear();
@@ -1104,13 +980,7 @@ impl NodeApp for ServerApp {
 
     fn on_restart(&mut self, ctx: &mut dyn NodeIo) {
         self.rejoining = true;
-        let node = self.node;
-        self.send_kv(
-            ctx,
-            self.meta,
-            KvMsg::RejoinRequest { node },
-            CTRL_MSG_BYTES,
-        );
+        self.tell_meta(KvMsg::RejoinRequest { node: self.node }, ctx);
         self.heartbeat(ctx);
         ctx.set_timer(self.cfg.op_timeout, TOK_SWEEP);
     }

@@ -175,7 +175,7 @@ fn load_balancing_spreads_gets_across_replicas() {
     let replicas: Vec<usize> = c.ring.replica_set(p).iter().map(|n| n.0 as usize).collect();
     let served: Vec<u64> = replicas
         .iter()
-        .map(|&i| c.server(i).counters().gets_served)
+        .map(|&i| c.server(i).metrics().counter("engine.gets_served"))
         .collect();
     let busy = served.iter().filter(|&&s| s > 0).count();
     assert!(busy >= 2, "gets concentrated on one replica: {served:?}");
@@ -196,7 +196,7 @@ fn without_load_balancing_primary_serves_all_gets() {
     let primary = c.ring.primary(p).0 as usize;
     let replicas: Vec<usize> = c.ring.replica_set(p).iter().map(|n| n.0 as usize).collect();
     for &i in &replicas {
-        let served = c.server(i).counters().gets_served;
+        let served = c.server(i).metrics().counter("engine.gets_served");
         if i == primary {
             // a handful of early gets may race the seed put (NotFound)
             assert!(served >= 70, "primary served {served}");
@@ -370,8 +370,14 @@ fn handoff_forwards_gets_for_objects_it_lacks() {
     assert!(post.iter().all(|r| r.ok()), "gets after failure succeed");
     // if the handoff ever saw one of those gets, it forwarded (it has no
     // pre-failure objects)
-    let fwd = c.server(handoff as usize).counters().forwarded;
-    let served_direct = c.server(handoff as usize).counters().gets_served;
+    let fwd = c
+        .server(handoff as usize)
+        .metrics()
+        .counter("engine.forwarded");
+    let served_direct = c
+        .server(handoff as usize)
+        .metrics()
+        .counter("engine.gets_served");
     assert_eq!(
         served_direct, 0,
         "handoff cannot serve pre-failure objects itself"
@@ -517,7 +523,7 @@ fn adaptive_lb_rebalances_skewed_divisions() {
         );
         replicas
             .iter()
-            .map(|&i| c.server(i).counters().gets_served)
+            .map(|&i| c.server(i).metrics().counter("engine.gets_served"))
             .collect()
     };
 

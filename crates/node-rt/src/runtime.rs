@@ -9,11 +9,9 @@
 //! under the simulator — over actual sockets.
 //!
 //! Scope (DESIGN.md § Runtimes): this host serves NOOB's gateway routing
-//! and NICE's *direct* (non-SDN) routing. Virtual addresses are resolved
-//! sender-side from a static route table ([`RuntimeCfg::aliases`] for
-//! unicast vnode subgroups, [`RuntimeCfg::groups`] for multicast
-//! fan-out); the in-switch anycast/failover path needs a programmable
-//! switch and stays sim-only.
+//! over physical node addresses, resolved sender-side from a static
+//! route table; vnode rewriting, multicast fan-out and the in-switch
+//! anycast/failover path need a programmable switch and stay sim-only.
 //!
 //! Booting is config-driven: describe the host layer with a
 //! [`RuntimeCfg`] (+ [`UdpHostCfg`]), list the nodes as [`NodeSpec`]s,
@@ -66,13 +64,9 @@ enum Ctl {
     Stop,
 }
 
-/// Sender-side route tables: every thread shares one immutable copy.
-/// Group members keep their logical address so the nemesis can judge
-/// each fan-out leg as its own `(src, member)` link.
-struct Routes {
-    unicast: BTreeMap<Ipv4, SocketAddr>,
-    groups: BTreeMap<Ipv4, Vec<(Ipv4, SocketAddr)>>,
-}
+/// Sender-side route table, logical node address → bound socket: every
+/// thread shares one immutable copy.
+type Routes = BTreeMap<Ipv4, SocketAddr>;
 
 /// Host-layer knobs of the real UDP runtime — the `UdpHostCfg` half of
 /// the layered cluster configuration (`ClusterSpec` + host config +
@@ -98,14 +92,6 @@ pub struct RuntimeCfg {
     pub codec: Arc<dyn WireCodec>,
     /// Host-specific knobs (durable state root, socket nemesis).
     pub host: UdpHostCfg,
-    /// Extra unicast routes `(addr, node)` — e.g. a vnode subgroup
-    /// address resolved sender-side, the real-runtime stand-in for a
-    /// switch rewrite rule.
-    pub aliases: Vec<(Ipv4, Ipv4)>,
-    /// Multicast groups `(addr, members)`: a packet sent to `addr` fans
-    /// out to every member (sender-side replication, standing in for
-    /// in-switch multicast).
-    pub groups: Vec<(Ipv4, Vec<Ipv4>)>,
 }
 
 impl RuntimeCfg {
@@ -116,8 +102,6 @@ impl RuntimeCfg {
             seed,
             codec,
             host: UdpHostCfg::default(),
-            aliases: Vec::new(),
-            groups: Vec::new(),
         }
     }
 }
@@ -164,32 +148,19 @@ impl UdpRuntime {
     /// threads before the first packet.
     ///
     /// # Panics
-    /// If a loopback socket cannot be bound or an alias/group references
-    /// an unknown node.
+    /// If a loopback socket cannot be bound.
     pub fn spawn(cfg: RuntimeCfg, specs: Vec<NodeSpec>) -> UdpRuntime {
         let epoch = Instant::now();
         let nemesis = cfg.host.nemesis.map(Arc::new);
         let mut bound: Vec<(Ipv4, UdpSocket, AppFactory)> = Vec::new();
-        let mut unicast: BTreeMap<Ipv4, SocketAddr> = BTreeMap::new();
+        let mut routes = Routes::new();
         for spec in specs {
             let socket = UdpSocket::bind("127.0.0.1:0").expect("bind loopback UDP socket");
             let addr = socket.local_addr().expect("bound socket has an address");
-            unicast.insert(spec.ip, addr);
+            routes.insert(spec.ip, addr);
             bound.push((spec.ip, socket, spec.factory));
         }
-        for (alias, node) in cfg.aliases {
-            let addr = *unicast.get(&node).expect("alias target must be a node");
-            unicast.insert(alias, addr);
-        }
-        let mut groups: BTreeMap<Ipv4, Vec<(Ipv4, SocketAddr)>> = BTreeMap::new();
-        for (addr, members) in cfg.groups {
-            let fan: Vec<(Ipv4, SocketAddr)> = members
-                .iter()
-                .map(|m| (*m, *unicast.get(m).expect("group member must be a node")))
-                .collect();
-            groups.insert(addr, fan);
-        }
-        let routes = Arc::new(Routes { unicast, groups });
+        let routes = Arc::new(routes);
         let stats = Arc::new(FaultStats::default());
 
         let mut nodes = BTreeMap::new();
@@ -402,18 +373,10 @@ impl NodeIo for HostIo {
             return; // payload type not wire-encodable: drop, like a NIC with no route
         };
         let now = Time(self.now_ns());
-        let src = self.ip;
-        let routes = Arc::clone(&self.routes);
-        if let Some(addr) = routes.unicast.get(&pkt.dst) {
-            self.socket.send_to(&frame, *addr, src, pkt.dst, now);
-        } else if let Some(members) = routes.groups.get(&pkt.dst) {
-            // Sender-side fan-out stands in for in-switch multicast;
-            // the nemesis judges each leg as its own (src, member) link.
-            for (member, addr) in members {
-                self.socket.send_to(&frame, *addr, src, *member, now);
-            }
-        }
         // Unroutable destinations drop silently: real UDP.
+        if let Some(&addr) = self.routes.get(&pkt.dst) {
+            self.socket.send_to(&frame, addr, self.ip, pkt.dst, now);
+        }
     }
 
     fn set_timer(&mut self, delay: Time, token: u64) {
@@ -621,50 +584,6 @@ mod tests {
             any.downcast_mut::<Pinger>().map(|p| p.got.clone())
         });
         assert_eq!(got, Some(vec![1]), "echo added one");
-    }
-
-    #[test]
-    fn group_addresses_fan_out() {
-        let members = [Ipv4::new(10, 0, 0, 1), Ipv4::new(10, 0, 0, 2)];
-        let group = Ipv4::new(10, 11, 0, 1);
-        let sender = Ipv4::new(10, 0, 1, 1);
-        struct Collect {
-            got: Vec<u64>,
-        }
-        impl NodeApp for Collect {
-            fn on_packet(&mut self, pkt: Packet, _io: &mut dyn NodeIo) {
-                if let Some(&v) = pkt.payload_as::<u64>() {
-                    self.got.push(v);
-                }
-            }
-        }
-        struct SendOnce {
-            group: Ipv4,
-        }
-        impl NodeApp for SendOnce {
-            fn on_start(&mut self, io: &mut dyn NodeIo) {
-                let me = io.ip();
-                let mac = io.mac();
-                io.send(Packet::udp(me, mac, self.group, 1, 1, 8, Rc::new(5u64)));
-            }
-        }
-        let mut cfg = RuntimeCfg::new(2, Arc::new(U64Codec));
-        cfg.groups.push((group, members.to_vec()));
-        let mut specs: Vec<NodeSpec> = members
-            .iter()
-            .map(|&m| NodeSpec::new(m, || Box::new(Collect { got: vec![] })))
-            .collect();
-        specs.push(NodeSpec::new(sender, move || Box::new(SendOnce { group })));
-        let rt = UdpRuntime::spawn(cfg, specs);
-        for m in members {
-            wait_until(|| {
-                rt.with(m, |app| {
-                    let any: &mut dyn Any = app;
-                    any.downcast_mut::<Collect>()
-                        .is_some_and(|c| !c.got.is_empty())
-                })
-            });
-        }
     }
 
     #[test]

@@ -51,16 +51,6 @@ impl Time {
     pub const fn as_ns(self) -> u64 {
         self.0
     }
-    /// Microseconds since time zero (truncating).
-    #[inline]
-    pub const fn as_us(self) -> u64 {
-        self.0 / 1_000
-    }
-    /// Milliseconds since time zero (truncating).
-    #[inline]
-    pub const fn as_ms(self) -> u64 {
-        self.0 / 1_000_000
-    }
     /// Fractional seconds since time zero.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {

@@ -5,10 +5,10 @@
 //! per-message costs, which is exactly why ROG costs two extra hops and
 //! RAG one.
 
-use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 use nice_kv::KvError;
-use nice_transport::{Msg, Transport, TransportEvent, TRANSPORT_TICK};
+use nice_transport::{Endpoint, Fired, Msg};
 use node_rt::Rng;
 use node_rt::{NodeApp, NodeIo, Packet, Time};
 
@@ -19,8 +19,6 @@ use crate::server::NoobRing;
 /// pays a full receive + parse + re-send per request (the paper's
 /// "generic off-the-shelf load balancer").
 const FWD_COST: Time = Time::from_us(200);
-/// Continuation tokens for deferred forwards.
-const TOK_FWD_BASE: u64 = 1000;
 
 /// Gateway forwarding policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,11 +36,8 @@ pub enum GatewayPolicy {
 pub struct GatewayApp {
     ring: NoobRing,
     policy: GatewayPolicy,
-    tp: Transport,
-    /// Deferred forwards keyed by continuation token. Ordered map: the
-    /// `unordered_iter` lint bans hash-ordered state in protocol crates.
-    pending: BTreeMap<u64, NoobMsg>,
-    next_tok: u64,
+    /// The proxy CPU queues each request; it defers nothing else.
+    ep: Endpoint<NoobMsg, Infallible>,
     /// Requests forwarded.
     pub forwarded: u64,
     /// Requests dropped because no backend was available.
@@ -55,11 +50,9 @@ impl GatewayApp {
     /// A gateway over `ring` with the given policy.
     pub fn new(ring: NoobRing, policy: GatewayPolicy) -> GatewayApp {
         GatewayApp {
-            tp: Transport::new(ring.port),
+            ep: Endpoint::new(ring.port, |_| FWD_COST),
             ring,
             policy,
-            pending: BTreeMap::new(),
-            next_tok: TOK_FWD_BASE,
             forwarded: 0,
             dropped_no_backend: 0,
             last_error: None,
@@ -96,95 +89,37 @@ impl GatewayApp {
         }
     }
 
-    fn drive(&mut self, events: Vec<TransportEvent>, ctx: &mut dyn NodeIo) {
-        for ev in events {
-            let TransportEvent::Delivered { msg, .. } = ev else {
-                continue;
-            };
-            let Some(m) = msg.downcast::<NoobMsg>() else {
-                continue;
-            };
-            // Queue the request on the proxy CPU; forward when processed.
-            let tok = self.next_tok;
-            self.next_tok += 1;
-            self.pending.insert(tok, m.clone());
-            ctx.cpu_defer(FWD_COST, tok);
-        }
-    }
-
     fn forward(&mut self, m: NoobMsg, ctx: &mut dyn NodeIo) {
-        match m {
-            NoobMsg::Put {
-                key,
-                value,
-                op,
-                hops,
-            } => {
-                let dst = match self.target(&key, false, ctx) {
-                    Ok(dst) => dst,
-                    Err(e) => {
-                        self.dropped_no_backend += 1;
-                        self.last_error = Some(e);
-                        return;
-                    }
-                };
-                let size = value.size() + key.len() as u32 + 64;
+        let (key, is_get, size) = match &m {
+            NoobMsg::Put { key, value, .. } => (key, false, value.size() + key.len() as u32 + 64),
+            NoobMsg::Get { key, .. } => (key, true, key.len() as u32 + 64),
+            _ => return,
+        };
+        match self.target(key, is_get, ctx) {
+            Ok(dst) => {
                 self.forwarded += 1;
-                self.tp.tcp_send(
-                    ctx,
-                    dst,
-                    self.ring.port,
-                    Msg::new(
-                        NoobMsg::Put {
-                            key,
-                            value,
-                            op,
-                            hops,
-                        },
-                        size,
-                    ),
-                );
+                let msg = Msg::new(m, size);
+                self.ep.transport().tcp_send(ctx, dst, self.ring.port, msg);
             }
-            NoobMsg::Get { key, op, hops } => {
-                let dst = match self.target(&key, true, ctx) {
-                    Ok(dst) => dst,
-                    Err(e) => {
-                        self.dropped_no_backend += 1;
-                        self.last_error = Some(e);
-                        return;
-                    }
-                };
-                let size = key.len() as u32 + 64;
-                self.forwarded += 1;
-                self.tp.tcp_send(
-                    ctx,
-                    dst,
-                    self.ring.port,
-                    Msg::new(NoobMsg::Get { key, op, hops }, size),
-                );
+            Err(e) => {
+                self.dropped_no_backend += 1;
+                self.last_error = Some(e);
             }
-            _ => {}
         }
     }
 }
 
 impl NodeApp for GatewayApp {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut dyn NodeIo) {
-        let events = self.tp.on_packet(&pkt, ctx);
-        self.drive(events, ctx);
+        self.ep.on_packet(&pkt, ctx);
     }
     fn on_timer(&mut self, token: u64, ctx: &mut dyn NodeIo) {
-        if token == TRANSPORT_TICK {
-            let events = self.tp.on_timer(token, ctx);
-            self.drive(events, ctx);
-            return;
-        }
-        if let Some(m) = self.pending.remove(&token) {
-            self.forward(m, ctx);
+        // Forward each request once the proxy CPU has processed it.
+        if let Some(Fired::Message { msg, .. }) = self.ep.on_timer(token, ctx) {
+            self.forward(msg, ctx);
         }
     }
     fn on_crash(&mut self) {
-        self.tp.on_crash();
-        self.pending.clear();
+        self.ep.crash();
     }
 }

@@ -12,22 +12,21 @@
 //! knowledge, request forwarding hops, R-1 unicast data fan-out, and
 //! chain replication.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::path::Path;
 
 use kv_core::{
-    Counters, Effect, EngineCfg, EngineRole, Group, MetricsRegistry, ObjectStore,
-    ReplicationEngine, StorageCfg, TelemetryCfg, TwoPcEngine, CTRL_COST, CTRL_MSG_BYTES,
-    DATA_SEND_COST, DATA_SEND_THRESHOLD, REQ_COST,
+    Effect, EngineCfg, EngineRole, Group, MetricsRegistry, ObjectStore, ReplicationEngine,
+    StorageCfg, TelemetryCfg, TwoPcEngine, CTRL_MSG_BYTES,
 };
 use nice_kv::{OpId, Timestamp, Value};
 use nice_ring::{NodeIdx, PartitionId, PhysicalRing};
-use nice_transport::{Msg, Transport, TransportEvent, TRANSPORT_TICK};
+use nice_transport::endpoint::{CTRL_COST, REQ_COST};
+use nice_transport::{Endpoint, Fired};
 use node_rt::{Ipv4, NodeApp, NodeIo, Packet, Time};
 
 use crate::msg::{NoobMode, NoobMsg};
 
-const TOK_CONT_BASE: u64 = 1000;
 /// Timer token for abandoning the rejoin sync phase.
 const TOK_SYNC_GIVEUP: u64 = 900;
 /// How long a rejoining node waits for peer sync responses before
@@ -74,19 +73,19 @@ impl NoobRing {
     }
 }
 
-enum Cont {
-    /// A received message cleared the CPU queue: process it.
-    Process { msg: Box<NoobMsg>, src: Ipv4 },
+/// A storage write that finished, by the role this node wrote it in —
+/// the only work the baseline ever defers.
+enum Written {
     /// Local write finished: continue the put state machine.
-    PrimaryWritten { key: String, op: OpId },
+    Primary { key: String, op: OpId },
     /// Secondary write finished: ack the primary.
-    SecondaryWritten {
+    Secondary {
         key: String,
         op: OpId,
         primary: Ipv4,
     },
     /// Chain write finished: pass the baton.
-    ChainWritten {
+    Chain {
         key: String,
         op: OpId,
         remaining: Vec<Ipv4>,
@@ -99,10 +98,8 @@ pub struct NoobServerApp {
     ring: NoobRing,
     node: NodeIdx,
     mode: NoobMode,
-    tp: Transport,
+    ep: Endpoint<NoobMsg, Written>,
     engine: TwoPcEngine,
-    conts: HashMap<u64, Cont>,
-    next_cont: u64,
     /// Peers whose rejoin sync response is still outstanding; while
     /// non-empty, gets are forwarded instead of served locally.
     sync_pending: BTreeSet<NodeIdx>,
@@ -137,13 +134,11 @@ impl NoobServerApp {
         recovered: usize,
     ) -> NoobServerApp {
         NoobServerApp {
-            tp: Transport::new(ring.port),
+            ep: Endpoint::new(ring.port, msg_cost),
             ring,
             node,
             mode,
             engine,
-            conts: HashMap::new(),
-            next_cont: TOK_CONT_BASE,
             sync_pending: BTreeSet::new(),
             recovered,
         }
@@ -197,44 +192,15 @@ impl NoobServerApp {
         !self.sync_pending.is_empty()
     }
 
-    /// Observable counters (tests and Figure 7's load-ratio measurements).
-    pub fn counters(&self) -> Counters {
-        self.engine.counters()
-    }
-
     /// The node's full metrics snapshot: engine phase histograms and
     /// WAL facts, protocol counters under `engine.*`, and transport
     /// reliability effort under `transport.*`.
     pub fn metrics(&self) -> MetricsRegistry {
         let mut m = self.engine.metrics();
-        self.engine.counters().fold_into(&mut m);
-        let tp = self.tp.stats();
-        m.add("transport.probes", tp.probes);
-        m.add("transport.nacks_sent", tp.nacks_sent);
-        m.add("transport.nacks_received", tp.nacks_received);
-        m.add("transport.repairs", tp.repairs);
-        m.add("transport.syn_retries", tp.syn_retries);
+        for (name, n) in self.ep.stats().named() {
+            m.add(name, n);
+        }
         m
-    }
-
-    fn defer(&mut self, ctx: &mut dyn NodeIo, at: Time, cont: Cont) {
-        let tok = self.next_cont;
-        self.next_cont += 1;
-        self.conts.insert(tok, cont);
-        ctx.set_timer(at.saturating_sub(ctx.now()), tok);
-    }
-
-    fn send(&mut self, ctx: &mut dyn NodeIo, dst: Ipv4, msg: NoobMsg, size: u32) {
-        // Symmetric with nice-kv: every sent message costs CPU, and a
-        // value-carrying send costs much more than a control message. A
-        // NOOB primary pays the data cost R-1 times per put.
-        ctx.cpu_work(if size > DATA_SEND_THRESHOLD {
-            DATA_SEND_COST
-        } else {
-            CTRL_COST
-        });
-        self.tp
-            .tcp_send(ctx, dst, self.ring.port, Msg::new(msg, size));
     }
 
     fn i_am_primary(&self, key: &str) -> bool {
@@ -257,33 +223,30 @@ impl NoobServerApp {
         }
     }
 
+    /// Distribute a commit timestamp to every secondary: R-1 unicasts.
+    fn send_ts(&mut self, key: &str, op: OpId, ts: Timestamp, ctx: &mut dyn NodeIo) {
+        let replicas = self.ring.replica_addrs(key);
+        for &dst in replicas.get(1..).unwrap_or(&[]) {
+            let key = key.to_owned();
+            self.ep
+                .send(ctx, dst, NoobMsg::RepTs { key, op, ts }, CTRL_MSG_BYTES);
+        }
+    }
+
     /// Turn engine effects into NOOB wire traffic: timestamp and reply
     /// distribution is R-1 unicast TCP streams. `ack_dst` is where a
     /// phase-2 ack goes (the coordinator we just heard from).
     fn apply_effects(&mut self, fx: Vec<Effect>, ack_dst: Ipv4, ctx: &mut dyn NodeIo) {
         for e in fx {
             match e {
-                Effect::Commit { key, op, ts } => {
-                    let replicas = self.ring.replica_addrs(&key);
-                    for dst in replicas.get(1..).unwrap_or(&[]) {
-                        self.send(
-                            ctx,
-                            *dst,
-                            NoobMsg::RepTs {
-                                key: key.clone(),
-                                op,
-                                ts,
-                            },
-                            CTRL_MSG_BYTES,
-                        );
-                    }
-                }
+                Effect::Commit { key, op, ts } => self.send_ts(&key, op, ts, ctx),
                 Effect::Reply { client, op, ok } => {
-                    self.send(ctx, client, NoobMsg::PutReply { op, ok }, CTRL_MSG_BYTES);
+                    self.ep
+                        .send(ctx, client, NoobMsg::PutReply { op, ok }, CTRL_MSG_BYTES);
                 }
                 Effect::Ack2 { key, op } => {
                     let from = self.node;
-                    self.send(
+                    self.ep.send(
                         ctx,
                         ack_dst,
                         NoobMsg::RepAck2 { key, op, from },
@@ -314,7 +277,7 @@ impl NoobServerApp {
                 let dst = self.ring.primary_addr(&key);
                 let size = value.size() + key.len() as u32 + CTRL_MSG_BYTES;
                 self.engine.counters_mut().forwarded += 1;
-                self.send(
+                self.ep.send(
                     ctx,
                     dst,
                     NoobMsg::Put {
@@ -334,7 +297,7 @@ impl NoobServerApp {
             // the client has long moved past it: answer directly. Starting
             // a fresh round would re-commit the old value under a new,
             // higher timestamp — resurrecting it over later writes.
-            self.send(
+            self.ep.send(
                 ctx,
                 op.client,
                 NoobMsg::PutReply { op, ok: true },
@@ -366,10 +329,10 @@ impl NoobServerApp {
                     .collect();
                 let ts = self.engine.next_ts(op, ctx.ip());
                 self.engine.sync_object(&key, value, ts);
-                self.defer(
+                self.ep.defer(
                     ctx,
                     done,
-                    Cont::ChainWritten {
+                    Written::Chain {
                         key,
                         op,
                         remaining,
@@ -386,20 +349,7 @@ impl NoobServerApp {
                 // to re-prepare — the lock refreshes and the data fans out
                 // again.
                 if let Some(ts) = self.engine.round_commit_ts(&key, op) {
-                    for n in replicas.get(1..).unwrap_or(&[]) {
-                        let dst = self.ring.addr_of(*n);
-                        self.send(
-                            ctx,
-                            dst,
-                            NoobMsg::RepTs {
-                                key: key.clone(),
-                                op,
-                                ts,
-                            },
-                            CTRL_MSG_BYTES,
-                        );
-                    }
-                    return;
+                    return self.send_ts(&key, op, ts, ctx);
                 }
                 // 2PC: lock+log first; conflicting writers queue until the
                 // current put commits, then come back as a Redrive.
@@ -414,10 +364,10 @@ impl NoobServerApp {
                 for e in &fx {
                     if let Effect::WriteDone { at, .. } = e {
                         let at = *at;
-                        self.defer(
+                        self.ep.defer(
                             ctx,
                             at,
-                            Cont::PrimaryWritten {
+                            Written::Primary {
                                 key: key.clone(),
                                 op,
                             },
@@ -439,10 +389,10 @@ impl NoobServerApp {
                 // write itself (2PC forces the log entry instead).
                 let ts = self.engine.next_ts(op, ctx.ip());
                 let done = self.engine.apply_copy(&key, value.clone(), ts, ctx.now());
-                self.defer(
+                self.ep.defer(
                     ctx,
                     done,
-                    Cont::PrimaryWritten {
+                    Written::Primary {
                         key: key.clone(),
                         op,
                     },
@@ -466,7 +416,7 @@ impl NoobServerApp {
         let msg_size = value.size() + key.len() as u32 + CTRL_MSG_BYTES;
         for n in replicas.get(1..).unwrap_or(&[]) {
             let dst = self.ring.addr_of(*n);
-            self.send(
+            self.ep.send(
                 ctx,
                 dst,
                 NoobMsg::RepData {
@@ -509,10 +459,10 @@ impl NoobServerApp {
             };
             self.engine.apply_copy(&key, value, ts, ctx.now())
         };
-        self.defer(
+        self.ep.defer(
             ctx,
             done,
-            Cont::SecondaryWritten {
+            Written::Secondary {
                 key,
                 op,
                 primary: src,
@@ -547,48 +497,35 @@ impl NoobServerApp {
             // until the sync phase completes (§4.4 two-phase rejoin —
             // no reads from a node still catching up).
             if let Some(dst) = self.peer_replica_addr(&key) {
-                self.engine.counters_mut().forwarded += 1;
-                self.send(
-                    ctx,
-                    dst,
-                    NoobMsg::Get {
-                        key,
-                        op,
-                        hops: hops + 1,
-                    },
-                    CTRL_MSG_BYTES,
-                );
-                return;
+                return self.forward_get(key, op, hops, dst, ctx);
             }
         }
         if let Some(c) = self.engine.store().get(&key) {
             let size = c.value.size() + CTRL_MSG_BYTES;
             let value = Some(c.value.clone());
             self.engine.counters_mut().gets_served += 1;
-            self.send(ctx, op.client, NoobMsg::GetReply { op, value }, size);
+            self.ep
+                .send(ctx, op.client, NoobMsg::GetReply { op, value }, size);
             return;
         }
         if !self.i_am_primary(&key) && hops < 2 {
-            self.engine.counters_mut().forwarded += 1;
             let dst = self.ring.primary_addr(&key);
-            self.send(
-                ctx,
-                dst,
-                NoobMsg::Get {
-                    key,
-                    op,
-                    hops: hops + 1,
-                },
-                CTRL_MSG_BYTES,
-            );
-            return;
+            return self.forward_get(key, op, hops, dst, ctx);
         }
-        self.send(
+        self.ep.send(
             ctx,
             op.client,
             NoobMsg::GetReply { op, value: None },
             CTRL_MSG_BYTES,
         );
+    }
+
+    /// One more hop: hand the get to `dst` instead of answering it.
+    fn forward_get(&mut self, key: String, op: OpId, hops: u8, dst: Ipv4, ctx: &mut dyn NodeIo) {
+        self.engine.counters_mut().forwarded += 1;
+        let hops = hops + 1;
+        self.ep
+            .send(ctx, dst, NoobMsg::Get { key, op, hops }, CTRL_MSG_BYTES);
     }
 
     // ---------------------------------------------------------------
@@ -620,7 +557,7 @@ impl NoobServerApp {
             .map(|(k, v, _)| v.size() + k.len() as u32)
             .sum::<u32>()
             + CTRL_MSG_BYTES;
-        self.send(ctx, src, NoobMsg::SyncResp { items }, size);
+        self.ep.send(ctx, src, NoobMsg::SyncResp { items }, size);
     }
 
     /// A peer's sync answer: ordered bulk apply (newer local versions
@@ -679,10 +616,10 @@ impl NoobServerApp {
                     client,
                 };
                 let done = self.engine.apply_copy(&key, value, ts, ctx.now());
-                self.defer(
+                self.ep.defer(
                     ctx,
                     done,
-                    Cont::ChainWritten {
+                    Written::Chain {
                         key,
                         op,
                         remaining,
@@ -696,10 +633,9 @@ impl NoobServerApp {
         }
     }
 
-    fn on_cont(&mut self, cont: Cont, ctx: &mut dyn NodeIo) {
-        match cont {
-            Cont::Process { msg, src } => self.on_noob(*msg, src, ctx),
-            Cont::PrimaryWritten { key, op } => {
+    fn on_written(&mut self, done: Written, ctx: &mut dyn NodeIo) {
+        match done {
+            Written::Primary { key, op } => {
                 let g = self.group_for(&key, ctx);
                 let me = ctx.ip();
                 let mut fx = Vec::new();
@@ -707,16 +643,16 @@ impl NoobServerApp {
                     .on_written(&key, op, EngineRole::Primary(&g), ctx.now(), &mut fx);
                 self.apply_effects(fx, me, ctx);
             }
-            Cont::SecondaryWritten { key, op, primary } => {
+            Written::Secondary { key, op, primary } => {
                 let from = self.node;
-                self.send(
+                self.ep.send(
                     ctx,
                     primary,
                     NoobMsg::RepAck1 { key, op, from },
                     CTRL_MSG_BYTES,
                 );
             }
-            Cont::ChainWritten {
+            Written::Chain {
                 key,
                 op,
                 mut remaining,
@@ -724,7 +660,7 @@ impl NoobServerApp {
             } => {
                 if remaining.is_empty() {
                     // tail: acknowledge the client
-                    self.send(
+                    self.ep.send(
                         ctx,
                         client,
                         NoobMsg::PutReply { op, ok: true },
@@ -738,7 +674,7 @@ impl NoobServerApp {
                         .get(&key)
                         .map_or_else(|| Value::synthetic(0), |c| c.value.clone());
                     let size = value.size() + key.len() as u32 + CTRL_MSG_BYTES;
-                    self.send(
+                    self.ep.send(
                         ctx,
                         next,
                         NoobMsg::ChainPut {
@@ -754,68 +690,39 @@ impl NoobServerApp {
             }
         }
     }
+}
 
-    /// CPU cost of processing one message (see `nice_kv::server`).
-    fn msg_cost(msg: &NoobMsg) -> Time {
-        match msg {
-            NoobMsg::Put { .. }
-            | NoobMsg::Get { .. }
-            | NoobMsg::RepData { .. }
-            | NoobMsg::ChainPut { .. } => REQ_COST,
-            _ => CTRL_COST,
-        }
-    }
-
-    fn drive(&mut self, events: Vec<TransportEvent>, ctx: &mut dyn NodeIo) {
-        for ev in events {
-            if let TransportEvent::Delivered { from, msg, .. } = ev {
-                if let Some(m) = msg.downcast::<NoobMsg>() {
-                    let m = m.clone();
-                    let cost = Self::msg_cost(&m);
-                    let tok = self.next_cont;
-                    self.next_cont += 1;
-                    self.conts.insert(
-                        tok,
-                        Cont::Process {
-                            msg: Box::new(m),
-                            src: from.0,
-                        },
-                    );
-                    ctx.cpu_defer(cost, tok);
-                }
-            }
-        }
+/// CPU cost of processing one message (see `nice_kv::server`).
+fn msg_cost(msg: &NoobMsg) -> Time {
+    match msg {
+        NoobMsg::Put { .. }
+        | NoobMsg::Get { .. }
+        | NoobMsg::RepData { .. }
+        | NoobMsg::ChainPut { .. } => REQ_COST,
+        _ => CTRL_COST,
     }
 }
 
 impl NodeApp for NoobServerApp {
     fn on_packet(&mut self, pkt: Packet, ctx: &mut dyn NodeIo) {
-        let events = self.tp.on_packet(&pkt, ctx);
-        self.drive(events, ctx);
+        self.ep.on_packet(&pkt, ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut dyn NodeIo) {
-        if token == TRANSPORT_TICK {
-            let events = self.tp.on_timer(token, ctx);
-            self.drive(events, ctx);
-            return;
-        }
-        if token == TOK_SYNC_GIVEUP {
+        match self.ep.on_timer(token, ctx) {
+            Some(Fired::Message { msg, src }) => self.on_noob(msg, src, ctx),
+            Some(Fired::Cont(done)) => self.on_written(done, ctx),
             // Peers never answered (all down, or the nemesis ate every
             // exchange): stop forwarding and serve what the WAL replay
             // restored rather than going silent forever.
-            self.sync_pending.clear();
-            return;
-        }
-        if let Some(cont) = self.conts.remove(&token) {
-            self.on_cont(cont, ctx);
+            Some(Fired::App(TOK_SYNC_GIVEUP)) => self.sync_pending.clear(),
+            Some(Fired::App(_)) | None => {}
         }
     }
 
     fn on_crash(&mut self) {
-        self.tp.on_crash();
+        self.ep.crash();
         self.engine.reset();
-        self.conts.clear();
         self.sync_pending.clear();
     }
 
@@ -836,7 +743,8 @@ impl NodeApp for NoobServerApp {
             .collect();
         for (n, addr) in peers {
             self.sync_pending.insert(n);
-            self.send(ctx, addr, NoobMsg::SyncReq { from: me }, CTRL_MSG_BYTES);
+            self.ep
+                .send(ctx, addr, NoobMsg::SyncReq { from: me }, CTRL_MSG_BYTES);
         }
         if !self.sync_pending.is_empty() {
             ctx.set_timer(SYNC_GIVEUP, TOK_SYNC_GIVEUP);

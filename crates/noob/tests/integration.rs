@@ -89,7 +89,9 @@ fn rog_primary_only_roundtrip_forwards() {
     assert!(c.run_until_done(Time::from_secs(60)));
     assert_roundtrip(&c, 0, 15);
     // random-node routing must have caused some server-side forwarding
-    let fwd: u64 = (0..8).map(|i| c.server(i).counters().forwarded).sum();
+    let fwd: u64 = (0..8)
+        .map(|i| c.server(i).metrics().counter("engine.forwarded"))
+        .sum();
     assert!(fwd > 0, "ROG never hit a wrong node in 30 ops?");
 }
 
@@ -169,7 +171,9 @@ fn primary_only_serves_all_gets_from_primary() {
     ));
     assert!(c.run_until_done(Time::from_secs(60)));
     let primary = c.ring.ring.primary(c.ring.partition_of("hot")).0 as usize;
-    let served: Vec<u64> = (0..8).map(|i| c.server(i).counters().gets_served).collect();
+    let served: Vec<u64> = (0..8)
+        .map(|i| c.server(i).metrics().counter("engine.gets_served"))
+        .collect();
     assert!(served[primary] >= 55, "primary served {:?}", served);
     for (i, &s) in served.iter().enumerate() {
         if i != primary {
@@ -198,7 +202,7 @@ fn lb_gets_spread_over_replicas_with_2pc() {
         .collect();
     let busy = replicas
         .iter()
-        .filter(|&&i| c.server(i).counters().gets_served > 0)
+        .filter(|&&i| c.server(i).metrics().counter("engine.gets_served") > 0)
         .count();
     assert!(busy >= 2, "client-side LB did not spread gets");
 }
@@ -272,7 +276,9 @@ fn caching_rac_warms_up() {
     assert!(misses <= 10, "misses={misses}");
     assert!(hits >= 30, "hits={hits}");
     // forwarding happened only for cold keys that landed on a wrong node
-    let fwd: u64 = (0..8).map(|i| c.server(i).counters().forwarded).sum();
+    let fwd: u64 = (0..8)
+        .map(|i| c.server(i).metrics().counter("engine.forwarded"))
+        .sum();
     assert!(
         fwd <= misses,
         "forwards ({fwd}) bounded by cold misses ({misses})"

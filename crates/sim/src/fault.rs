@@ -87,7 +87,6 @@ pub struct FaultPlan {
     delay_max: Time,
     from: Time,
     until: Time,
-    spare_arp: bool,
     partitions: Vec<Partition>,
     outages: Vec<Outage>,
 }
@@ -104,7 +103,6 @@ impl FaultPlan {
             delay_max: Time::ZERO,
             from: Time::ZERO,
             until: Time::MAX,
-            spare_arp: true,
             partitions: Vec::new(),
             outages: Vec::new(),
         }
@@ -141,14 +139,6 @@ impl FaultPlan {
     pub fn window(mut self, from: Time, until: Time) -> FaultPlan {
         self.from = from;
         self.until = until;
-        self
-    }
-
-    /// Also subject ARP traffic to probabilistic faults. By default ARP
-    /// is spared so address resolution (gratuitous ARPs at boot) cannot
-    /// be permanently lost — the protocols under test ride UDP/TCP.
-    pub fn include_arp(mut self) -> FaultPlan {
-        self.spare_arp = false;
         self
     }
 
@@ -341,7 +331,10 @@ impl FaultState {
         if at < self.plan.from || at >= self.plan.until {
             return Verdict::CLEAN;
         }
-        if self.plan.spare_arp && pkt.proto == Proto::Arp {
+        // ARP is spared so address resolution (gratuitous ARPs at boot)
+        // cannot be permanently lost — the protocols under test ride
+        // UDP/TCP.
+        if pkt.proto == Proto::Arp {
             return Verdict::CLEAN;
         }
         if self.plan.loss > 0.0 && self.rng.random_f64() < self.plan.loss {
@@ -438,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn arp_is_spared_unless_included() {
+    fn arp_is_spared() {
         let arp = Packet::arp_request(
             Ipv4::new(10, 0, 0, 1),
             crate::net::Mac(1),
@@ -446,8 +439,6 @@ mod tests {
         );
         let mut spared = FaultState::new(FaultPlan::new(5).loss(1.0));
         assert_eq!(spared.judge(Time::ZERO, &arp).copies, 1);
-        let mut included = FaultState::new(FaultPlan::new(5).loss(1.0).include_arp());
-        assert_eq!(included.judge(Time::ZERO, &arp).copies, 0);
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub mod net;
 pub mod sim;
 pub mod switch;
 pub mod time;
-pub mod topology;
 
 pub use fault::{FaultPlan, FaultRecord, FaultStats};
 pub use host::{App, CpuCfg, Ctx, HostCfg};
@@ -68,4 +67,3 @@ pub use node_rt::{NodeApp, NodeIo};
 pub use sim::{HostStats, Simulation};
 pub use switch::{SwitchAction, SwitchCfg, SwitchLogic, SwitchView};
 pub use time::Time;
-pub use topology::StarBuilder;

@@ -8,15 +8,19 @@
 //! used for quorum replication.
 //!
 //! The entry point is [`Transport`]: one per application, bound to a local
-//! port; see its docs for the send-path menu.
+//! port; see its docs for the send-path menu. Server-side apps wrap it in
+//! an [`Endpoint`], the shared host-facing loop (CPU inbox, timer-token
+//! table, send-cost model).
 
 #![warn(missing_docs)]
 
+pub mod endpoint;
 pub mod msg;
 pub mod rudp;
 pub mod transport;
 pub mod wire;
 
+pub use endpoint::{Endpoint, Fired};
 pub use msg::{Carrier, Msg, MsgToken, TpPayload, TransportEvent};
 pub use rudp::{chunk_bytes, num_chunks, RudpCfg};
 pub use transport::{TpStats, Transport, TRANSPORT_TICK};

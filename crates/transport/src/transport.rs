@@ -48,6 +48,20 @@ pub struct TpStats {
     pub syn_retries: u64,
 }
 
+impl TpStats {
+    /// The counters under their `transport.*` registry names, for a
+    /// node's metrics snapshot to add up.
+    pub fn named(&self) -> [(&'static str, u64); 5] {
+        [
+            ("transport.probes", self.probes),
+            ("transport.nacks_sent", self.nacks_sent),
+            ("transport.nacks_received", self.nacks_received),
+            ("transport.repairs", self.repairs),
+            ("transport.syn_retries", self.syn_retries),
+        ]
+    }
+}
+
 struct Pending {
     token: MsgToken,
     msg: Msg,

@@ -1,9 +1,8 @@
 //! # nice-workload — workload generators for the NICE evaluation
 //!
-//! Provides the request streams behind every experiment in the paper's §6:
-//! fixed-size synthetic put/get streams (Figures 4–10), the 20/80
-//! fixed-mix stream of the fault-tolerance timeline (Figure 11), and
-//! YCSB-style workloads with zipfian popularity (Figure 12).
+//! The seeded PRNG every layer draws from, the zipfian sampler, and the
+//! YCSB-style workloads of Figure 12. (The fixed-size and fixed-mix
+//! streams of Figures 4–11 are a few lines each in their figure binary.)
 
 #![warn(missing_docs)]
 
@@ -12,7 +11,7 @@ pub mod rng;
 pub mod ycsb;
 pub mod zipf;
 
-pub use ops::{FixedMix, Op, OpKind};
+pub use ops::{Op, OpKind};
 pub use rng::{Rng, XorShiftRng};
 pub use ycsb::{KeyDist, Workload, WorkloadRun};
 pub use zipf::Zipf;

@@ -19,67 +19,3 @@ pub struct Op {
     /// Value size in bytes (puts; 0 for gets).
     pub size: u32,
 }
-
-/// A synthetic fixed-mix generator: `put_ratio` of operations are puts
-/// over `keys` uniformly-popular keys of `object_size` bytes — the shape
-/// of the paper's §6.6 fault-tolerance workload (20/80 put/get, 1 KB).
-#[derive(Debug, Clone)]
-pub struct FixedMix {
-    /// Probability an op is a put.
-    pub put_ratio: f64,
-    /// Keyspace size.
-    pub keys: u64,
-    /// Put object size.
-    pub object_size: u32,
-    /// Prefix for key names.
-    pub prefix: &'static str,
-}
-
-impl FixedMix {
-    /// Draw the next op.
-    pub fn next_op<R: crate::rng::Rng>(&self, rng: &mut R) -> Op {
-        let put = rng.random_f64() < self.put_ratio;
-        let k = rng.random_range(0..self.keys);
-        Op {
-            kind: if put { OpKind::Put } else { OpKind::Get },
-            key: format!("{}{}", self.prefix, k),
-            size: if put { self.object_size } else { 0 },
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::rng::XorShiftRng;
-
-    #[test]
-    fn fixed_mix_ratio_holds() {
-        let g = FixedMix {
-            put_ratio: 0.2,
-            keys: 10,
-            object_size: 1024,
-            prefix: "k",
-        };
-        let mut rng = XorShiftRng::seed_from_u64(1);
-        let puts = (0..10_000)
-            .filter(|_| g.next_op(&mut rng).kind == OpKind::Put)
-            .count();
-        assert!(puts > 1700 && puts < 2300, "puts={puts}");
-    }
-
-    #[test]
-    fn fixed_mix_keys_in_range() {
-        let g = FixedMix {
-            put_ratio: 0.5,
-            keys: 3,
-            object_size: 8,
-            prefix: "x",
-        };
-        let mut rng = XorShiftRng::seed_from_u64(2);
-        for _ in 0..100 {
-            let op = g.next_op(&mut rng);
-            assert!(["x0", "x1", "x2"].contains(&op.key.as_str()));
-        }
-    }
-}

@@ -1,0 +1,70 @@
+#!/bin/bash
+# Proof that a refactor left simulated behaviour alone (ROADMAP "One of
+# each": figure CSVs byte-identical). Builds <parent-ref> and the working
+# tree, runs every figure binary at --quick --seed 42 from each, and
+# diffs the two bench_results/ sets.
+#
+#   scripts/figures_identical.sh <parent-ref>
+#
+# Exits non-zero if any CSV differs or is missing on either side, or if
+# a figure binary of the working tree exits non-zero. A non-zero exit on
+# the parent side is only reported: the parent is history (its
+# fig11 --quick panicked after writing its CSV until PR 18), and a
+# figure that died before finishing its CSV shows up in the diff.
+#
+# Not part of check.sh: it needs a parent ref and two release builds.
+# Everything lands under target/figures_identical/.
+set -e -o pipefail
+cd "$(dirname "$0")/.."
+
+if [ $# -ne 1 ]; then
+  echo "usage: $0 <parent-ref>" >&2
+  exit 2
+fi
+REF=$1
+ROOT=$PWD
+OUT=$ROOT/target/figures_identical
+FIGS="fig04_routing fig05_replication fig06_network_load fig07_load_ratio \
+      fig08_quorum fig09_consistency fig10_load_balancing \
+      fig11_fault_tolerance fig12_ycsb fault_sweep switch_scalability \
+      membership_scalability ablation_replication ablation_lb"
+
+rm -rf "$OUT/then-src" "$OUT/then" "$OUT/now"
+mkdir -p "$OUT/then-src" "$OUT/then" "$OUT/now"
+git archive "$REF" | tar -x -C "$OUT/then-src"
+
+echo "=== build $REF ==="
+(cd "$OUT/then-src" &&
+  CARGO_TARGET_DIR="$OUT/then-target" cargo build -q --release --offline -p nice-bench)
+echo "=== build working tree ==="
+CARGO_TARGET_DIR="$ROOT/target" cargo build -q --release --offline -p nice-bench
+
+status=0
+# run_figs <dir holding the binaries> <side>: CSVs land in
+# $OUT/<side>/bench_results (the binaries write relative to their cwd).
+run_figs() {
+  for fig in $FIGS; do
+    if ! (cd "$OUT/$2" && "$1/$fig" --quick --seed 42 >"$fig.log" 2>&1); then
+      echo "$2: $fig exited non-zero (log: $OUT/$2/$fig.log)"
+      [ "$2" = then ] || status=1
+    fi
+    if [ ! -s "$OUT/$2/bench_results/$fig.csv" ]; then
+      echo "$2: $fig wrote no CSV"
+      status=1
+    fi
+  done
+}
+echo "=== figures: $REF ==="
+run_figs "$OUT/then-target/release" then
+echo "=== figures: working tree ==="
+run_figs "$ROOT/target/release" now
+
+echo "=== diff ==="
+diff -r "$OUT/then/bench_results" "$OUT/now/bench_results" || status=1
+
+if [ "$status" = 0 ]; then
+  echo "figures_identical: $(ls "$OUT/now/bench_results" | wc -l) CSVs byte-identical to $REF"
+else
+  echo "figures_identical: FAILED" >&2
+fi
+exit "$status"

@@ -636,9 +636,9 @@ fn metadata_failover_mid_put_storm_linearizes() {
 
 /// Telemetry determinism contract: two chaos runs from the same seed —
 /// same fault plan, same workload, same config — must produce
-/// byte-identical metrics snapshots. Every histogram bucket, counter,
-/// and gauge in the merged cluster registry is derived from simulated
-/// time and seeded draws, so even one wall-clock or hash-order leak
+/// byte-identical metrics snapshots. Every histogram bucket and counter
+/// in the merged cluster registry is derived from simulated time and
+/// seeded draws, so even one wall-clock or hash-order leak
 /// into the snapshot path shows up here as a diff.
 #[test]
 fn same_seed_chaos_runs_yield_byte_identical_telemetry() {
