@@ -5,9 +5,11 @@
 //! crash/restart windows, link-level loss/duplication/delay intensities,
 //! single-node isolations (partitions), an optional active-metadata
 //! crash (driving the hot-standby takeover of §4.4), and optional admin
-//! churn (add a spare / remove a node). The driver in `tests/chaos.rs`
-//! maps the plan onto the simulator's `FaultPlan` and crash scheduling;
-//! this module deliberately knows nothing about transports or topologies
+//! churn (add a spare / remove a node). The packet faults and the
+//! crash/restart windows are held as the shared [`FaultPlan`];
+//! [`ChaosPlan::fault_plan`] adds the isolations once storage addresses
+//! exist, and both the simulator and the real runtime apply the result.
+//! This module deliberately knows nothing about transports or topologies
 //! so the same plan can drive NICE and NOOB (and the checker can blame
 //! the protocol, never the schedule).
 //!
@@ -17,7 +19,7 @@
 
 use std::fmt::Write as _;
 
-use node_rt::Time;
+use node_rt::{FaultPlan, Ipv4, Outage, Time};
 
 use crate::explore::{Choice, ChoiceKind, Schedule};
 
@@ -38,17 +40,6 @@ pub struct ChaosSpec {
     pub metadata_failover: bool,
     /// Queue admin churn mid-run: add a spare node, then remove a node.
     pub admin_churn: bool,
-}
-
-/// One node crash/restart window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashEvent {
-    /// The node (storage index) to crash.
-    pub node: usize,
-    /// Crash time.
-    pub down: Time,
-    /// Restart time (always present: chaos always heals).
-    pub up: Time,
 }
 
 /// One single-node network isolation window (the node stays alive but
@@ -75,23 +66,12 @@ pub enum AdminEvent {
 /// A fully-derived chaos schedule. See the module docs.
 #[derive(Debug, Clone)]
 pub struct ChaosPlan {
-    /// The seed it was derived from (also seeds the packet-fault RNG).
-    pub seed: u64,
-    /// Packet loss probability in the fault window.
-    pub loss: f64,
-    /// Packet duplication probability in the fault window.
-    pub dup: f64,
-    /// Extra-delay probability in the fault window.
-    pub delay_prob: f64,
-    /// Extra-delay upper bound.
-    pub delay_max: Time,
-    /// Packet-level faults start here...
-    pub fault_from: Time,
-    /// ...and stop here (= `spec.horizon`).
-    pub fault_until: Time,
-    /// Node crash/restart windows (distinct nodes).
-    pub crashes: Vec<CrashEvent>,
-    /// Node isolation windows.
+    /// Seed, packet-fault intensities, window (ending at `spec.horizon`)
+    /// and crash windows as outages. It lacks the isolations, so it stays
+    /// private: the installable plan is [`ChaosPlan::fault_plan`].
+    faults: FaultPlan,
+    /// Node isolation windows, by storage index (a plan is drawn before
+    /// any address exists).
     pub isolations: Vec<IsolationEvent>,
     /// When to crash the active metadata service, if drawn.
     pub meta_crash: Option<Time>,
@@ -141,25 +121,27 @@ impl ChaosPlan {
     /// arguments always produce the identical plan.
     pub fn generate(seed: u64, spec: &ChaosSpec) -> ChaosPlan {
         let mut rng = Xorshift::new(seed);
-        let fault_from = Time::from_ms(500);
-        let fault_until = spec.horizon;
         // Mild packet-level background noise: enough to exercise retry
         // and duplicate-suppression paths, small against retry periods.
         let loss = rng.f64() * 0.03;
         let dup = rng.f64() * 0.01;
         let delay_prob = rng.f64() * 0.05;
         let delay_max = Time(rng.range(100_000, 2_000_000)); // 0.1–2 ms
+        let mut faults = FaultPlan::new(seed)
+            .loss(loss)
+            .duplication(dup)
+            .extra_delay(delay_prob, delay_max)
+            .window(Time::from_ms(500), spec.horizon);
 
         // Crash windows on distinct nodes, each healing before the
         // horizon (restart leaves time for the two-phase rejoin).
         let mut pool: Vec<usize> = (0..spec.nodes).collect();
-        let mut crashes = Vec::new();
         for _ in 0..spec.crashes.min(pool.len()) {
             let node = pool.remove(rng.range(0, pool.len() as u64) as usize);
             let latest_down = Time(spec.horizon.as_ns() / 2);
             let down = rng.time_in(Time::from_ms(800), latest_down);
             let up = down + rng.time_in(Time::from_ms(500), Time::from_ms(2500));
-            crashes.push(CrashEvent { node, down, up });
+            faults = faults.outage(node, down, up);
         }
 
         let mut isolations = Vec::new();
@@ -181,7 +163,7 @@ impl ChaosPlan {
             // crash, shrinking back to the starting capacity.
             let t_add = rng.time_in(Time::from_ms(1200), Time(spec.horizon.as_ns() / 2));
             admin.push((t_add, AdminEvent::AddNode(spec.nodes)));
-            let crashed: Vec<usize> = crashes.iter().map(|c| c.node).collect();
+            let crashed: Vec<usize> = faults.outages.iter().map(|c| c.node).collect();
             let candidates: Vec<usize> = (0..spec.nodes).filter(|n| !crashed.contains(n)).collect();
             if !candidates.is_empty() {
                 let victim = candidates[rng.range(0, candidates.len() as u64) as usize];
@@ -192,14 +174,7 @@ impl ChaosPlan {
         admin.sort_by_key(|(t, _)| *t);
 
         ChaosPlan {
-            seed,
-            loss,
-            dup,
-            delay_prob,
-            delay_max,
-            fault_from,
-            fault_until,
-            crashes,
+            faults,
             isolations,
             meta_crash,
             admin,
@@ -220,7 +195,7 @@ impl ChaosPlan {
             kind,
             actor: node as u32,
         };
-        for c in &self.crashes {
+        for c in &self.faults.outages {
             timed.push((c.down, choice(ChoiceKind::Crash, c.node)));
             timed.push((c.up, choice(ChoiceKind::Restart, c.node)));
         }
@@ -241,23 +216,48 @@ impl ChaosPlan {
         Schedule::from_choices(timed.into_iter().map(|(_, c)| c).collect())
     }
 
+    /// The crash/restart windows, on distinct storage indices: the
+    /// simulator schedules them, a real-runtime harness drives them.
+    pub fn outages(&self) -> &[Outage] {
+        &self.faults.outages
+    }
+
+    /// The plan as both hosts apply it: the seed, packet faults, window
+    /// and outages plus one partition per isolation, cutting the isolated
+    /// node's address off from every other storage address.
+    /// `storage_ips[i]` is the address of storage node `i`.
+    pub fn fault_plan(&self, storage_ips: &[Ipv4]) -> FaultPlan {
+        let mut fp = self.faults.clone();
+        for iso in &self.isolations {
+            let others: Vec<Ipv4> = storage_ips
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != iso.node)
+                .map(|(_, &ip)| ip)
+                .collect();
+            fp = fp.partition(vec![storage_ips[iso.node]], others, iso.from, iso.until);
+        }
+        fp
+    }
+
     /// A deterministic, byte-stable rendering of the schedule (replay
     /// assertions compare these across runs).
     pub fn render(&self) -> String {
+        let f = &self.faults;
         let mut s = String::new();
         let _ = writeln!(
             s,
             "plan seed={} loss={:.6} dup={:.6} delay_p={:.6} delay_max={}ns \
              window=[{},{}]ns",
-            self.seed,
-            self.loss,
-            self.dup,
-            self.delay_prob,
-            self.delay_max.as_ns(),
-            self.fault_from.as_ns(),
-            self.fault_until.as_ns(),
+            f.seed,
+            f.loss,
+            f.dup,
+            f.delay_prob,
+            f.delay_max.as_ns(),
+            f.window.start.as_ns(),
+            f.window.end.as_ns(),
         );
-        for c in &self.crashes {
+        for c in &f.outages {
             let _ = writeln!(
                 s,
                 "crash node={} down={}ns up={}ns",
@@ -322,7 +322,7 @@ mod tests {
     fn every_fault_heals_before_the_horizon_plus_slack() {
         for seed in 0..50 {
             let p = ChaosPlan::generate(seed, &spec());
-            for c in &p.crashes {
+            for c in &p.faults.outages {
                 assert!(c.down < c.up, "seed {seed}: {c:?}");
                 assert!(c.up < spec().horizon, "seed {seed}: restart too late {c:?}");
             }
@@ -330,7 +330,7 @@ mod tests {
                 assert!(i.from < i.until, "seed {seed}: {i:?}");
                 assert!(i.until < spec().horizon, "seed {seed}: heal too late {i:?}");
             }
-            let crashed: Vec<usize> = p.crashes.iter().map(|c| c.node).collect();
+            let crashed: Vec<usize> = p.faults.outages.iter().map(|c| c.node).collect();
             let distinct: std::collections::BTreeSet<usize> = crashed.iter().copied().collect();
             assert_eq!(
                 distinct.len(),
@@ -346,7 +346,7 @@ mod tests {
         let sched = p.schedule();
         // Every drawn event appears exactly once: crash+restart per
         // crash window, isolate+heal per isolation, meta, admin.
-        let expect = 2 * p.crashes.len()
+        let expect = 2 * p.faults.outages.len()
             + 2 * p.isolations.len()
             + usize::from(p.meta_crash.is_some())
             + p.admin.len();
@@ -360,7 +360,7 @@ mod tests {
         assert!(p.render().contains(&format!("schedule {}", sched.render())));
         // A node's restart renders after its crash (time order).
         let r = sched.render();
-        for c in &p.crashes {
+        for c in &p.faults.outages {
             let crash = format!("!{}", c.node);
             let restart = format!("^{}", c.node);
             let ci = r.find(&crash).expect("crash rendered");

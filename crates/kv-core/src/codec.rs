@@ -7,6 +7,7 @@ use std::rc::Rc;
 use node_rt::{ByteReader, ByteWriter, Ipv4};
 
 use crate::types::{OpId, Timestamp, Value};
+use crate::wal::MAX_RECORD;
 
 /// Append an [`OpId`].
 pub fn put_op(w: &mut ByteWriter, op: &OpId) {
@@ -46,10 +47,15 @@ pub fn put_value(w: &mut ByteWriter, v: &Value) {
     w.u32(v.pad);
 }
 
-/// Read a [`Value`]; `None` on truncated input.
+/// Read a [`Value`]; `None` on truncated input or on a logical size
+/// (real bytes plus pad) above the WAL's record bound, which no writer
+/// produces.
 pub fn get_value(r: &mut ByteReader<'_>) -> Option<Value> {
     let bytes = r.bytes()?.to_vec();
     let pad = r.u32()?;
+    if bytes.len() as u64 + u64::from(pad) > u64::from(MAX_RECORD) {
+        return None;
+    }
     Some(Value {
         bytes: Rc::new(bytes),
         pad,

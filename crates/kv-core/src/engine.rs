@@ -1147,7 +1147,10 @@ impl ReplicationEngine for TwoPcEngine {
 
     fn ingest(&mut self, now: Time, objects: Vec<(String, Value, Timestamp)>) {
         self.touch(now);
-        let total: u32 = objects.iter().map(|(_, v, _)| v.size()).sum();
+        // Peer-supplied: saturate rather than overflow.
+        let total = objects
+            .iter()
+            .fold(0u32, |sum, (_, v, _)| sum.saturating_add(v.size()));
         self.store.write_delay(now, total, true);
         for (k, v, ts) in objects {
             // A synced commit also settles a lock this node still holds

@@ -40,7 +40,7 @@ mod telemetry;
 mod types;
 mod wal;
 
-pub use chaos::{AdminEvent, ChaosPlan, ChaosSpec, CrashEvent, IsolationEvent};
+pub use chaos::{AdminEvent, ChaosPlan, ChaosSpec, IsolationEvent};
 pub use client::{
     Attempt, ClientCore, ClientOp, Issue, KvClient, OpRecord, ReplyAction, RetryAction,
     RetryPolicy, IDLE_POLL, NOT_FOUND_BACKOFF, TOK_RETRY_BASE, TOK_START,

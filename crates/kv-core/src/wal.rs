@@ -85,8 +85,9 @@ const TAG_RELEASE: u8 = 4;
 /// Frame header: `u32` payload length + `u32` CRC32 of the payload.
 const FRAME_HDR: usize = 8;
 /// Upper bound on one record's payload; a larger length prefix in the
-/// file is corruption, not a record.
-const MAX_RECORD: u32 = 64 << 20;
+/// file is corruption, not a record. Also bounds a decoded value's
+/// logical size.
+pub(crate) const MAX_RECORD: u32 = 64 << 20;
 
 impl WalRecord {
     /// Serialize the record payload (no frame header).

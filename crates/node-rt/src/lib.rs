@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod fault;
 mod io;
 pub mod nemesis;
 pub mod net;
@@ -34,8 +35,9 @@ pub mod runtime;
 pub mod time;
 
 pub use codec::{ByteReader, ByteWriter, WireCodec};
+pub use fault::{FaultPlan, Outage, Partition};
 pub use io::{NodeApp, NodeIo};
-pub use nemesis::{FaultPlan, FaultStats, NemesisUdp, PartitionWindow, Verdict};
+pub use nemesis::{FaultStats, Nemesis, NemesisUdp, Verdict};
 pub use net::{ArpOp, Ipv4, Mac, Packet, Payload, Proto, ARP_WIRE_SIZE, HDR_TCP, HDR_UDP, MTU};
 pub use nice_workload::{Rng, XorShiftRng};
 pub use runtime::{NodeSpec, RuntimeCfg, UdpHostCfg, UdpRuntime};

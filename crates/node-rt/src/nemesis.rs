@@ -3,16 +3,16 @@
 //! The simulator injects faults at its single delivery choke point; the
 //! real runtime has no such point — every node thread writes straight
 //! to its own socket. [`NemesisUdp`] restores one: it wraps the
-//! loopback socket and applies a seeded [`FaultPlan`] on the send side,
-//! deterministically per `(src, dst, payload-hash)` — the same frame
-//! between the same pair always draws the same verdict — so a storm is
-//! reproducible up to thread scheduling while remaining real UDP on the
-//! wire (loss means the datagram is never written, duplication means
-//! two writes, delay means a deferred write).
+//! loopback socket and applies the shared [`FaultPlan`] on the send
+//! side, deterministically per `(src, dst, payload-hash)` — the same
+//! frame between the same pair always draws the same verdict — so a
+//! storm is reproducible up to thread scheduling while remaining real
+//! UDP on the wire (loss means the datagram is never written,
+//! duplication means two writes, delay means a deferred write). The
+//! plan's outages are not applied here: the harness crashes and
+//! restarts nodes from the same `plan.outages`.
 //!
-//! The plan is a pure value: rendering the seeded schedule
-//! (`kv_core::ChaosPlan::render`) is byte-stable and independent of
-//! this module; [`FaultStats`] counts what the verdicts actually did.
+//! [`FaultStats`] counts what the verdicts actually did.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, UdpSocket};
@@ -20,63 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::fault::FaultPlan;
 use crate::net::Ipv4;
 use crate::time::Time;
-
-/// One symmetric link cut: packets between `a` and `b` (either
-/// direction) are dropped while `from <= now < until`.
-#[derive(Debug, Clone, Copy)]
-pub struct PartitionWindow {
-    /// One side of the cut.
-    pub a: Ipv4,
-    /// The other side.
-    pub b: Ipv4,
-    /// Window start (runtime-relative, like [`crate::NodeIo::now`]).
-    pub from: Time,
-    /// Window end (exclusive).
-    pub until: Time,
-}
-
-/// A seeded fault plan for the real runtime.
-///
-/// Probabilities are parts-per-million so the verdict is pure integer
-/// arithmetic on the hash draw. Loss/duplication/delay apply only
-/// inside `[active_from, active_until)`; partitions carry their own
-/// windows. `Default` is a no-fault plan.
-#[derive(Debug, Clone)]
-pub struct FaultPlan {
-    /// Verdict seed.
-    pub seed: u64,
-    /// Drop probability (ppm) inside the active window.
-    pub loss_ppm: u32,
-    /// Duplication probability (ppm) inside the active window.
-    pub dup_ppm: u32,
-    /// Delay probability (ppm) inside the active window.
-    pub delay_ppm: u32,
-    /// Maximum injected delay (uniform in `1..=delay_max` ns).
-    pub delay_max: Time,
-    /// Start of the loss/dup/delay window.
-    pub active_from: Time,
-    /// End of the loss/dup/delay window (exclusive).
-    pub active_until: Time,
-    /// Symmetric link cuts.
-    pub partitions: Vec<PartitionWindow>,
-}
-
-impl Default for FaultPlan {
-    fn default() -> FaultPlan {
-        FaultPlan {
-            seed: 0,
-            loss_ppm: 0,
-            dup_ppm: 0,
-            delay_ppm: 0,
-            delay_max: Time::ZERO,
-            active_from: Time::ZERO,
-            active_until: Time::ZERO,
-            partitions: Vec::new(),
-        }
-    }
-}
 
 /// What the plan decided for one datagram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,21 +56,40 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl FaultPlan {
+/// A [`FaultPlan`] armed for the socket: its probabilities converted
+/// once to parts-per-million so each verdict is pure integer arithmetic
+/// on the hash draw.
+#[derive(Debug)]
+pub struct Nemesis {
+    plan: FaultPlan,
+    loss_ppm: u32,
+    dup_ppm: u32,
+    delay_ppm: u32,
+}
+
+impl Nemesis {
+    /// Arm `plan`.
+    pub fn new(plan: FaultPlan) -> Nemesis {
+        let ppm = |p: f64| (p * 1e6) as u32;
+        Nemesis {
+            loss_ppm: ppm(plan.loss),
+            dup_ppm: ppm(plan.dup),
+            delay_ppm: ppm(plan.delay_prob),
+            plan,
+        }
+    }
+
     /// The plan's verdict for one frame from `src` to `dst` at `now`.
     /// Pure: the same `(seed, src, dst, frame)` always draws the same
-    /// verdict; `now` only gates the fault windows.
+    /// verdict; `now` only gates the partition and fault windows.
     pub fn verdict(&self, now: Time, src: Ipv4, dst: Ipv4, frame: &[u8]) -> Verdict {
-        for p in &self.partitions {
-            let cut = (p.a == src && p.b == dst) || (p.a == dst && p.b == src);
-            if cut && now >= p.from && now < p.until {
-                return Verdict::Drop;
-            }
+        if self.plan.partitions.iter().any(|p| p.severs(now, src, dst)) {
+            return Verdict::Drop;
         }
-        if now < self.active_from || now >= self.active_until {
+        if !self.plan.window.contains(&now) {
             return Verdict::Deliver;
         }
-        let key = mix(self.seed
+        let key = mix(self.plan.seed
             ^ mix(u64::from(src.0))
             ^ mix(u64::from(dst.0).rotate_left(32))
             ^ fnv1a64(frame));
@@ -139,8 +104,8 @@ impl FaultPlan {
             .loss_ppm
             .saturating_add(self.dup_ppm)
             .saturating_add(self.delay_ppm);
-        if draw < delay_edge && self.delay_max > Time::ZERO {
-            let ns = 1 + mix(key) % self.delay_max.as_ns().max(1);
+        if draw < delay_edge && self.plan.delay_max > Time::ZERO {
+            let ns = 1 + mix(key) % self.plan.delay_max.as_ns().max(1);
             return Verdict::Delay(Time(ns));
         }
         Verdict::Deliver
@@ -180,7 +145,7 @@ impl FaultStats {
 #[derive(Debug)]
 pub struct NemesisUdp {
     socket: UdpSocket,
-    plan: Option<Arc<FaultPlan>>,
+    plan: Option<Arc<Nemesis>>,
     stats: Arc<FaultStats>,
     /// Delay-verdict frames awaiting their deadline, keyed by
     /// `(deliver-at ns, arm order)`.
@@ -192,7 +157,7 @@ impl NemesisUdp {
     /// Wrap `socket`; `plan = None` disables injection entirely.
     pub fn new(
         socket: UdpSocket,
-        plan: Option<Arc<FaultPlan>>,
+        plan: Option<Arc<Nemesis>>,
         stats: Arc<FaultStats>,
     ) -> NemesisUdp {
         NemesisUdp {
@@ -272,17 +237,14 @@ impl NemesisUdp {
 mod tests {
     use super::*;
 
-    fn plan() -> FaultPlan {
-        FaultPlan {
-            seed: 42,
-            loss_ppm: 200_000,
-            dup_ppm: 100_000,
-            delay_ppm: 100_000,
-            delay_max: Time::from_ms(2),
-            active_from: Time::from_ms(100),
-            active_until: Time::from_secs(10),
-            partitions: vec![],
-        }
+    fn plan() -> Nemesis {
+        Nemesis::new(
+            FaultPlan::new(42)
+                .loss(0.2)
+                .duplication(0.1)
+                .extra_delay(0.1, Time::from_ms(2))
+                .window(Time::from_ms(100), Time::from_secs(10)),
+        )
     }
 
     fn addrs() -> (Ipv4, Ipv4) {
@@ -302,25 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn verdicts_outside_the_window_deliver() {
-        let p = plan();
-        let (a, b) = addrs();
-        for i in 0..200u32 {
-            let frame = i.to_be_bytes();
-            assert_eq!(
-                p.verdict(Time::from_ms(1), a, b, &frame),
-                Verdict::Deliver,
-                "before the window"
-            );
-            assert_eq!(
-                p.verdict(Time::from_secs(11), a, b, &frame),
-                Verdict::Deliver,
-                "after the window"
-            );
-        }
-    }
-
-    #[test]
     fn verdict_mix_covers_all_outcomes_at_plan_rates() {
         let p = plan();
         let (a, b) = addrs();
@@ -331,7 +274,7 @@ mod tests {
                 Verdict::Drop => drops += 1,
                 Verdict::Duplicate => dups += 1,
                 Verdict::Delay(d) => {
-                    assert!(d > Time::ZERO && d <= p.delay_max);
+                    assert!(d > Time::ZERO && d <= Time::from_ms(2));
                     delays += 1;
                 }
                 Verdict::Deliver => delivers += 1,
@@ -345,49 +288,16 @@ mod tests {
     }
 
     #[test]
-    fn partitions_cut_both_directions_within_their_window() {
-        let (a, b) = addrs();
-        let mut p = FaultPlan::default();
-        p.partitions.push(PartitionWindow {
-            a,
-            b,
-            from: Time::from_secs(1),
-            until: Time::from_secs(2),
-        });
-        let frame = b"payload";
-        let inside = Time::from_ms(1_500);
-        assert_eq!(p.verdict(inside, a, b, frame), Verdict::Drop);
-        assert_eq!(p.verdict(inside, b, a, frame), Verdict::Drop);
-        let c = Ipv4::new(10, 0, 0, 3);
-        assert_eq!(p.verdict(inside, a, c, frame), Verdict::Deliver);
-        assert_eq!(
-            p.verdict(Time::from_ms(500), a, b, frame),
-            Verdict::Deliver,
-            "before the cut"
-        );
-        assert_eq!(
-            p.verdict(Time::from_secs(3), a, b, frame),
-            Verdict::Deliver,
-            "after it healed"
-        );
-    }
-
-    #[test]
     fn delayed_frames_flush_in_deadline_order() {
         let rx = UdpSocket::bind("127.0.0.1:0").expect("bind rx");
         let rx_addr = rx.local_addr().expect("rx addr");
         let tx = UdpSocket::bind("127.0.0.1:0").expect("bind tx");
         let stats = Arc::new(FaultStats::default());
         // A plan that delays everything inside its window.
-        let plan = FaultPlan {
-            seed: 7,
-            delay_ppm: 1_000_000,
-            delay_max: Time::from_ms(1),
-            active_until: Time::from_secs(100),
-            ..FaultPlan::default()
-        };
+        let plan = FaultPlan::new(7).extra_delay(1.0, Time::from_ms(1));
         let (a, b) = addrs();
-        let mut nem = NemesisUdp::new(tx, Some(Arc::new(plan)), Arc::clone(&stats));
+        let plan = Some(Arc::new(Nemesis::new(plan)));
+        let mut nem = NemesisUdp::new(tx, plan, Arc::clone(&stats));
         nem.send_to(b"first", rx_addr, a, b, Time::from_ms(10));
         assert_eq!(stats.delayed.load(Ordering::Relaxed), 1);
         assert!(nem.next_due().is_some());

@@ -28,8 +28,9 @@ use std::time::{Duration, Instant};
 use nice_workload::XorShiftRng;
 
 use crate::codec::{decode_frame, encode_frame, WireCodec};
+use crate::fault::FaultPlan;
 use crate::io::{NodeApp, NodeIo};
-use crate::nemesis::{FaultPlan, FaultStats, NemesisUdp};
+use crate::nemesis::{FaultStats, Nemesis, NemesisUdp};
 use crate::net::{Ipv4, Mac, Packet};
 use crate::time::Time;
 
@@ -79,7 +80,8 @@ pub struct UdpHostCfg {
     /// memory-only nodes.
     pub wal_root: Option<PathBuf>,
     /// Seeded socket-level fault injection applied to every send (loss,
-    /// duplication, delay, partitions). `None` = clean loopback.
+    /// duplication, delay, partitions). The plan's outages are the
+    /// harness's to drive. `None` = clean loopback.
     pub nemesis: Option<FaultPlan>,
 }
 
@@ -151,7 +153,7 @@ impl UdpRuntime {
     /// If a loopback socket cannot be bound.
     pub fn spawn(cfg: RuntimeCfg, specs: Vec<NodeSpec>) -> UdpRuntime {
         let epoch = Instant::now();
-        let nemesis = cfg.host.nemesis.map(Arc::new);
+        let nemesis = cfg.host.nemesis.map(|plan| Arc::new(Nemesis::new(plan)));
         let mut bound: Vec<(Ipv4, UdpSocket, AppFactory)> = Vec::new();
         let mut routes = Routes::new();
         for spec in specs {
@@ -693,12 +695,7 @@ mod tests {
             }
         }
         let mut cfg = RuntimeCfg::new(6, Arc::new(U64Codec));
-        cfg.host.nemesis = Some(crate::nemesis::FaultPlan {
-            seed: 99,
-            loss_ppm: 300_000,
-            active_until: Time::from_secs(3600),
-            ..crate::nemesis::FaultPlan::default()
-        });
+        cfg.host.nemesis = Some(FaultPlan::new(99).loss(0.3));
         let rt = UdpRuntime::spawn(
             cfg,
             vec![

@@ -212,7 +212,8 @@ impl WireCodec for NoobCodec {
                 if n > MAX_SYNC_ITEMS {
                     return None; // corruption: no store is that large
                 }
-                let mut items = Vec::with_capacity(n as usize);
+                // Grown as items decode: the count is the sender's word.
+                let mut items = Vec::new();
                 for _ in 0..n {
                     let key = r.str()?;
                     let value = get_value(&mut r)?;

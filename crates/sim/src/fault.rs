@@ -1,13 +1,14 @@
-//! Deterministic fault injection.
+//! Deterministic fault injection: the simulator's applier of the shared
+//! [`FaultPlan`].
 //!
-//! A [`FaultPlan`] is a seeded, declarative description of network and
-//! node faults: per-packet message loss, duplication, extra delay, link
-//! partitions between IP sets, and node crash/restart windows. The plan
-//! is applied at a **single choke point** — every packet enqueue onto a
-//! channel goes through [`Simulation::channel_enqueue`], whether it came
-//! from a host NIC, a switch forwarding action, or a controller
-//! injection — so NICE, NOOB, and the flow controller all run under the
-//! same plan without code changes.
+//! The plan type itself is host-agnostic and lives in `node_rt::fault`
+//! (re-exported here); the real runtime applies the same value on its
+//! sockets. The simulator applies it at a **single choke point** —
+//! every packet enqueue onto a channel goes through
+//! [`Simulation::channel_enqueue`], whether it came from a host NIC, a
+//! switch forwarding action, or a controller injection — so NICE, NOOB,
+//! and the flow controller all run under the same plan without code
+//! changes. ARP is spared from loss, duplication and delay.
 //!
 //! Determinism: all random draws come from one in-tree
 //! [`XorShiftRng`] seeded from the plan seed, consumed in event order by
@@ -23,154 +24,10 @@ use std::fmt;
 
 use nice_workload::{Rng, XorShiftRng};
 
+pub use node_rt::fault::{FaultPlan, Outage, Partition};
+
 use crate::net::{Ipv4, Packet, Proto};
 use crate::time::Time;
-
-/// A scheduled crash (and optional restart) of a node, expressed as an
-/// index into the host list handed to
-/// [`Simulation::install_fault_plan`](crate::Simulation::install_fault_plan).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Outage {
-    /// Index into the caller's host slice.
-    pub node: usize,
-    /// Absolute crash time.
-    pub down: Time,
-    /// Absolute restart time; `None` means the node stays down.
-    pub up: Option<Time>,
-}
-
-/// A bidirectional link partition between two IP sets: packets with
-/// source in one set and destination in the other are dropped while the
-/// window `[from, until)` is open.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Partition {
-    /// One side of the cut.
-    pub a: Vec<Ipv4>,
-    /// The other side of the cut.
-    pub b: Vec<Ipv4>,
-    /// Partition start (inclusive).
-    pub from: Time,
-    /// Partition end (exclusive).
-    pub until: Time,
-}
-
-impl Partition {
-    fn severs(&self, at: Time, src: Ipv4, dst: Ipv4) -> bool {
-        if at < self.from || at >= self.until {
-            return false;
-        }
-        (self.a.contains(&src) && self.b.contains(&dst))
-            || (self.b.contains(&src) && self.a.contains(&dst))
-    }
-}
-
-/// A deterministic, replayable fault schedule. Build one with the fluent
-/// API and install it with
-/// [`Simulation::set_fault_plan`](crate::Simulation::set_fault_plan) or
-/// [`Simulation::install_fault_plan`](crate::Simulation::install_fault_plan).
-///
-/// ```
-/// use nice_sim::{FaultPlan, Time};
-/// let plan = FaultPlan::new(7)
-///     .loss(0.05)
-///     .duplication(0.01)
-///     .extra_delay(0.02, Time::from_ms(2))
-///     .window(Time::from_ms(100), Time::MAX);
-/// assert_eq!(plan.seed(), 7);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlan {
-    seed: u64,
-    loss: f64,
-    dup: f64,
-    delay_prob: f64,
-    delay_max: Time,
-    from: Time,
-    until: Time,
-    partitions: Vec<Partition>,
-    outages: Vec<Outage>,
-}
-
-impl FaultPlan {
-    /// A plan with no faults, drawing from `seed`. Probabilistic faults
-    /// only apply inside the active window (default: always open).
-    pub fn new(seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            loss: 0.0,
-            dup: 0.0,
-            delay_prob: 0.0,
-            delay_max: Time::ZERO,
-            from: Time::ZERO,
-            until: Time::MAX,
-            partitions: Vec::new(),
-            outages: Vec::new(),
-        }
-    }
-
-    /// The determinism seed this plan draws from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Drop each packet independently with probability `p`.
-    pub fn loss(mut self, p: f64) -> FaultPlan {
-        self.loss = p;
-        self
-    }
-
-    /// Duplicate each delivered packet with probability `p`.
-    pub fn duplication(mut self, p: f64) -> FaultPlan {
-        self.dup = p;
-        self
-    }
-
-    /// With probability `p`, delay a delivered packet by an extra amount
-    /// drawn uniformly from `(0, max]`.
-    pub fn extra_delay(mut self, p: f64, max: Time) -> FaultPlan {
-        self.delay_prob = p;
-        self.delay_max = max;
-        self
-    }
-
-    /// Restrict the probabilistic faults (loss/duplication/delay) to the
-    /// window `[from, until)`. Partitions and outages carry their own
-    /// windows and are unaffected.
-    pub fn window(mut self, from: Time, until: Time) -> FaultPlan {
-        self.from = from;
-        self.until = until;
-        self
-    }
-
-    /// Sever traffic between IP sets `a` and `b` during `[from, until)`.
-    pub fn partition(
-        mut self,
-        a: impl Into<Vec<Ipv4>>,
-        b: impl Into<Vec<Ipv4>>,
-        from: Time,
-        until: Time,
-    ) -> FaultPlan {
-        self.partitions.push(Partition {
-            a: a.into(),
-            b: b.into(),
-            from,
-            until,
-        });
-        self
-    }
-
-    /// Crash node `node` (an index into the host slice passed to
-    /// `install_fault_plan`) at `down`, restarting at `up` if given.
-    pub fn outage(mut self, node: usize, down: Time, up: Option<Time>) -> FaultPlan {
-        self.outages.push(Outage { node, down, up });
-        self
-    }
-
-    /// The crash/restart windows scheduled by this plan.
-    pub fn outages(&self) -> &[Outage] {
-        &self.outages
-    }
-}
 
 /// What kind of fault fired for one packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,19 +134,9 @@ impl FaultState {
         }
     }
 
-    /// The installed plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> FaultStats {
         self.stats
-    }
-
-    /// The trace of every fault that fired, in event order.
-    pub fn trace(&self) -> &[FaultRecord] {
-        &self.trace
     }
 
     /// Render the trace one record per line — byte-identical across
@@ -314,8 +161,8 @@ impl FaultState {
     }
 
     /// Judge one packet at the choke point. Draws from the plan RNG in
-    /// event order; partitions are checked first (no draw), then loss,
-    /// duplication, and delay.
+    /// event order; partitions are checked first (no draw), then the
+    /// window, then loss, duplication, and delay.
     pub fn judge(&mut self, at: Time, pkt: &Packet) -> Verdict {
         self.stats.inspected += 1;
         for i in 0..self.plan.partitions.len() {
@@ -328,7 +175,7 @@ impl FaultState {
                 };
             }
         }
-        if at < self.plan.from || at >= self.plan.until {
+        if !self.plan.window.contains(&at) {
             return Verdict::CLEAN;
         }
         // ARP is spared so address resolution (gratuitous ARPs at boot)
@@ -382,7 +229,7 @@ mod tests {
             assert_eq!(st.judge(Time::from_us(i), &p), Verdict::CLEAN);
         }
         assert_eq!(st.stats().inspected, 1000);
-        assert_eq!(st.trace().len(), 0);
+        assert!(st.render_trace().is_empty());
     }
 
     #[test]
@@ -397,37 +244,6 @@ mod tests {
         }
         assert!((1500..2500).contains(&dropped), "{dropped}");
         assert_eq!(st.stats().lost, dropped);
-    }
-
-    #[test]
-    fn partition_severs_both_directions_only_in_window() {
-        let a = Ipv4::new(10, 0, 0, 1);
-        let b = Ipv4::new(10, 0, 0, 2);
-        let c = Ipv4::new(10, 0, 0, 3);
-        let plan =
-            FaultPlan::new(3).partition(vec![a], vec![b], Time::from_ms(1), Time::from_ms(2));
-        let mut st = FaultState::new(plan);
-        // before the window
-        assert_eq!(st.judge(Time::ZERO, &pkt(a, b)).copies, 1);
-        // inside: both directions cut, unrelated traffic flows
-        assert_eq!(st.judge(Time::from_ms(1), &pkt(a, b)).copies, 0);
-        assert_eq!(st.judge(Time::from_ms(1), &pkt(b, a)).copies, 0);
-        assert_eq!(st.judge(Time::from_ms(1), &pkt(a, c)).copies, 1);
-        // at/after the (exclusive) end
-        assert_eq!(st.judge(Time::from_ms(2), &pkt(a, b)).copies, 1);
-        assert_eq!(st.stats().partitioned, 2);
-    }
-
-    #[test]
-    fn window_gates_probabilistic_faults() {
-        let plan = FaultPlan::new(4)
-            .loss(1.0)
-            .window(Time::from_ms(5), Time::from_ms(6));
-        let mut st = FaultState::new(plan);
-        let p = pkt(Ipv4::new(10, 0, 0, 1), Ipv4::new(10, 0, 0, 2));
-        assert_eq!(st.judge(Time::from_ms(4), &p).copies, 1);
-        assert_eq!(st.judge(Time::from_ms(5), &p).copies, 0);
-        assert_eq!(st.judge(Time::from_ms(6), &p).copies, 1);
     }
 
     #[test]

@@ -315,28 +315,19 @@ impl Simulation {
 
     /// Install a [`FaultPlan`]: from now on every packet enqueue — host
     /// NIC sends, switch forwards/floods, controller injections — passes
-    /// the plan's choke-point filter. The plan's node outages are NOT
-    /// scheduled (they need a host mapping); use
-    /// [`install_fault_plan`](Simulation::install_fault_plan) for that.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = Some(FaultState::new(plan));
-    }
-
-    /// Install a [`FaultPlan`] and schedule its node outages: each
-    /// [`Outage`](crate::fault::Outage) indexes into `nodes`, crashing
-    /// (and optionally restarting) the corresponding host. Outage
-    /// entries pointing past the end of `nodes` are ignored.
+    /// the plan's choke-point filter. Each of the plan's
+    /// [`Outage`](crate::fault::Outage)s indexes into `nodes`, crashing
+    /// and restarting the corresponding host; entries pointing past the
+    /// end of `nodes` are ignored.
     pub fn install_fault_plan(&mut self, plan: FaultPlan, nodes: &[HostId]) {
-        for o in plan.outages() {
+        for o in &plan.outages {
             let Some(&host) = nodes.get(o.node) else {
                 continue;
             };
             self.schedule_crash(o.down, host);
-            if let Some(up) = o.up {
-                self.schedule_restart(up, host);
-            }
+            self.schedule_restart(o.up, host);
         }
-        self.set_fault_plan(plan);
+        self.faults = Some(FaultState::new(plan));
     }
 
     /// Counters of the installed fault plan, if any.
@@ -983,7 +974,7 @@ mod tests {
     #[test]
     fn fault_plan_total_loss_blackholes_udp() {
         let (mut sim, _a, b) = two_hosts();
-        sim.set_fault_plan(crate::fault::FaultPlan::new(3).loss(1.0));
+        sim.install_fault_plan(FaultPlan::new(3).loss(1.0), &[]);
         sim.run_until(Time::from_ms(10));
         // ARP is spared, so the GARPs flow; the UDP kick never arrives.
         assert!(sim.app::<Echo>(b).got.is_empty());
@@ -995,7 +986,7 @@ mod tests {
     #[test]
     fn fault_plan_duplication_delivers_twice() {
         let (mut sim, _a, b) = two_hosts();
-        sim.set_fault_plan(crate::fault::FaultPlan::new(3).duplication(1.0));
+        sim.install_fault_plan(FaultPlan::new(3).duplication(1.0), &[]);
         sim.run_until(Time::from_ms(10));
         // Every UDP packet doubles at each hop (uplink + downlink), so b
         // sees the kick 4x; it replies to each copy < 3.
@@ -1009,12 +1000,8 @@ mod tests {
         let (mut sim, _a, b) = two_hosts();
         let a_ip = Ipv4::new(10, 0, 0, 1);
         let b_ip = Ipv4::new(10, 0, 0, 2);
-        sim.set_fault_plan(crate::fault::FaultPlan::new(0).partition(
-            vec![a_ip],
-            vec![b_ip],
-            Time::ZERO,
-            Time::MAX,
-        ));
+        let plan = FaultPlan::new(0).partition(vec![a_ip], vec![b_ip], Time::ZERO, Time::MAX);
+        sim.install_fault_plan(plan, &[]);
         sim.run_until(Time::from_ms(10));
         assert!(sim.app::<Echo>(b).got.is_empty());
         assert!(sim.fault_stats().expect("plan").partitioned >= 1);
@@ -1026,12 +1013,11 @@ mod tests {
         // trace renders byte-identical and the simulation outcome matches.
         let run = |seed: u64| {
             let (mut sim, a, b) = two_hosts();
-            sim.set_fault_plan(
-                crate::fault::FaultPlan::new(seed)
-                    .loss(0.3)
-                    .duplication(0.2)
-                    .extra_delay(0.2, Time::from_us(40)),
-            );
+            let plan = FaultPlan::new(seed)
+                .loss(0.3)
+                .duplication(0.2)
+                .extra_delay(0.2, Time::from_us(40));
+            sim.install_fault_plan(plan, &[]);
             sim.run_until(Time::from_ms(50));
             (
                 sim.fault_trace(),
@@ -1049,8 +1035,7 @@ mod tests {
     #[test]
     fn install_fault_plan_schedules_outages() {
         let (mut sim, _a, b) = two_hosts();
-        let plan =
-            crate::fault::FaultPlan::new(1).outage(0, Time::from_us(1), Some(Time::from_ms(5)));
+        let plan = FaultPlan::new(1).outage(0, Time::from_us(1), Time::from_ms(5));
         sim.install_fault_plan(plan, &[b]);
         sim.run_until(Time::from_ms(1));
         assert!(!sim.is_up(b));

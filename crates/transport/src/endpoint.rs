@@ -177,56 +177,17 @@ impl<M: Any + Clone, C> Endpoint<M, C> {
 mod tests {
     use std::rc::Rc;
 
-    use node_rt::{Mac, XorShiftRng};
+    use node_rt::Mac;
 
     use super::*;
     use crate::msg::TpPayload;
-
-    const PORT: u16 = 9000;
-    const ME: Ipv4 = Ipv4::new(10, 0, 0, 1);
-    const PEER: Ipv4 = Ipv4::new(10, 0, 0, 2);
-
-    /// A host that only writes down, in order, what it was asked.
-    struct FakeIo {
-        asked: Vec<(&'static str, Time, u64)>,
-        rng: XorShiftRng,
-    }
-
-    impl NodeIo for FakeIo {
-        fn now(&self) -> Time {
-            Time::from_ms(1)
-        }
-        fn ip(&self) -> Ipv4 {
-            ME
-        }
-        fn mac(&self) -> Mac {
-            Mac(1)
-        }
-        fn send(&mut self, _pkt: Packet) {
-            self.asked.push(("send", Time::ZERO, 0));
-        }
-        fn set_timer(&mut self, delay: Time, token: u64) {
-            self.asked.push(("set_timer", delay, token));
-        }
-        fn cpu_work(&mut self, amount: Time) {
-            self.asked.push(("cpu_work", amount, 0));
-        }
-        fn cpu_defer(&mut self, amount: Time, token: u64) {
-            self.asked.push(("cpu_defer", amount, token));
-        }
-        fn rng(&mut self) -> &mut XorShiftRng {
-            &mut self.rng
-        }
-    }
+    use crate::transport::tests::{FakeIo, ME, PEER, PORT};
 
     /// A shell whose messages are `u32`s quoting their own value in µs,
     /// and the host under it.
     fn setup() -> (Endpoint<u32, &'static str>, FakeIo) {
-        let io = FakeIo {
-            asked: Vec::new(),
-            rng: XorShiftRng::seed_from_u64(1),
-        };
-        (Endpoint::new(PORT, |m| Time::from_us(u64::from(*m))), io)
+        let shell = Endpoint::new(PORT, |m| Time::from_us(u64::from(*m)));
+        (shell, FakeIo::new())
     }
 
     /// Deliver `m` through the stack's datagram path.

@@ -468,6 +468,11 @@ impl RecvState {
         my_port: u16,
         seq: u32,
     ) -> Option<TransportEvent> {
+        // A seq past the count this state was opened with is hostile
+        // (whatever its own header states): it must not raise `have`.
+        if seq >= self.total {
+            return None;
+        }
         self.max_seen = self.max_seen.max(seq);
         self.mark(seq);
         self.nack_left = cfg.nack_ticks;

@@ -19,7 +19,7 @@ use std::rc::Rc;
 use node_rt::{Ipv4, NodeIo, Packet, Proto, HDR_TCP, HDR_UDP, MTU};
 
 use crate::msg::{Carrier, Msg, MsgToken, TpPayload, TransportEvent};
-use crate::rudp::{RecvState, RudpCfg, SendOutcome, SendState};
+use crate::rudp::{num_chunks, RecvState, RudpCfg, SendOutcome, SendState};
 
 /// The timer token the transport reserves. Applications must forward this
 /// token from their `on_timer` hook to [`Transport::on_timer`] and must not
@@ -318,6 +318,14 @@ impl Transport {
                 data,
                 retx: _,
             } => {
+                // Every sender states the chunk count its message size
+                // implies; any other count (or a seq past it) is hostile
+                // and must not size a reassembly bitmap. A later chunk is
+                // held to the count its reassembly was opened with
+                // (`RecvState::on_chunk`).
+                if *total != num_chunks(*msg_size) || *seq >= *total {
+                    return events;
+                }
                 self.arm(ctx);
                 let key = (*sender, *msg_id);
                 let st = self.recvs.entry(key).or_insert_with(|| {
@@ -551,5 +559,96 @@ impl Transport {
         let hdr = if tcp { HDR_TCP } else { HDR_UDP };
         let ctrl = 22u64; // per-chunk transport header
         size as u64 + chunks as u64 * (hdr as u64 + ctrl)
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use node_rt::{Mac, Time, XorShiftRng};
+
+    use super::*;
+
+    pub(crate) const PORT: u16 = 9000;
+    pub(crate) const ME: Ipv4 = Ipv4::new(10, 0, 0, 1);
+    pub(crate) const PEER: Ipv4 = Ipv4::new(10, 0, 0, 2);
+
+    /// A host at `ME` that only writes down, in order, what it was asked.
+    pub(crate) struct FakeIo {
+        pub(crate) asked: Vec<(&'static str, Time, u64)>,
+        rng: XorShiftRng,
+    }
+
+    impl FakeIo {
+        pub(crate) fn new() -> FakeIo {
+            FakeIo {
+                asked: Vec::new(),
+                rng: XorShiftRng::seed_from_u64(1),
+            }
+        }
+    }
+
+    impl NodeIo for FakeIo {
+        fn now(&self) -> Time {
+            Time::from_ms(1)
+        }
+        fn ip(&self) -> Ipv4 {
+            ME
+        }
+        fn mac(&self) -> Mac {
+            Mac(1)
+        }
+        fn send(&mut self, _pkt: Packet) {
+            self.asked.push(("send", Time::ZERO, 0));
+        }
+        fn set_timer(&mut self, delay: Time, token: u64) {
+            self.asked.push(("set_timer", delay, token));
+        }
+        fn cpu_work(&mut self, amount: Time) {
+            self.asked.push(("cpu_work", amount, 0));
+        }
+        fn cpu_defer(&mut self, amount: Time, token: u64) {
+            self.asked.push(("cpu_defer", amount, token));
+        }
+        fn rng(&mut self) -> &mut XorShiftRng {
+            &mut self.rng
+        }
+    }
+
+    fn chunk(seq: u32, total: u32, msg_size: u32) -> Packet {
+        let payload = Rc::new(TpPayload::Chunk {
+            sender: PEER,
+            msg_id: 7,
+            seq,
+            total,
+            msg_size,
+            data: Rc::new(0u32),
+            retx: false,
+        });
+        Packet::udp(PEER, Mac(2), ME, PORT, PORT, 50, payload)
+    }
+
+    #[test]
+    fn a_chunk_whose_count_disagrees_with_its_size_opens_no_reassembly() {
+        let mut tp = Transport::new(PORT);
+        let mut io = FakeIo::new();
+        // A 50-byte datagram claiming 2^32 - 1 chunks would otherwise
+        // reserve a 512 MiB bitmap; a seq past a truthful count is junk.
+        for hostile in [
+            chunk(0, u32::MAX, 10),
+            chunk(0, u32::MAX, u32::MAX),
+            chunk(1, 1, 10),
+        ] {
+            assert!(tp.on_packet(&hostile, &mut io).is_empty());
+            assert!(tp.recvs.is_empty());
+        }
+        // Once open, a reassembly holds later chunks to its own count: a
+        // self-consistent 6-chunk header cannot slip seq 5 into the last
+        // bitmap word of this truthful 3-chunk message and complete it.
+        let size = 2 * MTU + 1;
+        assert!(tp.on_packet(&chunk(0, 3, size), &mut io).is_empty());
+        assert!(tp.on_packet(&chunk(1, 3, size), &mut io).is_empty());
+        assert!(tp.on_packet(&chunk(5, 6, 6 * MTU), &mut io).is_empty());
+        let evs = tp.on_packet(&chunk(2, 3, size), &mut io);
+        assert!(matches!(evs[..], [TransportEvent::Delivered { .. }]));
     }
 }

@@ -70,6 +70,13 @@ timeout 600 cargo test --offline --release --test runtime_chaos -- --nocapture \
   2>&1 | tee target/runtime_chaos.log
 grep -E '^(nemesis |plan seed=|crash node=|schedule )' target/runtime_chaos.log \
   > target/runtime_chaos_stats.txt || true
+# A changed render must not leave the archive silently empty.
+for needle in '^plan seed=' '^nemesis '; do
+  if ! grep -q "$needle" target/runtime_chaos_stats.txt; then
+    echo "runtime-chaos: archive lacks a '$needle' line" >&2
+    exit 1
+  fi
+done
 echo "runtime-chaos: stats archived in target/runtime_chaos_stats.txt"
 
 echo "=== benchmark-smoke (perfbench builds and passes its checks) ==="

@@ -3,8 +3,8 @@
 //!
 //! Every run follows the same shape: derive a [`ChaosPlan`] from one
 //! seed (crash/restart windows, node isolations, packet loss /
-//! duplication / delay, optional metadata failover and admin churn), map
-//! it onto the simulator's `FaultPlan`, drive a wave-based put/get
+//! duplication / delay, optional metadata failover and admin churn),
+//! install its `FaultPlan` on the simulator, drive a wave-based put/get
 //! workload across the fault window, and finally feed everything the
 //! clients observed into the [`History`] checker. A run passes when all
 //! clients drain, enough operations succeeded for the history to be
@@ -227,28 +227,6 @@ fn wave_time(w: usize) -> Time {
     WAVE_START + WAVE_GAP * w as u64
 }
 
-/// Map the system-agnostic plan onto the simulator's fault plan.
-fn fault_plan_of(plan: &ChaosPlan, server_ips: &[Ipv4]) -> FaultPlan {
-    let mut fp = FaultPlan::new(plan.seed)
-        .loss(plan.loss)
-        .duplication(plan.dup)
-        .extra_delay(plan.delay_prob, plan.delay_max)
-        .window(plan.fault_from, plan.fault_until);
-    for c in &plan.crashes {
-        fp = fp.outage(c.node, c.down, Some(c.up));
-    }
-    for iso in &plan.isolations {
-        let others: Vec<Ipv4> = server_ips
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != iso.node)
-            .map(|(_, &ip)| ip)
-            .collect();
-        fp = fp.partition(vec![server_ips[iso.node]], others, iso.from, iso.until);
-    }
-    fp
-}
-
 /// Both clusters hand out the same storage addresses; computing them up
 /// front lets the fault plan exist before the cluster does.
 fn storage_ips(total: usize) -> Vec<Ipv4> {
@@ -272,7 +250,7 @@ fn fast_timers(kv: &mut nice::kv::KvConfig, seed: u64) {
 
 fn run_nice(seed: u64, mode: PutMode, spec: &ChaosSpec, shared: bool) -> RunOutcome {
     let plan = ChaosPlan::generate(seed, spec);
-    let fp = fault_plan_of(&plan, &storage_ips(NODES));
+    let fp = plan.fault_plan(&storage_ips(NODES));
     let mut cfg = ClusterCfg::new(NODES, R, vec![Vec::new(); CLIENTS]);
     cfg.spec.seed = seed;
     cfg.host.client_start = Time::from_ms(400);
@@ -333,7 +311,7 @@ fn run_nice(seed: u64, mode: PutMode, spec: &ChaosSpec, shared: bool) -> RunOutc
 
 fn run_noob(seed: u64, mode: NoobMode, spec: &ChaosSpec, shared: bool) -> RunOutcome {
     let plan = ChaosPlan::generate(seed, spec);
-    let fp = fault_plan_of(&plan, &storage_ips(NODES));
+    let fp = plan.fault_plan(&storage_ips(NODES));
     let mut nice_cfg = ClusterCfg::new(NODES, R, vec![Vec::new(); CLIENTS]);
     nice_cfg.spec.seed = seed;
     nice_cfg.host.client_start = Time::from_ms(400);
@@ -497,7 +475,7 @@ fn ring_hiding_violations(break_hiding: bool) -> Vec<Violation> {
         })
         .collect();
     let plan = FaultPlan::new(9)
-        .outage(victim, Time::from_ms(100), Some(Time::from_secs(2)))
+        .outage(victim, Time::from_ms(100), Time::from_secs(2))
         .partition(
             vec![victim_ip],
             others,

@@ -591,7 +591,7 @@ fn rejoining_node_with_lost_catchup_stays_off_get_ring() {
         })
         .collect();
     let plan = FaultPlan::new(9)
-        .outage(victim, Time::from_ms(100), Some(Time::from_secs(2)))
+        .outage(victim, Time::from_ms(100), Time::from_secs(2))
         .partition(
             vec![victim_ip],
             others,

@@ -18,8 +18,9 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use nice::kv_core::{ChaosPlan, ChaosSpec, History, RetryPolicy};
+use nice::noob::real::server_ip;
 use nice::noob::{GatewayPolicy, NoobMode, RealNoobCfg, RealNoobCluster, RealOp};
-use nice::rt::{FaultPlan, Time};
+use nice::rt::{Ipv4, Time};
 
 /// Storage nodes in the storm cluster.
 const SERVERS: usize = 5;
@@ -44,21 +45,6 @@ fn storm_spec() -> ChaosSpec {
         isolations: 0,
         metadata_failover: false,
         admin_churn: false,
-    }
-}
-
-/// Map the plan's packet-fault intensities onto the real runtime's
-/// socket-level nemesis (probabilities → parts-per-million).
-fn to_fault_plan(p: &ChaosPlan) -> FaultPlan {
-    FaultPlan {
-        seed: p.seed,
-        loss_ppm: (p.loss * 1e6) as u32,
-        dup_ppm: (p.dup * 1e6) as u32,
-        delay_ppm: (p.delay_prob * 1e6) as u32,
-        delay_max: p.delay_max,
-        active_from: p.fault_from,
-        active_until: p.fault_until,
-        partitions: Vec::new(),
     }
 }
 
@@ -111,7 +97,7 @@ fn chaos_plan_replays_byte_identical_for_same_seed() {
     let a = ChaosPlan::generate(seed, &storm_spec());
     let b = ChaosPlan::generate(seed, &storm_spec());
     assert_eq!(a.render(), b.render());
-    assert!(a.crashes.len() >= 3, "storm spec draws 3 crash windows");
+    assert!(a.outages().len() >= 3, "storm spec draws 3 crash windows");
     assert_ne!(
         a.render(),
         ChaosPlan::generate(seed ^ 1, &storm_spec()).render(),
@@ -231,7 +217,8 @@ fn seeded_storm_loses_no_acknowledged_write() {
     });
     cfg.spec.op_deadline = Some(Time::from_secs(3));
     cfg.host.wal_root = Some(wal_root.clone());
-    cfg.host.nemesis = Some(to_fault_plan(&plan));
+    let storage_ips: Vec<Ipv4> = (0..SERVERS).map(server_ip).collect();
+    cfg.host.nemesis = Some(plan.fault_plan(&storage_ips));
     let mut cluster = RealNoobCluster::build(cfg);
 
     // The storm timeline: crash/restart events from the plan, plus
@@ -243,7 +230,7 @@ fn seeded_storm_loses_no_acknowledged_write() {
         Wave(usize),
     }
     let mut timeline: Vec<(Time, Ev)> = Vec::new();
-    for c in &plan.crashes {
+    for c in plan.outages() {
         timeline.push((c.down, Ev::Crash(c.node)));
         timeline.push((c.up, Ev::Restart(c.node)));
     }
@@ -292,7 +279,7 @@ fn seeded_storm_loses_no_acknowledged_write() {
         wait_done(&cluster, Duration::from_secs(120)),
         "storm workload did not drain after the faults healed"
     );
-    let restarted: Vec<usize> = plan.crashes.iter().map(|c| c.node).collect();
+    let restarted: Vec<usize> = plan.outages().iter().map(|c| c.node).collect();
     assert!(
         wait_ready(&cluster, &restarted, Duration::from_secs(15)),
         "a restarted server never finished its rejoin sync"
