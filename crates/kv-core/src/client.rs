@@ -1,32 +1,36 @@
 //! The system-agnostic client core: closed-loop operation issue, the
-//! retry/timeout engine, and completion records.
+//! retry/timeout engine with its timers, and completion records.
 //!
 //! Both systems' clients run the same loop — pop an op, stamp an
 //! [`OpId`], send an attempt, arm a retry timer, classify the reply —
 //! and differ only in *where* the attempt goes (NICE: reliable-UDP to a
 //! vnode address; NOOB: TCP to a gateway or storage node). This module
-//! owns the loop; the client adapters own the wire. Core methods return
-//! small verdict enums ([`Issue`], [`ReplyAction`], [`RetryAction`])
-//! instead of sending anything.
+//! owns the loop and every timer it arms; the client adapters own the
+//! wire. Each entry point takes the host and hands back the [`Attempt`]
+//! to put on the wire, if any; the adapter sends it and then calls
+//! [`ClientCore::sent`], which arms its retry timer — so a send always
+//! precedes its timer, the order the simulator's event queue replays.
 
 use std::collections::VecDeque;
 
-use node_rt::{Ipv4, Time};
+use node_rt::{NodeIo, Time};
 
 use crate::error::KvError;
+use crate::spec::ClusterSpec;
 use crate::telemetry::{MetricsRegistry, Telemetry};
 use crate::types::{OpId, Value};
 
 /// Timer token for the start/idle-poll timer.
-pub const TOK_START: u64 = 1;
+const TOK_START: u64 = 1;
 /// Idle poll period: a drained client re-checks its queue at this rate so
 /// harnesses can push more work mid-run.
-pub const IDLE_POLL: Time = Time::from_ms(10);
-/// Retry timers carry the op sequence in the low bits.
-pub const TOK_RETRY_BASE: u64 = 1 << 32;
+const IDLE_POLL: Time = Time::from_ms(10);
+/// Retry timers carry the op sequence in the low 32 bits.
+const TOK_RETRY_BASE: u64 = 1 << 32;
+const SEQ_MASK: u64 = 0xFFFF_FFFF;
 /// Backoff before re-asking for a key that was not found (only with
 /// [`ClientCore::retry_not_found`]).
-pub const NOT_FOUND_BACKOFF: Time = Time::from_ms(5);
+const NOT_FOUND_BACKOFF: Time = Time::from_ms(5);
 
 /// One client operation.
 #[derive(Debug, Clone)]
@@ -92,9 +96,8 @@ impl OpRecord {
     }
 }
 
-/// One attempt the adapter must put on the wire (and arm a
-/// [`ClientCore::retry_delay`] timer for, under token `TOK_RETRY_BASE |
-/// id.client_seq`).
+/// One attempt the adapter must put on the wire and then hand to
+/// [`ClientCore::sent`].
 #[derive(Debug, Clone)]
 pub struct Attempt {
     /// The operation.
@@ -103,46 +106,6 @@ pub struct Attempt {
     pub id: OpId,
     /// Attempt number (1 = first try).
     pub attempts: u32,
-}
-
-/// What [`ClientCore::issue_next`] decided.
-#[derive(Debug)]
-pub enum Issue {
-    /// Send this attempt.
-    Attempt(Attempt),
-    /// The queue is empty; `done_at` is set. Arm an [`IDLE_POLL`] timer
-    /// to pick up work pushed later.
-    Drained,
-    /// An operation is already in flight; do nothing.
-    Busy,
-}
-
-/// What a reply means for the in-flight operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplyAction {
-    /// Not for the in-flight op (stale or duplicate); ignore.
-    NotMine,
-    /// A failed put mid-retry-budget: keep waiting, the armed retry
-    /// timer will re-attempt (the partition is healing).
-    AwaitRetry,
-    /// A NotFound get under `retry_not_found`: arm a short
-    /// [`NOT_FOUND_BACKOFF`] timer (token `TOK_RETRY_BASE |
-    /// op.client_seq`) and keep the op in flight.
-    Backoff,
-    /// The operation completed (recorded); issue the next one.
-    Done,
-}
-
-/// What a retry-timer firing means.
-#[derive(Debug)]
-pub enum RetryAction {
-    /// Re-send this attempt.
-    Resend(Attempt),
-    /// Retry budget exhausted: the op completed with
-    /// [`KvError::Timeout`] (recorded); issue the next one.
-    GaveUp,
-    /// Stale timer for an already-completed op; ignore.
-    Stale,
 }
 
 /// The client's retry schedule: either the paper's fixed period ("the
@@ -223,8 +186,9 @@ struct InFlight {
     attempts: u32,
 }
 
-/// The shared closed-loop client state machine. The NICE and NOOB client
-/// apps deref to this and translate its verdicts into their transports.
+/// The shared closed-loop client state machine and its timers. The NICE
+/// and NOOB client apps deref to this; they route its attempts onto
+/// their transports and feed it the replies.
 pub struct ClientCore {
     ops: VecDeque<ClientOp>,
     inflight: Option<InFlight>,
@@ -276,6 +240,19 @@ impl ClientCore {
         }
     }
 
+    /// Take the client half of `spec`: its retry schedule (`None` keeps
+    /// the one this core has), the not-found retry, the per-op deadline
+    /// and the telemetry shape. Every cluster builder configures its
+    /// clients through this one call.
+    pub fn configure(&mut self, spec: &ClusterSpec) {
+        if let Some(retry) = spec.retry {
+            self.retry = retry;
+        }
+        self.retry_not_found = spec.retry_not_found;
+        self.op_deadline = spec.op_deadline;
+        self.tel = Telemetry::new(&spec.telemetry);
+    }
+
     /// The metrics snapshot: the end-to-end/retry histograms plus
     /// completion counters derived from the records.
     pub fn metrics(&self) -> MetricsRegistry {
@@ -287,8 +264,8 @@ impl ClientCore {
         m
     }
 
-    /// Queue more operations (the driver may extend work mid-run); the
-    /// idle poll picks them up within [`IDLE_POLL`].
+    /// Queue more operations (the driver may extend work mid-run); a
+    /// drained client's idle poll picks them up within 10 ms.
     pub fn push_ops(&mut self, ops: impl IntoIterator<Item = ClientOp>) {
         self.ops.extend(ops);
         if !self.ops.is_empty() {
@@ -316,12 +293,6 @@ impl ClientCore {
         }
     }
 
-    /// The in-flight operation, if any (adapters use this to size
-    /// transport-level completions).
-    pub fn inflight_op(&self) -> Option<(&ClientOp, OpId)> {
-        self.inflight.as_ref().map(|inf| (&inf.op, inf.id))
-    }
-
     /// The in-flight operation with its id, first-issue time, and
     /// attempt count. History capture uses this to include an op that
     /// never completed before the run ended (its effect window is still
@@ -332,26 +303,99 @@ impl ClientCore {
             .map(|inf| (&inf.op, inf.id, inf.start, inf.attempts))
     }
 
-    /// The retry delay to arm for attempt `attempt` of op `id`
-    /// (convenience over `self.retry.delay`, used by the adapters when
-    /// they put an attempt on the wire).
-    pub fn retry_delay(&self, id: OpId, attempt: u32) -> Time {
-        self.retry.delay(id, attempt)
+    /// The node booted: arm the start timer.
+    pub fn on_start(&self, ctx: &mut dyn NodeIo) {
+        ctx.set_timer(self.start_at.saturating_sub(ctx.now()), TOK_START);
     }
 
-    /// Start the next queued operation, if idle.
-    pub fn issue_next(&mut self, me: Ipv4, now: Time) -> Issue {
-        if self.inflight.is_some() {
-            return Issue::Busy;
+    /// A timer fired. The start/idle poll issues the next op; a retry
+    /// timer re-sends its op or, with the budget spent, fails it and
+    /// issues the next. A token this core did not arm is ignored.
+    pub fn on_timer(&mut self, token: u64, ctx: &mut dyn NodeIo) -> Option<Attempt> {
+        if token == TOK_START {
+            self.issue_next(ctx)
+        } else if token & !SEQ_MASK == TOK_RETRY_BASE {
+            self.retry(token & SEQ_MASK, ctx)
+        } else {
+            None
         }
+    }
+
+    /// The adapter just put `at` on the wire: arm its retry timer.
+    pub fn sent(&self, at: &Attempt, ctx: &mut dyn NodeIo) {
+        let delay = self.retry.delay(at.id, at.attempts);
+        ctx.set_timer(delay, TOK_RETRY_BASE | at.id.client_seq);
+    }
+
+    /// A put reply arrived. A failure inside the attempt budget waits for
+    /// the armed retry timer (the partition is healing); otherwise the op
+    /// completes and the next one is issued. Replies for any other op
+    /// (stale or duplicate) are ignored.
+    pub fn on_put_reply(&mut self, op: OpId, ok: bool, ctx: &mut dyn NodeIo) -> Option<Attempt> {
+        let inf = self.inflight.as_ref().filter(|inf| inf.id == op)?;
+        if !ok && inf.attempts < self.max_attempts {
+            return None;
+        }
+        let result = if ok {
+            Ok(())
+        } else {
+            Err(KvError::PutRejected {
+                key: inf.op.key().to_owned(),
+            })
+        };
+        self.complete(result, None, ctx.now());
+        self.issue_next(ctx)
+    }
+
+    /// A get reply arrived carrying `value` (`None` = not found). Under
+    /// [`ClientCore::retry_not_found`] a miss inside the attempt budget
+    /// re-asks after a short backoff; otherwise the op completes and the
+    /// next one is issued. Replies for any other op are ignored.
+    pub fn on_get_reply(
+        &mut self,
+        op: OpId,
+        value: Option<&Value>,
+        ctx: &mut dyn NodeIo,
+    ) -> Option<Attempt> {
+        let inf = self.inflight.as_ref().filter(|inf| inf.id == op)?;
+        let result = match value {
+            Some(_) => Ok(()),
+            None if self.retry_not_found && inf.attempts < self.max_attempts => {
+                ctx.set_timer(NOT_FOUND_BACKOFF, TOK_RETRY_BASE | op.client_seq);
+                return None;
+            }
+            None => Err(KvError::NotFound {
+                key: inf.op.key().to_owned(),
+            }),
+        };
+        self.complete(result, value, ctx.now());
+        self.issue_next(ctx)
+    }
+
+    /// The transport acknowledged the in-flight put to its quorum (a
+    /// completion below the protocol, with no reply message): the op
+    /// succeeded; issue the next one.
+    pub fn on_quorum_put(&mut self, ctx: &mut dyn NodeIo) -> Option<Attempt> {
+        self.complete(Ok(()), None, ctx.now());
+        self.issue_next(ctx)
+    }
+
+    /// Start the next queued operation, if idle. A drained queue sets
+    /// `done_at` and polls for work pushed later.
+    fn issue_next(&mut self, ctx: &mut dyn NodeIo) -> Option<Attempt> {
+        if self.inflight.is_some() {
+            return None;
+        }
+        let now = ctx.now();
         let Some(op) = self.ops.pop_front() else {
             if self.done_at.is_none() {
                 self.done_at = Some(now);
             }
-            return Issue::Drained;
+            ctx.set_timer(IDLE_POLL, TOK_START);
+            return None;
         };
         let id = OpId {
-            client: me,
+            client: ctx.ip(),
             client_seq: self.next_seq,
         };
         self.next_seq += 1;
@@ -361,42 +405,63 @@ impl ClientCore {
             start: now,
             attempts: 1,
         });
-        Issue::Attempt(Attempt {
+        Some(Attempt {
             op,
             id,
             attempts: 1,
         })
     }
 
-    /// Size accounted for the in-flight op when it completes (put: bytes
-    /// sent; get replies carry their own size).
-    fn inflight_put_size(&self) -> u32 {
-        match self.inflight.as_ref().map(|inf| &inf.op) {
-            Some(ClientOp::Put { value, .. }) => value.size(),
-            _ => 0,
+    /// The retry timer of op sequence `seq` fired.
+    fn retry(&mut self, seq: u64, ctx: &mut dyn NodeIo) -> Option<Attempt> {
+        let now = ctx.now();
+        // A timer for an already-completed op is stale.
+        let inf = self
+            .inflight
+            .as_mut()
+            .filter(|inf| inf.id.client_seq == seq)?;
+        let past_deadline = self
+            .op_deadline
+            .is_some_and(|d| now.saturating_sub(inf.start) >= d);
+        if inf.attempts >= self.max_attempts || past_deadline {
+            // Budget exhausted (attempts or total deadline): complete with
+            // a typed client-side timeout so histories and benches see the
+            // failure (the paper's clients would retry until the partition
+            // heals; a bounded budget keeps runs finite without hiding the
+            // outcome).
+            let err = KvError::Timeout {
+                key: inf.op.key().to_owned(),
+                attempts: inf.attempts,
+            };
+            self.complete(Err(err), None, now);
+            return self.issue_next(ctx);
         }
+        inf.attempts += 1;
+        let resend = Attempt {
+            op: inf.op.clone(),
+            id: inf.id,
+            attempts: inf.attempts,
+        };
+        let waited = now.saturating_sub(inf.start);
+        self.tel.record("client.retry_wait", waited);
+        self.tel.add("client.retries", 1);
+        Some(resend)
     }
 
-    /// Record the in-flight operation as completed. Most paths go
-    /// through the `on_*` verdict methods; adapters with transport-level
-    /// completions (quorum-mode Sent tokens) call this directly, then
-    /// issue the next op.
-    pub fn complete(
-        &mut self,
-        result: Result<(), KvError>,
-        size: u32,
-        bytes: Option<Vec<u8>>,
-        now: Time,
-    ) {
+    /// Record the in-flight operation as completed; `got` is what a get
+    /// reply carried.
+    fn complete(&mut self, result: Result<(), KvError>, got: Option<&Value>, now: Time) {
         let Some(inf) = self.inflight.take() else {
             return;
         };
         // Puts record the bytes they wrote (successful or not: a failed
         // put may still have taken effect, and the history checker needs
         // the candidate value); gets record whatever the reply carried.
-        let bytes = match &inf.op {
-            ClientOp::Put { value, .. } => Some(value.bytes.as_ref().clone()),
-            ClientOp::Get { .. } => bytes,
+        let (size, bytes) = match (&inf.op, got) {
+            (ClientOp::Put { value, .. }, _) | (ClientOp::Get { .. }, Some(value)) => {
+                (value.size(), Some(value.bytes.as_ref().clone()))
+            }
+            (ClientOp::Get { .. }, None) => (0, None),
         };
         let is_put = matches!(inf.op, ClientOp::Put { .. });
         let e2e = now.saturating_sub(inf.start);
@@ -412,7 +477,7 @@ impl ClientCore {
             self.tel.add("client.failures", 1);
         }
         self.records.push(OpRecord {
-            is_put: matches!(inf.op, ClientOp::Put { .. }),
+            is_put,
             key: inf.op.key().to_owned(),
             seq: inf.id.client_seq,
             start: inf.start,
@@ -422,96 +487,6 @@ impl ClientCore {
             size,
             bytes,
         });
-    }
-
-    /// Classify a put reply.
-    pub fn on_put_reply(&mut self, op: OpId, ok: bool, now: Time) -> ReplyAction {
-        let Some(inf) = self.inflight.as_ref() else {
-            return ReplyAction::NotMine;
-        };
-        if inf.id != op {
-            return ReplyAction::NotMine;
-        }
-        if !ok && inf.attempts < self.max_attempts {
-            return ReplyAction::AwaitRetry;
-        }
-        let size = self.inflight_put_size();
-        let result = if ok {
-            Ok(())
-        } else {
-            Err(KvError::PutRejected {
-                key: inf.op.key().to_owned(),
-            })
-        };
-        self.complete(result, size, None, now);
-        ReplyAction::Done
-    }
-
-    /// Classify a get reply.
-    pub fn on_get_reply(
-        &mut self,
-        op: OpId,
-        found: bool,
-        size: u32,
-        bytes: Option<Vec<u8>>,
-        now: Time,
-    ) -> ReplyAction {
-        let Some(inf) = self.inflight.as_ref() else {
-            return ReplyAction::NotMine;
-        };
-        if inf.id != op {
-            return ReplyAction::NotMine;
-        }
-        if !found && self.retry_not_found && inf.attempts < self.max_attempts {
-            return ReplyAction::Backoff;
-        }
-        let result = if found {
-            Ok(())
-        } else {
-            Err(KvError::NotFound {
-                key: inf.op.key().to_owned(),
-            })
-        };
-        self.complete(result, size, bytes, now);
-        ReplyAction::Done
-    }
-
-    /// Classify a retry-timer firing for op sequence `seq`.
-    pub fn on_retry_timer(&mut self, seq: u64, now: Time) -> RetryAction {
-        let Some(inf) = self.inflight.as_mut() else {
-            return RetryAction::Stale;
-        };
-        if inf.id.client_seq != seq {
-            return RetryAction::Stale; // for a completed op
-        }
-        let past_deadline = self
-            .op_deadline
-            .is_some_and(|d| now.saturating_sub(inf.start) >= d);
-        if inf.attempts >= self.max_attempts || past_deadline {
-            // Budget exhausted (attempts or total deadline): complete with
-            // a typed client-side timeout so histories and benches see the
-            // failure (the paper's clients would retry until the partition
-            // heals; a bounded budget keeps runs finite without hiding the
-            // outcome).
-            let err = KvError::Timeout {
-                key: inf.op.key().to_owned(),
-                attempts: inf.attempts,
-            };
-            let size = self.inflight_put_size();
-            self.complete(Err(err), size, None, now);
-            return RetryAction::GaveUp;
-        }
-        inf.attempts += 1;
-        let (id, attempts, start) = (inf.id, inf.attempts, inf.start);
-        let resend = Attempt {
-            op: inf.op.clone(),
-            id,
-            attempts,
-        };
-        self.tel
-            .record("client.retry_wait", now.saturating_sub(start));
-        self.tel.add("client.retries", 1);
-        RetryAction::Resend(resend)
     }
 
     /// Crash: the in-flight op (and its pending timers' meaning) dies
@@ -583,9 +558,65 @@ impl KvClient for ClientCore {
 
 #[cfg(test)]
 mod tests {
+    use node_rt::{Ipv4, Mac, Packet, XorShiftRng};
+
     use super::*;
 
     const ME: Ipv4 = Ipv4::new(10, 0, 1, 1);
+    /// The transport's tick token (bit 63), which an adapter's `on_timer`
+    /// sees among its own.
+    const TICK: u64 = 1 << 63;
+
+    /// A host at `ME` that only writes down, in order, what it was asked.
+    struct FakeIo {
+        now: Time,
+        asked: Vec<(&'static str, Time, u64)>,
+        rng: XorShiftRng,
+    }
+
+    impl FakeIo {
+        fn new() -> FakeIo {
+            FakeIo {
+                now: Time::ZERO,
+                asked: Vec::new(),
+                rng: XorShiftRng::seed_from_u64(1),
+            }
+        }
+
+        /// Move the clock to `now` and forget what was asked so far.
+        fn at(&mut self, now: Time) -> &mut FakeIo {
+            self.now = now;
+            self.asked.clear();
+            self
+        }
+    }
+
+    impl NodeIo for FakeIo {
+        fn now(&self) -> Time {
+            self.now
+        }
+        fn ip(&self) -> Ipv4 {
+            ME
+        }
+        fn mac(&self) -> Mac {
+            Mac(1)
+        }
+        fn send(&mut self, _pkt: Packet) {
+            self.asked.push(("send", Time::ZERO, 0));
+        }
+        fn set_timer(&mut self, delay: Time, token: u64) {
+            self.asked.push(("set_timer", delay, token));
+        }
+        fn cpu_work(&mut self, amount: Time) {
+            self.asked.push(("cpu_work", amount, 0));
+        }
+        fn cpu_defer(&mut self, amount: Time, token: u64) {
+            self.asked.push(("cpu_defer", amount, token));
+        }
+        fn rng(&mut self) -> &mut XorShiftRng {
+            &mut self.rng
+        }
+    }
 
     fn core(ops: Vec<ClientOp>) -> ClientCore {
         ClientCore::new(ops, Time::from_secs(2), Time::ZERO)
@@ -598,67 +629,163 @@ mod tests {
         }
     }
 
+    fn get(key: &str) -> ClientOp {
+        ClientOp::Get {
+            key: key.to_owned(),
+        }
+    }
+
+    fn retry_tok(seq: u64) -> u64 {
+        TOK_RETRY_BASE | seq
+    }
+
+    /// What an adapter does with an attempt: put it on the wire (logged
+    /// as a send carrying the op sequence), then tell the core.
+    fn wire(c: &ClientCore, at: Attempt, io: &mut FakeIo) -> Attempt {
+        io.asked.push(("send", Time::ZERO, at.id.client_seq));
+        c.sent(&at, io);
+        at
+    }
+
+    /// Boot `c` and send the attempt its start timer issues.
+    fn first(c: &mut ClientCore, io: &mut FakeIo) -> Attempt {
+        c.on_start(io);
+        let at = c.on_timer(TOK_START, io).expect("an op is queued");
+        wire(c, at, io)
+    }
+
     #[test]
     fn issues_serially_and_records_completion() {
-        let mut c = core(vec![put("a", 100), ClientOp::Get { key: "a".into() }]);
-        let Issue::Attempt(a) = c.issue_next(ME, Time::ZERO) else {
-            panic!("expected an attempt");
-        };
+        let mut io = FakeIo::new();
+        let mut c = core(vec![put("a", 100), get("a")]);
+        let a = first(&mut c, &mut io);
         assert_eq!(a.id.client_seq, 1);
-        assert!(matches!(c.issue_next(ME, Time::ZERO), Issue::Busy));
-        assert_eq!(
-            c.on_put_reply(a.id, true, Time::from_ms(3)),
-            ReplyAction::Done
-        );
+        let busy = c.on_timer(TOK_START, io.at(Time::ZERO));
+        assert!(busy.is_none() && io.asked.is_empty(), "one op at a time");
+        let g = c.on_put_reply(a.id, true, io.at(Time::from_ms(3)));
+        let g = g.expect("the get is issued next");
         assert_eq!(c.records[0].size, 100, "put size from the op itself");
-        let Issue::Attempt(g) = c.issue_next(ME, Time::from_ms(3)) else {
-            panic!("expected the get");
-        };
-        assert_eq!(
-            c.on_get_reply(g.id, true, 7, Some(vec![1]), Time::from_ms(5)),
-            ReplyAction::Done
-        );
-        assert!(matches!(c.issue_next(ME, Time::from_ms(5)), Issue::Drained));
+        let value = Value::from_bytes(vec![1; 7]);
+        let next = c.on_get_reply(g.id, Some(&value), io.at(Time::from_ms(5)));
+        assert!(next.is_none());
+        assert_eq!(c.records[1].size, 7, "get size from the reply");
         assert_eq!(c.done_at, Some(Time::from_ms(5)));
         assert_eq!(c.completed(), 2);
     }
 
     #[test]
-    fn failed_put_waits_for_retry_timer_then_resends() {
-        let mut c = core(vec![put("a", 10)]);
-        let Issue::Attempt(a) = c.issue_next(ME, Time::ZERO) else {
-            panic!("expected an attempt");
+    fn an_attempt_is_sent_before_its_retry_timer() {
+        let mut c = ClientCore::new(vec![put("a", 10)], Time::from_secs(2), Time::from_ms(3));
+        let mut io = FakeIo::new();
+        c.on_start(io.at(Time::from_ms(1)));
+        assert_eq!(io.asked, [("set_timer", Time::from_ms(2), TOK_START)]);
+        let at = c.on_timer(TOK_START, io.at(Time::from_ms(3)));
+        assert!(io.asked.is_empty(), "nothing is armed before the send");
+        wire(&c, at.expect("the put"), &mut io);
+        let armed = ("set_timer", Time::from_secs(2), retry_tok(1));
+        assert_eq!(io.asked, [("send", Time::ZERO, 1), armed]);
+        // A resend goes the same way, armed with its own attempt's delay.
+        c.retry = RetryPolicy {
+            base: Time::from_ms(100),
+            cap: Time::from_ms(1600),
+            exponential: true,
+            jitter_pct: 0,
+            seed: 0,
         };
-        assert_eq!(
-            c.on_put_reply(a.id, false, Time::from_ms(1)),
-            ReplyAction::AwaitRetry,
+        let r = c.on_timer(retry_tok(1), io.at(Time::from_secs(2)));
+        assert!(io.asked.is_empty(), "nothing is armed before the resend");
+        wire(&c, r.expect("a resend"), &mut io);
+        let armed = ("set_timer", Time::from_ms(200), retry_tok(1));
+        assert_eq!(io.asked, [("send", Time::ZERO, 1), armed]);
+    }
+
+    #[test]
+    fn a_drained_queue_polls_and_issues_ops_pushed_later() {
+        let mut io = FakeIo::new();
+        let mut c = core(Vec::new());
+        c.on_start(&mut io);
+        assert!(c.on_timer(TOK_START, io.at(Time::from_ms(1))).is_none());
+        assert_eq!(io.asked, [("set_timer", IDLE_POLL, TOK_START)]);
+        assert_eq!(c.done_at, Some(Time::from_ms(1)));
+        // Still drained at the next poll: poll again.
+        assert!(c.on_timer(TOK_START, io.at(Time::from_ms(11))).is_none());
+        assert_eq!(io.asked, [("set_timer", IDLE_POLL, TOK_START)]);
+        c.push_ops([put("a", 10)]);
+        assert!(!c.is_done());
+        let at = c.on_timer(TOK_START, io.at(Time::from_ms(21)));
+        assert_eq!(at.expect("the pushed op").id.client_seq, 1);
+        assert!(io.asked.is_empty());
+    }
+
+    #[test]
+    fn failed_put_waits_for_retry_timer_then_resends() {
+        let mut io = FakeIo::new();
+        let mut c = core(vec![put("a", 10)]);
+        let a = first(&mut c, &mut io);
+        let next = c.on_put_reply(a.id, false, io.at(Time::from_ms(1)));
+        assert!(
+            next.is_none(),
             "mid-budget failure does not complete the op"
         );
-        let RetryAction::Resend(r) = c.on_retry_timer(a.id.client_seq, Time::from_secs(2)) else {
-            panic!("expected a resend");
-        };
-        assert_eq!(r.attempts, 2);
-        assert!(matches!(
-            c.on_retry_timer(999, Time::from_secs(2)),
-            RetryAction::Stale
-        ));
+        assert!(io.asked.is_empty(), "the armed retry timer re-attempts");
+        let r = c.on_timer(retry_tok(1), io.at(Time::from_secs(2)));
+        assert_eq!(r.expect("a resend").attempts, 2);
+        assert!(c.on_timer(retry_tok(999), &mut io).is_none());
+    }
+
+    #[test]
+    fn stale_retry_and_tick_tokens_are_no_ops() {
+        let mut io = FakeIo::new();
+        let mut c = core(vec![put("a", 10), put("b", 10)]);
+        let a = first(&mut c, &mut io);
+        let b = c.on_put_reply(a.id, true, io.at(Time::from_ms(1)));
+        wire(&c, b.expect("b is issued next"), &mut io);
+        // `a`'s retry timer outlives it; the tick is the transport's.
+        for tok in [retry_tok(1), TICK] {
+            assert!(c.on_timer(tok, io.at(Time::from_secs(2))).is_none());
+            assert!(io.asked.is_empty(), "{tok:#x} armed nothing");
+        }
+        assert_eq!(c.completed(), 1);
+        let b = c
+            .inflight_detail()
+            .map(|(op, id, _, n)| (op.key(), id.client_seq, n));
+        assert_eq!(b, Some(("b", 2, 1)), "b untouched");
+    }
+
+    #[test]
+    fn crash_forgets_the_inflight_op() {
+        let mut io = FakeIo::new();
+        let mut c = core(vec![put("a", 10), put("b", 10)]);
+        let a = first(&mut c, &mut io);
+        c.on_crash();
+        assert!(c.inflight_detail().is_none());
+        // The lost op's reply and retry timer find nothing to act on.
+        assert!(c
+            .on_put_reply(a.id, true, io.at(Time::from_ms(1)))
+            .is_none());
+        assert!(c
+            .on_timer(retry_tok(1), io.at(Time::from_secs(2)))
+            .is_none());
+        assert!(io.asked.is_empty() && c.records.is_empty());
+        let b = c.on_timer(TOK_START, &mut io).expect("the queue survives");
+        assert_eq!((b.op.key(), b.id.client_seq), ("b", 2));
     }
 
     #[test]
     fn exhausted_budget_records_the_typed_error() {
+        let mut io = FakeIo::new();
         let mut c = core(vec![put("a", 10)]);
-        let Issue::Attempt(a) = c.issue_next(ME, Time::ZERO) else {
-            panic!("expected an attempt");
-        };
+        first(&mut c, &mut io);
         let mut now = Time::ZERO;
         loop {
             now += Time::from_secs(2);
-            match c.on_retry_timer(a.id.client_seq, now) {
-                RetryAction::Resend(_) => {}
-                RetryAction::GaveUp => break,
-                RetryAction::Stale => panic!("live op cannot be stale"),
-            }
+            let Some(r) = c.on_timer(retry_tok(1), io.at(now)) else {
+                break;
+            };
+            assert!(r.attempts <= 25);
+            wire(&c, r, &mut io);
         }
+        assert_eq!(io.asked, [("set_timer", IDLE_POLL, TOK_START)], "drained");
         let r = &c.records[0];
         assert_eq!(r.attempts, 25);
         assert_eq!(r.size, 10, "gave-up puts still account their size");
@@ -670,26 +797,22 @@ mod tests {
 
     #[test]
     fn op_deadline_times_out_before_the_attempt_budget() {
+        let mut io = FakeIo::new();
         let mut c = core(vec![put("a", 10)]);
         c.op_deadline = Some(Time::from_secs(5));
-        let Issue::Attempt(a) = c.issue_next(ME, Time::ZERO) else {
-            panic!("expected an attempt");
-        };
+        first(&mut c, &mut io);
         // First two retry firings are inside the deadline: resends.
-        assert!(matches!(
-            c.on_retry_timer(a.id.client_seq, Time::from_secs(2)),
-            RetryAction::Resend(_)
-        ));
-        assert!(matches!(
-            c.on_retry_timer(a.id.client_seq, Time::from_secs(4)),
-            RetryAction::Resend(_)
-        ));
+        assert!(c
+            .on_timer(retry_tok(1), io.at(Time::from_secs(2)))
+            .is_some());
+        assert!(c
+            .on_timer(retry_tok(1), io.at(Time::from_secs(4)))
+            .is_some());
         // The next firing is past the total budget: typed timeout, well
         // before the 25-attempt budget would have.
-        assert!(matches!(
-            c.on_retry_timer(a.id.client_seq, Time::from_secs(6)),
-            RetryAction::GaveUp
-        ));
+        assert!(c
+            .on_timer(retry_tok(1), io.at(Time::from_secs(6)))
+            .is_none());
         let r = &c.records[0];
         assert_eq!(r.attempts, 3);
         assert!(matches!(r.err(), Some(KvError::Timeout { .. })));
@@ -751,43 +874,50 @@ mod tests {
 
     #[test]
     fn record_carries_seq_and_put_bytes() {
+        let mut io = FakeIo::new();
         let mut c = core(vec![ClientOp::Put {
             key: "a".into(),
             value: Value::from_bytes(vec![7, 8, 9]),
         }]);
-        let Issue::Attempt(a) = c.issue_next(ME, Time::ZERO) else {
-            panic!("expected an attempt");
-        };
-        c.on_put_reply(a.id, true, Time::from_ms(1));
+        let a = first(&mut c, &mut io);
+        c.on_put_reply(a.id, true, io.at(Time::from_ms(1)));
         let r = &c.records[0];
         assert_eq!(r.seq, 1);
         assert_eq!(r.bytes.as_deref(), Some(&[7u8, 8, 9][..]));
     }
 
     #[test]
+    fn a_quorum_completion_records_the_put_and_issues_the_next() {
+        let mut io = FakeIo::new();
+        let mut c = core(vec![put("a", 10), get("a")]);
+        first(&mut c, &mut io);
+        let g = c.on_quorum_put(io.at(Time::from_ms(2)));
+        assert_eq!(g.expect("the get").id.client_seq, 2);
+        let r = &c.records[0];
+        assert!(r.ok() && r.is_put);
+        assert_eq!((r.size, r.end), (10, Time::from_ms(2)));
+    }
+
+    #[test]
     fn not_found_backoff_keeps_the_op_inflight() {
-        let mut c = core(vec![ClientOp::Get { key: "a".into() }]);
+        let mut io = FakeIo::new();
+        let mut c = core(vec![get("a")]);
         c.retry_not_found = true;
-        let Issue::Attempt(a) = c.issue_next(ME, Time::ZERO) else {
-            panic!("expected an attempt");
+        let a = first(&mut c, &mut io);
+        assert!(c
+            .on_get_reply(a.id, None, io.at(Time::from_ms(1)))
+            .is_none());
+        assert_eq!(io.asked, [("set_timer", NOT_FOUND_BACKOFF, retry_tok(1))]);
+        assert!(c.inflight_detail().is_some());
+        let other = OpId {
+            client: ME,
+            client_seq: 42,
         };
-        assert_eq!(
-            c.on_get_reply(a.id, false, 0, None, Time::from_ms(1)),
-            ReplyAction::Backoff
-        );
-        assert!(c.inflight_op().is_some());
-        assert_eq!(
-            c.on_get_reply(
-                OpId {
-                    client: ME,
-                    client_seq: 42
-                },
-                true,
-                1,
-                None,
-                Time::from_ms(2)
-            ),
-            ReplyAction::NotMine
-        );
+        let found = Value::synthetic(1);
+        let next = c.on_get_reply(other, Some(&found), io.at(Time::from_ms(2)));
+        assert!(next.is_none() && io.asked.is_empty() && c.records.is_empty());
+        // The backoff fires: ask again.
+        let r = c.on_timer(retry_tok(1), io.at(Time::from_ms(6)));
+        assert_eq!(r.expect("a resend").attempts, 2);
     }
 }

@@ -11,11 +11,13 @@
 //! Layering (enforced by `cargo xtask lint` rule `layering`):
 //!
 //! ```text
-//!   nicekv, noob        policy adapters: wire formats, routing, timers
-//!        │                 (no store mutation, no lock tables)
+//!   nicekv, noob        policy adapters: wire formats, routing, server
+//!        │                 timers (no store mutation, no lock tables,
+//!        │                 no client timers)
 //!        ▼
 //!   kv-core             protocol: ObjectStore, TwoPcEngine, ClientCore
-//!        │                 (no dependency on nice-flow / nice-ring)
+//!        │                 (the client loop and its issue/retry/idle-poll
+//!        │                 timers; no dependency on nice-flow / nice-ring)
 //!        ▼
 //!   node-rt             host boundary: NodeIo, Time, packets
 //!                         (hosted by the simulator or the UDP runtime)
@@ -41,10 +43,7 @@ mod types;
 mod wal;
 
 pub use chaos::{AdminEvent, ChaosPlan, ChaosSpec, IsolationEvent};
-pub use client::{
-    Attempt, ClientCore, ClientOp, Issue, KvClient, OpRecord, ReplyAction, RetryAction,
-    RetryPolicy, IDLE_POLL, NOT_FOUND_BACKOFF, TOK_RETRY_BASE, TOK_START,
-};
+pub use client::{Attempt, ClientCore, ClientOp, KvClient, OpRecord, RetryPolicy};
 pub use engine::{
     Counters, Effect, EngineCfg, EngineRole, Group, LockResolution, ReplicationEngine, TwoPcEngine,
 };

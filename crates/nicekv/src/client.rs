@@ -7,17 +7,14 @@
 //! (§5). Operations run closed-loop with a retry timer ("the client will
 //! retry after waiting for 2 seconds", §6.6).
 //!
-//! The closed-loop engine (queue, retries, timeout bookkeeping, records)
-//! is the shared [`kv_core::ClientCore`]; this file maps its attempts
-//! onto the NICE transport: vring addressing, switch multicast for puts,
-//! and any-k transport acks for quorum mode.
+//! The closed-loop engine (queue, retries and their timers, timeout
+//! bookkeeping, records) is the shared [`kv_core::ClientCore`]; this file
+//! maps its attempts onto the NICE transport: vring addressing, switch
+//! multicast for puts, and any-k transport acks for quorum mode.
 
 use std::ops::{Deref, DerefMut};
 
-use kv_core::{
-    Attempt, ClientCore, Issue, KvClient, ReplyAction, RetryAction, CTRL_MSG_BYTES, IDLE_POLL,
-    NOT_FOUND_BACKOFF, TOK_RETRY_BASE, TOK_START,
-};
+use kv_core::{Attempt, ClientCore, KvClient, CTRL_MSG_BYTES};
 use nice_transport::{Msg, MsgToken, Transport, TransportEvent, TRANSPORT_TICK};
 use node_rt::{NodeApp, NodeIo, Packet, Time};
 
@@ -74,21 +71,9 @@ impl ClientApp {
         }
     }
 
-    /// Ask the core for the next attempt and put it on the wire.
-    fn pump(&mut self, ctx: &mut dyn NodeIo) {
-        match self.core.issue_next(ctx.ip(), ctx.now()) {
-            Issue::Attempt(at) => self.send_attempt(at, ctx),
-            Issue::Drained => {
-                // Idle: poll for work pushed by the harness.
-                ctx.set_timer(IDLE_POLL, TOK_START);
-            }
-            Issue::Busy => {}
-        }
-    }
-
+    /// Put `at` on the wire; the core then arms its retry timer.
     fn send_attempt(&mut self, at: Attempt, ctx: &mut dyn NodeIo) {
         self.quorum_token = None;
-        let seq = at.id.client_seq;
         match &at.op {
             ClientOp::Put { key, value } => {
                 let p = self.cfg.partition_of(key);
@@ -130,70 +115,30 @@ impl ClientApp {
                     .rudp_send(ctx, vnode, self.cfg.port, Msg::new(msg, size));
             }
         }
-        ctx.set_timer(
-            self.core.retry_delay(at.id, at.attempts),
-            TOK_RETRY_BASE | seq,
-        );
-    }
-
-    fn on_retry_timer(&mut self, seq: u64, ctx: &mut dyn NodeIo) {
-        match self.core.on_retry_timer(seq, ctx.now()) {
-            RetryAction::Resend(at) => self.send_attempt(at, ctx),
-            RetryAction::GaveUp => self.pump(ctx),
-            RetryAction::Stale => {}
-        }
+        self.core.sent(&at, ctx);
     }
 
     fn drive(&mut self, events: Vec<TransportEvent>, ctx: &mut dyn NodeIo) {
         for ev in events {
-            match ev {
-                TransportEvent::Delivered { msg, .. } => {
-                    let Some(kv) = msg.downcast::<KvMsg>() else {
-                        continue;
-                    };
-                    match kv {
-                        KvMsg::PutReply { op, ok } => {
-                            match self.core.on_put_reply(*op, *ok, ctx.now()) {
-                                ReplyAction::Done => self.pump(ctx),
-                                ReplyAction::NotMine
-                                | ReplyAction::AwaitRetry
-                                | ReplyAction::Backoff => {}
-                            }
-                        }
-                        KvMsg::GetReply { op, value, .. } => {
-                            let (found, size, bytes) = match value {
-                                Some(v) => (true, v.size(), Some(v.bytes.as_ref().clone())),
-                                None => (false, 0, None),
-                            };
-                            match self.core.on_get_reply(*op, found, size, bytes, ctx.now()) {
-                                ReplyAction::Done => self.pump(ctx),
-                                ReplyAction::Backoff => {
-                                    ctx.set_timer(
-                                        NOT_FOUND_BACKOFF,
-                                        TOK_RETRY_BASE | op.client_seq,
-                                    );
-                                }
-                                ReplyAction::NotMine | ReplyAction::AwaitRetry => {}
-                            }
-                        }
-                        _ => {}
+            let next = match ev {
+                TransportEvent::Delivered { msg, .. } => match msg.downcast::<KvMsg>() {
+                    Some(KvMsg::PutReply { op, ok }) => self.core.on_put_reply(*op, *ok, ctx),
+                    Some(KvMsg::GetReply { op, value, .. }) => {
+                        self.core.on_get_reply(*op, value.as_ref(), ctx)
                     }
+                    _ => None,
+                },
+                // Quorum-mode puts complete at transport level.
+                TransportEvent::Sent { token, .. } if self.quorum_token == Some(token) => {
+                    self.quorum_token = None;
+                    self.core.on_quorum_put(ctx)
                 }
-                TransportEvent::Sent { token, .. } => {
-                    // Quorum-mode puts complete at transport level.
-                    if self.quorum_token == Some(token) {
-                        let size = match self.core.inflight_op() {
-                            Some((ClientOp::Put { value, .. }, _)) => value.size(),
-                            _ => 0,
-                        };
-                        self.core.complete(Ok(()), size, None, ctx.now());
-                        self.quorum_token = None;
-                        self.pump(ctx);
-                    }
-                }
-                TransportEvent::Failed { .. } => {
-                    // let the retry timer drive the re-attempt
-                }
+                // Anything else, failures included: the armed retry timer
+                // drives any re-attempt.
+                TransportEvent::Sent { .. } | TransportEvent::Failed { .. } => None,
+            };
+            if let Some(at) = next {
+                self.send_attempt(at, ctx);
             }
         }
     }
@@ -201,7 +146,7 @@ impl ClientApp {
 
 impl NodeApp for ClientApp {
     fn on_start(&mut self, ctx: &mut dyn NodeIo) {
-        ctx.set_timer(self.core.start_at.saturating_sub(ctx.now()), TOK_START);
+        self.core.on_start(ctx);
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut dyn NodeIo) {
@@ -215,12 +160,8 @@ impl NodeApp for ClientApp {
             self.drive(events, ctx);
             return;
         }
-        if token == TOK_START {
-            self.pump(ctx);
-            return;
-        }
-        if token >= TOK_RETRY_BASE {
-            self.on_retry_timer(token & 0xFFFF_FFFF, ctx);
+        if let Some(at) = self.core.on_timer(token, ctx) {
+            self.send_attempt(at, ctx);
         }
     }
 

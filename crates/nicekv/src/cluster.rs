@@ -16,7 +16,7 @@ use crate::client::{ClientApp, ClientOp};
 use crate::config::KvConfig;
 use crate::metadata::{MetadataApp, SwitchHandle};
 use crate::server::ServerApp;
-use kv_core::{ClusterSpec, KvClient, MetricsRegistry, Telemetry};
+use kv_core::{ClusterSpec, KvClient, MetricsRegistry};
 
 /// Simulator host-layer configuration — the `SimHostCfg` half of the
 /// layered cluster config ([`ClusterSpec`] + host config + system
@@ -168,12 +168,7 @@ impl NiceCluster {
             let mac = Mac(0x300 + j as u64);
             let start = cfg.host.client_start + Time::from_us(97) * j as u64;
             let mut app = ClientApp::new(kv, ops.clone(), start);
-            app.retry_not_found = spec.retry_not_found;
-            if let Some(retry) = spec.retry {
-                app.retry = retry;
-            }
-            app.op_deadline = spec.op_deadline;
-            app.tel = Telemetry::new(&spec.telemetry);
+            app.configure(&spec);
             let h = sim.add_node(Box::new(app), HostCfg::new(ip, mac));
             let port = sim.connect_asym(h, switch, cfg.host.link.host_uplink(), cfg.host.link);
             ports.insert(ip, port);

@@ -1,18 +1,15 @@
 //! The NOOB client: drives operations through one of the three access
 //! mechanisms of §2.1 (ROG gateway, RAG gateway, or RAC direct routing).
 //!
-//! The closed-loop engine (queue, retries, records) is the shared
-//! [`kv_core::ClientCore`]; this file maps its attempts onto NOOB
+//! The closed-loop engine (queue, retries and their timers, records) is
+//! the shared [`kv_core::ClientCore`]; this file maps its attempts onto NOOB
 //! routing: gateway indirection, client-side placement knowledge, or the
 //! caching RAC of §2.1.
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 
-use kv_core::{
-    Attempt, ClientCore, Issue, KvClient, ReplyAction, RetryAction, CTRL_MSG_BYTES, IDLE_POLL,
-    NOT_FOUND_BACKOFF, TOK_RETRY_BASE, TOK_START,
-};
+use kv_core::{Attempt, ClientCore, KvClient, CTRL_MSG_BYTES};
 use nice_kv::ClientOp;
 use nice_transport::{Msg, Transport, TransportEvent, TRANSPORT_TICK};
 use node_rt::{Ipv4, NodeApp, NodeIo, Packet, Rng, Time};
@@ -95,17 +92,8 @@ impl NoobClientApp {
         }
     }
 
-    /// Ask the core for the next attempt and put it on the wire.
-    fn pump(&mut self, ctx: &mut dyn NodeIo) {
-        match self.core.issue_next(ctx.ip(), ctx.now()) {
-            Issue::Attempt(at) => self.send_attempt(at, ctx),
-            Issue::Drained => ctx.set_timer(IDLE_POLL, TOK_START),
-            Issue::Busy => {}
-        }
-    }
-
+    /// Put `at` on the wire; the core then arms its retry timer.
     fn send_attempt(&mut self, at: Attempt, ctx: &mut dyn NodeIo) {
-        let id = at.id;
         let dst = match (&self.route, &at.op) {
             (ClientRoute::Gateway(gw), _) => *gw,
             (ClientRoute::Direct { .. }, ClientOp::Put { key, .. }) => self.ring.primary_addr(key),
@@ -136,33 +124,30 @@ impl NoobClientApp {
                 }
             },
         };
-        match at.op {
+        let (msg, size) = match &at.op {
             ClientOp::Put { key, value } => {
                 let size = value.size() + key.len() as u32 + CTRL_MSG_BYTES;
                 let msg = NoobMsg::Put {
-                    key,
-                    value,
-                    op: id,
+                    key: key.clone(),
+                    value: value.clone(),
+                    op: at.id,
                     hops: 0,
                 };
-                self.tp
-                    .tcp_send(ctx, dst, self.ring.port, Msg::new(msg, size));
+                (msg, size)
             }
             ClientOp::Get { key } => {
                 let size = key.len() as u32 + CTRL_MSG_BYTES;
                 let msg = NoobMsg::Get {
-                    key,
-                    op: id,
+                    key: key.clone(),
+                    op: at.id,
                     hops: 0,
                 };
-                self.tp
-                    .tcp_send(ctx, dst, self.ring.port, Msg::new(msg, size));
+                (msg, size)
             }
-        }
-        ctx.set_timer(
-            self.core.retry_delay(id, at.attempts),
-            TOK_RETRY_BASE | id.client_seq,
-        );
+        };
+        self.tp
+            .tcp_send(ctx, dst, self.ring.port, Msg::new(msg, size));
+        self.core.sent(&at, ctx);
     }
 
     fn drive(&mut self, events: Vec<TransportEvent>, ctx: &mut dyn NodeIo) {
@@ -170,37 +155,22 @@ impl NoobClientApp {
             let TransportEvent::Delivered { from, msg, .. } = ev else {
                 continue;
             };
-            // CachingRac: the responder is the responsible node — cache it.
-            if self.route == ClientRoute::CachingRac {
-                if let Some((op, _)) = self.core.inflight_op() {
-                    if msg.downcast::<NoobMsg>().is_some() {
-                        let key = op.key().to_owned();
-                        self.cache.insert(key, from.0);
-                    }
-                }
-            }
             let Some(m) = msg.downcast::<NoobMsg>() else {
                 continue;
             };
-            match m {
-                NoobMsg::PutReply { op, ok } => match self.core.on_put_reply(*op, *ok, ctx.now()) {
-                    ReplyAction::Done => self.pump(ctx),
-                    ReplyAction::NotMine | ReplyAction::AwaitRetry | ReplyAction::Backoff => {}
-                },
-                NoobMsg::GetReply { op, value } => {
-                    let (found, size, bytes) = match value {
-                        Some(v) => (true, v.size(), Some(v.bytes.as_ref().clone())),
-                        None => (false, 0, None),
-                    };
-                    match self.core.on_get_reply(*op, found, size, bytes, ctx.now()) {
-                        ReplyAction::Done => self.pump(ctx),
-                        ReplyAction::Backoff => {
-                            ctx.set_timer(NOT_FOUND_BACKOFF, TOK_RETRY_BASE | op.client_seq);
-                        }
-                        ReplyAction::NotMine | ReplyAction::AwaitRetry => {}
-                    }
+            // CachingRac: the responder is the responsible node — cache it.
+            if self.route == ClientRoute::CachingRac {
+                if let Some((op, ..)) = self.core.inflight_detail() {
+                    self.cache.insert(op.key().to_owned(), from.0);
                 }
-                _ => {}
+            }
+            let next = match m {
+                NoobMsg::PutReply { op, ok } => self.core.on_put_reply(*op, *ok, ctx),
+                NoobMsg::GetReply { op, value } => self.core.on_get_reply(*op, value.as_ref(), ctx),
+                _ => None,
+            };
+            if let Some(at) = next {
+                self.send_attempt(at, ctx);
             }
         }
     }
@@ -208,7 +178,7 @@ impl NoobClientApp {
 
 impl NodeApp for NoobClientApp {
     fn on_start(&mut self, ctx: &mut dyn NodeIo) {
-        ctx.set_timer(self.core.start_at.saturating_sub(ctx.now()), TOK_START);
+        self.core.on_start(ctx);
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut dyn NodeIo) {
@@ -222,16 +192,8 @@ impl NodeApp for NoobClientApp {
             self.drive(events, ctx);
             return;
         }
-        if token == TOK_START {
-            self.pump(ctx);
-            return;
-        }
-        if token >= TOK_RETRY_BASE {
-            match self.core.on_retry_timer(token & 0xFFFF_FFFF, ctx.now()) {
-                RetryAction::Resend(at) => self.send_attempt(at, ctx),
-                RetryAction::GaveUp => self.pump(ctx),
-                RetryAction::Stale => {}
-            }
+        if let Some(at) = self.core.on_timer(token, ctx) {
+            self.send_attempt(at, ctx);
         }
     }
 

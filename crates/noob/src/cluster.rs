@@ -11,7 +11,7 @@ use nice_kv::{ClientOp, ClusterSpec, SimHostCfg};
 use nice_ring::{NodeIdx, PhysicalRing};
 use nice_sim::{HostCfg, HostId, Ipv4, Mac, Simulation, SwitchId, Time};
 
-use kv_core::{KvClient, MetricsRegistry, RetryPolicy, Telemetry};
+use kv_core::{KvClient, MetricsRegistry};
 
 use crate::client::{ClientRoute, NoobClientApp};
 use crate::gateway::{GatewayApp, GatewayPolicy};
@@ -195,12 +195,7 @@ impl NoobCluster {
             };
             let start = cfg.host.client_start + Time::from_us(97) * j as u64;
             let mut app = NoobClientApp::new(ring.clone(), route, ops.clone(), start);
-            app.retry_not_found = spec.retry_not_found;
-            app.retry = spec
-                .retry
-                .unwrap_or_else(|| RetryPolicy::fixed(Time::from_secs(2)));
-            app.op_deadline = spec.op_deadline;
-            app.tel = Telemetry::new(&spec.telemetry);
+            app.configure(&spec);
             let h = sim.add_node(Box::new(app), HostCfg::new(ip, mac));
             let port = sim.connect_asym(h, switch, cfg.host.link.host_uplink(), cfg.host.link);
             ports.insert(ip, port);

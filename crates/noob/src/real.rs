@@ -16,8 +16,7 @@ use std::any::Any;
 use std::sync::Arc;
 
 use kv_core::{
-    ClientOp, ClusterSpec, History, KvClient, MetricsRegistry, OpRecord, RetryPolicy, Telemetry,
-    Value,
+    ClientOp, ClusterSpec, History, KvClient, MetricsRegistry, OpRecord, RetryPolicy, Value,
 };
 use nice_ring::{NodeIdx, PhysicalRing};
 use nice_transport::TpCodec;
@@ -135,7 +134,7 @@ impl RealNoobCluster {
     /// Bind sockets, spawn every node thread, and start serving. Clients
     /// begin issuing immediately.
     pub fn build(cfg: RealNoobCfg) -> RealNoobCluster {
-        let spec = cfg.spec;
+        let mut spec = cfg.spec;
         let server_ips: Vec<Ipv4> = (0..spec.nodes).map(server_ip).collect();
         let ring = NoobRing {
             ring: PhysicalRing::new(
@@ -187,22 +186,16 @@ impl RealNoobCluster {
                 lb_gets: cfg.lb_gets,
             },
         };
-        let retry = spec
-            .retry
-            .unwrap_or_else(|| RetryPolicy::fixed(Time::from_ms(500)));
+        spec.retry = spec.retry.or(Some(RetryPolicy::fixed(Time::from_ms(500))));
         let mut client_ips = Vec::new();
         for (j, ops) in cfg.client_ops.iter().cloned().enumerate() {
             let ip = client_ip(j);
             client_ips.push(ip);
             let ring = ring.clone();
-            let op_deadline = spec.op_deadline;
-            let telemetry = spec.telemetry;
             specs.push(NodeSpec::new(ip, move || {
                 let ops: Vec<ClientOp> = ops.iter().cloned().map(RealOp::materialize).collect();
                 let mut app = NoobClientApp::new(ring.clone(), route, ops, Time::from_ms(5));
-                app.retry = retry;
-                app.op_deadline = op_deadline;
-                app.tel = Telemetry::new(&telemetry);
+                app.configure(&spec);
                 Box::new(app)
             }));
         }

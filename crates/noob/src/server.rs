@@ -312,13 +312,9 @@ impl NoobServerApp {
             .to_vec();
         match self.mode {
             NoobMode::Chain => {
-                if self.engine.coordinating(&key, op) {
-                    return; // duplicate (client retry while in flight)
-                }
-                // Write locally, then forward down the chain. The inert
-                // coordinator record only absorbs duplicate retries.
-                self.engine
-                    .coordinate(&key, op, op.client, Some(usize::MAX));
+                // Write locally, then forward down the chain. The head
+                // commits on the spot, so `op_settled` above answers
+                // every retry of this put.
                 let size = value.size();
                 let done = self.engine.stage_write(ctx.now(), size);
                 let remaining: Vec<Ipv4> = replicas
@@ -748,6 +744,34 @@ impl NodeApp for NoobServerApp {
         }
         if !self.sync_pending.is_empty() {
             ctx.set_timer(SYNC_GIVEUP, TOK_SYNC_GIVEUP);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use nice_kv::ClientOp;
+
+    use super::*;
+    use crate::cluster::{NoobCluster, NoobClusterCfg};
+    use crate::msg::Access;
+
+    /// The chain head commits a put on the spot and never hears of it
+    /// again, so it must not open a coordinator round nothing would close.
+    #[test]
+    fn chain_puts_leave_no_round_open() {
+        let put = |i: u32| ClientOp::Put {
+            key: format!("k{i}"),
+            value: Value::synthetic(100),
+        };
+        let ops = vec![(0..8).map(put).collect()];
+        let cfg = NoobClusterCfg::new(3, 3, Access::Rac, NoobMode::Chain, ops);
+        let mut c = NoobCluster::build(cfg);
+        assert!(c.run_until_done(Time::from_secs(60)));
+        assert!(c.client(0).records.iter().all(kv_core::OpRecord::ok));
+        for i in 0..3 {
+            let open = c.server(i).engine.in_flight(&|_| true);
+            assert!(open.is_empty(), "server {i} holds {open:?}");
         }
     }
 }

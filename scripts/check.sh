@@ -82,12 +82,13 @@ echo "runtime-chaos: stats archived in target/runtime_chaos_stats.txt"
 echo "=== benchmark-smoke (perfbench builds and passes its checks) ==="
 # BENCHMARK.json's package is its own workspace root and is compiled
 # unmodified against this tree: a renamed pub item or registry name
-# breaks it without any tier above noticing. One real-runtime and one
-# simulator workload at --quick; every run checks its own output
-# (all ops done, gets full-size, history linearizable) and exits
-# non-zero on a failed check. Gate on the exit code only — --quick
-# numbers are labelled non-comparable.
-for wl in rt_put_heavy sim_ycsb_b; do
+# breaks it without any tier above noticing. Two real-runtime workloads
+# (the closed loop, and the open loop that pushes ops into live clients
+# through the gateway) and the simulator one at --quick; every run
+# checks its own output (all ops done, gets full-size, history
+# linearizable) and exits non-zero on a failed check. Gate on the exit
+# code only — --quick numbers are labelled non-comparable.
+for wl in rt_put_heavy rt_open_mixed sim_ycsb_b; do
   timeout 300 cargo run -q --release --offline \
     --manifest-path perfbench/Cargo.toml -- --workload "$wl" --quick
 done

@@ -251,3 +251,25 @@ fn wal_sync_histogram_fills_under_put_storm() {
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&wal_root);
 }
+
+/// The client half of the `ClusterSpec` reaches the real runtime's
+/// clients: with `retry_not_found`, a get of a key nobody wrote re-asks
+/// after a short backoff instead of completing on the first miss.
+#[test]
+fn retry_not_found_reaches_real_clients() {
+    let get = RealOp::Get {
+        key: "never-written".into(),
+    };
+    let mut cfg = RealNoobCfg::new(3, 2, vec![vec![get]]);
+    cfg.spec.retry_not_found = true;
+    let mut cluster = RealNoobCluster::build(cfg);
+    assert!(
+        wait_done(&cluster, Duration::from_secs(60)),
+        "the get did not finish"
+    );
+    let records = cluster.client_records(0);
+    assert_eq!(records.len(), 1);
+    let r = &records[0];
+    assert!(!r.ok() && r.attempts > 1, "a miss was final: {r:?}");
+    cluster.shutdown();
+}
