@@ -1,7 +1,7 @@
 //! **Ablation: replication strategies** (the §4.2 design discussion).
 //!
 //! The paper argues chain replication "may distribute the replication
-//! load across the nodes, [but] significantly increases the operation
+//! load across the nodes, \[but\] significantly increases the operation
 //! latency, and is equally network non-optimal". This harness puts the
 //! four strategies side by side at R=3 and R=5:
 //!

@@ -16,7 +16,7 @@ use nice_bench::{RunSpec, System};
 use nice_kv::{ClientOp, Value};
 use nice_noob::{Access, NoobMode};
 use nice_sim::FaultPlan;
-use nice_workload::{Rng, XorShiftRng};
+use nice_workload::XorShiftRng;
 
 const RECORDS: u64 = 100;
 const CLIENTS: usize = 3;

@@ -18,7 +18,7 @@ use nice_bench::{RunSpec, System};
 use nice_kv::{ClientApp, ClientOp, MetaEvent, MetadataApp, Value};
 use nice_ring::PartitionId;
 use nice_sim::Time;
-use nice_workload::{Rng, XorShiftRng};
+use nice_workload::XorShiftRng;
 
 const DURATION_S: u64 = 120;
 const FAIL_AT_S: u64 = 30;

@@ -227,32 +227,29 @@ impl FlowTable {
     /// miss (the caller decides the miss behavior).
     pub fn apply(&mut self, in_port: Port, pkt: &Packet, now: Time) -> Option<Vec<SwitchAction>> {
         self.last_seen = self.last_seen.max(now);
-        let mut best: Option<usize> = None;
+        let mut best: Option<(usize, &Entry)> = None;
         for (i, e) in self.entries.iter().enumerate() {
             if !e.live(now) || !e.rule.m.matches(in_port, pkt) {
                 continue;
             }
-            let better = match best {
-                None => true,
-                Some(j) => {
-                    let b = &self.entries[j];
-                    let ka = (e.rule.priority, e.rule.m.specificity(), e.seq);
-                    let kb = (b.rule.priority, b.rule.m.specificity(), b.seq);
-                    ka > kb
-                }
-            };
+            let better = best.is_none_or(|(_, b)| {
+                let ka = (e.rule.priority, e.rule.m.specificity(), e.seq);
+                let kb = (b.rule.priority, b.rule.m.specificity(), b.seq);
+                ka > kb
+            });
             if better {
-                best = Some(i);
+                best = Some((i, e));
             }
         }
-        let Some(i) = best else {
+        let best = best.map(|(i, _)| i);
+        let Some(e) = best.and_then(|i| self.entries.get_mut(i)) else {
             self.misses += 1;
             return None;
         };
-        self.entries[i].last_match = now;
-        self.entries[i].hits += 1;
-        self.entries[i].bytes += pkt.wire_size as u64;
-        let actions = self.entries[i].rule.actions.clone();
+        e.last_match = now;
+        e.hits += 1;
+        e.bytes += pkt.wire_size as u64;
+        let actions = e.rule.actions.clone();
         Some(self.run_actions(&actions, pkt, now))
     }
 

@@ -121,7 +121,7 @@ pub enum EngineRole<'a> {
 #[derive(Debug, Clone)]
 pub enum Effect {
     /// The local object write (W) completes at `at`; feed
-    /// [`ReplicationEngine::on_written`] back then.
+    /// [`TwoPcEngine::on_written`] back then.
     WriteDone {
         /// Device completion time.
         at: Time,
@@ -248,153 +248,13 @@ impl Coord {
     }
 }
 
-/// The replication protocol surface both systems program against.
+/// The replication engine both systems share; its `pub` methods are the
+/// protocol surface both adapters program against.
 ///
 /// Every store mutation and every lock/coordinator-table transition of
 /// the put path goes through these methods — the `layering` lint bans
 /// the raw [`ObjectStore`] mutators from the adapter crates, so protocol
 /// logic cannot be reimplemented (or drift) per system.
-pub trait ReplicationEngine {
-    /// Coordinator/replica 2PC phase 1: lock `key` for `op`, append the
-    /// forced log entry (+L), and start the object write (W). Returns
-    /// false when another attempt holds the lock — the op is queued and
-    /// will come back as an [`Effect::Redrive`] once the lock clears.
-    fn prepare(
-        &mut self,
-        key: &str,
-        value: Value,
-        op: OpId,
-        now: Time,
-        fx: &mut Vec<Effect>,
-    ) -> bool;
-
-    /// Replica-side 2PC data receive that never queues: lock if free
-    /// (ignored otherwise — the commit round resolves conflicts), then
-    /// log and write. Always emits [`Effect::WriteDone`].
-    fn accept(&mut self, key: &str, value: Value, op: OpId, now: Time, fx: &mut Vec<Effect>);
-
-    /// Open a coordinator record for `(key, op)` (idempotent). `quorum`
-    /// `None` runs two-phase commit; `Some(q)` runs the direct path,
-    /// replying once `q` copies (including the local one) exist.
-    fn coordinate(&mut self, key: &str, op: OpId, client: Ipv4, quorum: Option<usize>);
-
-    /// The local object write for `(key, op)` finished. A primary
-    /// advances its coordination round (arming a deadline when the
-    /// engine runs with `op_timeout`); a peer acks; an observer only
-    /// records the write.
-    fn on_written(
-        &mut self,
-        key: &str,
-        op: OpId,
-        role: EngineRole<'_>,
-        now: Time,
-        fx: &mut Vec<Effect>,
-    );
-
-    /// A phase-1 ack from `from` arrived at the coordinator.
-    fn on_ack1(
-        &mut self,
-        key: &str,
-        op: OpId,
-        from: NodeIdx,
-        g: &Group,
-        now: Time,
-        fx: &mut Vec<Effect>,
-    );
-
-    /// A phase-2 ack from `from` arrived at the coordinator. `g` may be
-    /// `None` when the membership view vanished meanwhile: the ack is
-    /// still recorded but the round cannot advance.
-    fn on_ack2(
-        &mut self,
-        key: &str,
-        op: OpId,
-        from: NodeIdx,
-        g: Option<&Group>,
-        fx: &mut Vec<Effect>,
-    );
-
-    /// A commit timestamp arrived (including the coordinator's own copy
-    /// looping back under NICE's switch multicast). Applies the commit,
-    /// advances the failover sequence floor, and — on any role — gives a
-    /// queued writer its turn. Returns whether the commit applied.
-    fn on_commit(
-        &mut self,
-        key: &str,
-        op: OpId,
-        ts: Timestamp,
-        role: EngineRole<'_>,
-        fx: &mut Vec<Effect>,
-    ) -> bool;
-
-    /// An abort arrived: release the lock if `op` holds it — and the
-    /// lock is not newer than the abort's decision time `issued` (a
-    /// retry re-locks under the same `OpId`; an abort from the abandoned
-    /// earlier round must not release the live round's lock) — then give
-    /// a queued writer its turn. Returns whether state changed.
-    fn on_abort(&mut self, key: &str, op: OpId, issued: Time, fx: &mut Vec<Effect>) -> bool;
-
-    /// A coordination deadline fired. The first timeout re-arms; the
-    /// second gives up: report silent members, and — if no commit
-    /// decision was reached — abort the round and fail the client
-    /// (§4.4 "Failures during Put Operation"). `g` may be `None` when
-    /// the membership view vanished meanwhile.
-    fn on_deadline(
-        &mut self,
-        key: &str,
-        op: OpId,
-        g: Option<&Group>,
-        now: Time,
-        fx: &mut Vec<Effect>,
-    );
-
-    /// Generate the next commit timestamp from this node's sequence.
-    fn next_ts(&mut self, op: OpId, self_addr: Ipv4) -> Timestamp;
-
-    /// Store a replica copy directly (no lock round): one forced device
-    /// write plus an ordered commit. Returns the write completion time.
-    fn apply_copy(&mut self, key: &str, value: Value, ts: Timestamp, now: Time) -> Time;
-
-    /// Pay the device cost of a logged object write (+L then W) without
-    /// touching the object map; returns the completion time. (Chain
-    /// heads stage the write before passing the baton.)
-    fn stage_write(&mut self, now: Time, size: u32) -> Time;
-
-    /// Apply one object version without device cost or counting
-    /// (ordered; stale versions are ignored).
-    fn sync_object(&mut self, key: &str, value: Value, ts: Timestamp);
-
-    /// Bulk-apply recovered objects (handoff drain): one forced device
-    /// write for the batch, then ordered commits.
-    fn ingest(&mut self, now: Time, objects: Vec<(String, Value, Timestamp)>);
-
-    /// Drop a committed object (handoff cleanup after the owner drained
-    /// it).
-    fn forget(&mut self, key: &str);
-
-    /// The §4.4 lock report for keys matching `filter`: every pending
-    /// lock with the commit timestamp *of that attempt* if this node
-    /// already applied it, plus this node's sequence floor.
-    fn lock_report(
-        &self,
-        filter: &dyn Fn(&str) -> bool,
-    ) -> (Vec<(String, OpId, Option<Timestamp>)>, u64);
-
-    /// Raise the local sequence floor (new primary finishing lock
-    /// resolution).
-    fn observe_seq(&mut self, seq: u64);
-
-    /// Is a coordinator record open for `(key, op)`? (duplicate-request
-    /// detection)
-    fn coordinating(&self, key: &str, op: OpId) -> bool;
-
-    /// Crash: volatile protocol state (locks whose write never
-    /// completed, coordinator records, queued writers) dies; committed
-    /// objects, the persistent log, and the sequence floor survive.
-    fn reset(&mut self);
-}
-
-/// The one implementation of [`ReplicationEngine`] both systems share.
 ///
 /// `Clone` is an exploration hook: the DPOR explorer
 /// ([`explore`](crate::explore)) forks whole engine states to probe the
@@ -579,11 +439,6 @@ impl TwoPcEngine {
             .collect()
     }
 
-    /// Whether the coordination round for `(key, op)` is still open.
-    pub fn coord_live(&self, key: &str, op: OpId) -> bool {
-        self.coords.contains_key(&(key.to_owned(), op))
-    }
-
     /// The commit timestamp of a still-open round, if it reached the
     /// commit decision. A retried put whose round is stuck in phase 2
     /// re-distributes this timestamp instead of minting a new one.
@@ -677,13 +532,7 @@ impl TwoPcEngine {
         if !g.peers.iter().all(|n| c.acks1.contains(n)) {
             return;
         }
-        self.primary_seq += 1;
-        let ts = Timestamp {
-            primary_seq: self.primary_seq,
-            primary: g.self_addr,
-            client_seq: op.client_seq,
-            client: op.client,
-        };
+        let ts = self.next_ts(op, g.self_addr);
         match self.coords.get_mut(&k) {
             Some(c) => {
                 c.committed = true;
@@ -804,10 +653,12 @@ impl TwoPcEngine {
             }
         }
     }
-}
 
-impl ReplicationEngine for TwoPcEngine {
-    fn prepare(
+    /// Coordinator/replica 2PC phase 1: lock `key` for `op`, append the
+    /// forced log entry (+L), and start the object write (W). Returns
+    /// false when another attempt holds the lock — the op is queued and
+    /// will come back as an [`Effect::Redrive`] once the lock clears.
+    pub fn prepare(
         &mut self,
         key: &str,
         value: Value,
@@ -826,10 +677,8 @@ impl ReplicationEngine for TwoPcEngine {
             self.tel.add("engine.queued", 1);
             return false;
         }
-        // +L (forced) then W: both on the storage device.
         let size = self.store.pending(key).map_or(0, |p| p.value.size());
-        self.store.write_delay(now, 100, true);
-        let done = self.store.write_delay(now, size, false);
+        let done = self.stage_write(now, size);
         self.started.entry((key.to_owned(), op)).or_insert(now);
         fx.push(Effect::WriteDone {
             at: done,
@@ -839,7 +688,10 @@ impl ReplicationEngine for TwoPcEngine {
         true
     }
 
-    fn accept(&mut self, key: &str, value: Value, op: OpId, now: Time, fx: &mut Vec<Effect>) {
+    /// Replica-side 2PC data receive that never queues: lock if free
+    /// (ignored otherwise — the commit round resolves conflicts), then
+    /// log and write. Always emits [`Effect::WriteDone`].
+    pub fn accept(&mut self, key: &str, value: Value, op: OpId, now: Time, fx: &mut Vec<Effect>) {
         // Lock if free; a *live* conflict is left for the commit round to
         // resolve (the coordinator's timestamp decides), but a provably
         // stale holder is broken first so an abandoned attempt cannot
@@ -847,8 +699,7 @@ impl ReplicationEngine for TwoPcEngine {
         self.touch(now);
         self.break_stale_lock(key, op, now);
         self.store.lock(key, op, value.clone(), now);
-        self.store.write_delay(now, 100, true);
-        let done = self.store.write_delay(now, value.size(), false);
+        let done = self.stage_write(now, value.size());
         self.started.entry((key.to_owned(), op)).or_insert(now);
         fx.push(Effect::WriteDone {
             at: done,
@@ -857,7 +708,10 @@ impl ReplicationEngine for TwoPcEngine {
         });
     }
 
-    fn coordinate(&mut self, key: &str, op: OpId, client: Ipv4, quorum: Option<usize>) {
+    /// Open a coordinator record for `(key, op)` (idempotent). `quorum`
+    /// `None` runs two-phase commit; `Some(q)` runs the direct path,
+    /// replying once `q` copies (including the local one) exist.
+    pub fn coordinate(&mut self, key: &str, op: OpId, client: Ipv4, quorum: Option<usize>) {
         let k = (key.to_owned(), op);
         if self.coords.contains_key(&k) {
             return;
@@ -869,7 +723,11 @@ impl ReplicationEngine for TwoPcEngine {
         self.coords.insert(k, Coord::new(client, kind));
     }
 
-    fn on_written(
+    /// The local object write for `(key, op)` finished. A primary
+    /// advances its coordination round (arming a deadline when the
+    /// engine runs with `op_timeout`); a peer acks; an observer only
+    /// records the write.
+    pub fn on_written(
         &mut self,
         key: &str,
         op: OpId,
@@ -942,7 +800,8 @@ impl ReplicationEngine for TwoPcEngine {
         }
     }
 
-    fn on_ack1(
+    /// A phase-1 ack from `from` arrived at the coordinator.
+    pub fn on_ack1(
         &mut self,
         key: &str,
         op: OpId,
@@ -981,7 +840,10 @@ impl ReplicationEngine for TwoPcEngine {
         self.advance(key, op, g, fx);
     }
 
-    fn on_ack2(
+    /// A phase-2 ack from `from` arrived at the coordinator. `g` may be
+    /// `None` when the membership view vanished meanwhile: the ack is
+    /// still recorded but the round cannot advance.
+    pub fn on_ack2(
         &mut self,
         key: &str,
         op: OpId,
@@ -997,7 +859,11 @@ impl ReplicationEngine for TwoPcEngine {
         }
     }
 
-    fn on_commit(
+    /// A commit timestamp arrived (including the coordinator's own copy
+    /// looping back under NICE's switch multicast). Applies the commit,
+    /// advances the failover sequence floor, and — on any role — gives a
+    /// queued writer its turn. Returns whether the commit applied.
+    pub fn on_commit(
         &mut self,
         key: &str,
         op: OpId,
@@ -1034,7 +900,12 @@ impl ReplicationEngine for TwoPcEngine {
         applied
     }
 
-    fn on_abort(&mut self, key: &str, op: OpId, issued: Time, fx: &mut Vec<Effect>) -> bool {
+    /// An abort arrived: release the lock if `op` holds it — and the
+    /// lock is not newer than the abort's decision time `issued` (a
+    /// retry re-locks under the same `OpId`; an abort from the abandoned
+    /// earlier round must not release the live round's lock) — then give
+    /// a queued writer its turn. Returns whether state changed.
+    pub fn on_abort(&mut self, key: &str, op: OpId, issued: Time, fx: &mut Vec<Effect>) -> bool {
         let applied = self.store.abort(key, op, issued);
         if applied {
             self.counters.puts_aborted += 1;
@@ -1044,7 +915,12 @@ impl ReplicationEngine for TwoPcEngine {
         applied
     }
 
-    fn on_deadline(
+    /// A coordination deadline fired. The first timeout re-arms; the
+    /// second gives up: report silent members, and — if no commit
+    /// decision was reached — abort the round and fail the client
+    /// (§4.4 "Failures during Put Operation"). `g` may be `None` when
+    /// the membership view vanished meanwhile.
+    pub fn on_deadline(
         &mut self,
         key: &str,
         op: OpId,
@@ -1108,7 +984,8 @@ impl ReplicationEngine for TwoPcEngine {
         }
     }
 
-    fn next_ts(&mut self, op: OpId, self_addr: Ipv4) -> Timestamp {
+    /// Generate the next commit timestamp from this node's sequence.
+    pub fn next_ts(&mut self, op: OpId, self_addr: Ipv4) -> Timestamp {
         self.primary_seq += 1;
         Timestamp {
             primary_seq: self.primary_seq,
@@ -1118,7 +995,9 @@ impl ReplicationEngine for TwoPcEngine {
         }
     }
 
-    fn apply_copy(&mut self, key: &str, value: Value, ts: Timestamp, now: Time) -> Time {
+    /// Store a replica copy directly (no lock round): one forced device
+    /// write plus an ordered commit. Returns the write completion time.
+    pub fn apply_copy(&mut self, key: &str, value: Value, ts: Timestamp, now: Time) -> Time {
         self.touch(now);
         let done = self.store.write_delay(now, value.size(), true);
         self.store.commit_direct(key, value, ts);
@@ -1130,13 +1009,19 @@ impl ReplicationEngine for TwoPcEngine {
         done
     }
 
-    fn stage_write(&mut self, now: Time, size: u32) -> Time {
+    /// Pay the device cost of a logged object write (+L forced, then W)
+    /// without touching the object map; returns the completion time.
+    /// `prepare` and `accept` pay it for their locked write; chain heads
+    /// stage the write before passing the baton.
+    pub fn stage_write(&mut self, now: Time, size: u32) -> Time {
         self.touch(now);
         self.store.write_delay(now, 100, true);
         self.store.write_delay(now, size, false)
     }
 
-    fn sync_object(&mut self, key: &str, value: Value, ts: Timestamp) {
+    /// Apply one object version without device cost or counting
+    /// (ordered; stale versions are ignored).
+    pub fn sync_object(&mut self, key: &str, value: Value, ts: Timestamp) {
         self.store.commit_direct(key, value, ts);
         // A synced commit raises the sequence floors exactly like a live
         // one: a node that later becomes primary must never mint a
@@ -1145,7 +1030,9 @@ impl ReplicationEngine for TwoPcEngine {
         self.note_commit_ts(ts);
     }
 
-    fn ingest(&mut self, now: Time, objects: Vec<(String, Value, Timestamp)>) {
+    /// Bulk-apply recovered objects (handoff drain): one forced device
+    /// write for the batch, then ordered commits.
+    pub fn ingest(&mut self, now: Time, objects: Vec<(String, Value, Timestamp)>) {
         self.touch(now);
         // Peer-supplied: saturate rather than overflow.
         let total = objects
@@ -1165,11 +1052,16 @@ impl ReplicationEngine for TwoPcEngine {
         self.wal_barrier("<ingest>");
     }
 
-    fn forget(&mut self, key: &str) {
+    /// Drop a committed object (handoff cleanup after the owner drained
+    /// it).
+    pub fn forget(&mut self, key: &str) {
         self.store.remove(key);
     }
 
-    fn lock_report(
+    /// The §4.4 lock report for keys matching `filter`: every pending
+    /// lock with the commit timestamp *of that attempt* if this node
+    /// already applied it, plus this node's sequence floor.
+    pub fn lock_report(
         &self,
         filter: &dyn Fn(&str) -> bool,
     ) -> (Vec<(String, OpId, Option<Timestamp>)>, u64) {
@@ -1191,15 +1083,22 @@ impl ReplicationEngine for TwoPcEngine {
         (locked, self.primary_seq.max(self.store.max_primary_seq()))
     }
 
-    fn observe_seq(&mut self, seq: u64) {
+    /// Raise the local sequence floor (new primary finishing lock
+    /// resolution).
+    pub fn observe_seq(&mut self, seq: u64) {
         self.primary_seq = self.primary_seq.max(seq);
     }
 
-    fn coordinating(&self, key: &str, op: OpId) -> bool {
+    /// Is a coordinator record open for `(key, op)` — the round still
+    /// live? (duplicate-request detection)
+    pub fn coordinating(&self, key: &str, op: OpId) -> bool {
         self.coords.contains_key(&(key.to_owned(), op))
     }
 
-    fn reset(&mut self) {
+    /// Crash: volatile protocol state (locks whose write never
+    /// completed, coordinator records, queued writers) dies; committed
+    /// objects, the persistent log, and the sequence floor survive.
+    pub fn reset(&mut self) {
         self.store.on_crash();
         self.coords.clear();
         self.waiting.clear();
@@ -1229,7 +1128,7 @@ pub struct LockResolution {
 
 impl LockResolution {
     /// Start a resolution waiting on reports from `waiting`, seeded with
-    /// the new primary's own [`ReplicationEngine::lock_report`].
+    /// the new primary's own [`TwoPcEngine::lock_report`].
     pub fn new(
         waiting: BTreeSet<NodeIdx>,
         seed: Vec<(String, OpId, Option<Timestamp>)>,

@@ -13,7 +13,7 @@
 //! ([`crate::OpRecord::result`]) instead of a bare bool, so callers can
 //! distinguish "key absent" from "cluster unreachable".
 
-use crate::types::{NodeIdx, OpId, PartitionId};
+use crate::types::{OpId, PartitionId};
 use std::error::Error;
 use std::fmt;
 
@@ -73,12 +73,6 @@ pub enum KvError {
         /// The partition needing a member, if the failure is per-partition.
         partition: Option<PartitionId>,
     },
-    /// The metadata service was asked about a node index outside the
-    /// cluster it manages.
-    UnknownNode {
-        /// The out-of-range node.
-        node: NodeIdx,
-    },
     /// A gateway had no live backend to forward a request to.
     NoBackend,
     /// The durable log could not force appended records to stable
@@ -115,9 +109,6 @@ impl fmt::Display for KvError {
                 Some(p) => write!(f, "no eligible node for partition {}", p.0),
                 None => write!(f, "no eligible node"),
             },
-            KvError::UnknownNode { node } => {
-                write!(f, "node index {} outside the cluster", node.0)
-            }
             KvError::NoBackend => write!(f, "gateway has no live backend"),
             KvError::WalFailed { key } => {
                 write!(f, "WAL sync failed before acknowledging key {key:?}")

@@ -44,9 +44,7 @@ mod wal;
 
 pub use chaos::{AdminEvent, ChaosPlan, ChaosSpec, IsolationEvent};
 pub use client::{Attempt, ClientCore, ClientOp, KvClient, OpRecord, RetryPolicy};
-pub use engine::{
-    Counters, Effect, EngineCfg, EngineRole, Group, LockResolution, ReplicationEngine, TwoPcEngine,
-};
+pub use engine::{Counters, Effect, EngineCfg, EngineRole, Group, LockResolution, TwoPcEngine};
 pub use error::KvError;
 pub use explore::{
     conflict_dependence, normal_form, Choice, ChoiceKind, DepFn, ExploreStats, Explorer, Footprint,

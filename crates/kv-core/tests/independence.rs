@@ -15,8 +15,8 @@
 //! `lock_interleavings.rs` demonstrates end to end.
 
 use kv_core::{
-    conflict_dependence, Effect, EngineCfg, EngineRole, Footprint, LogEntry, OpId,
-    ReplicationEngine, StorageCfg, Timestamp, TwoPcEngine, Value,
+    conflict_dependence, Effect, EngineCfg, EngineRole, Footprint, LogEntry, OpId, StorageCfg,
+    Timestamp, TwoPcEngine, Value,
 };
 use node_rt::{Ipv4, Time};
 

@@ -14,13 +14,13 @@
 //! ```
 //!
 //! — where `Lock(r)` is the data multicast arriving at replica `r`
-//! ([`ReplicationEngine::accept`], with write-completion and PutAck1
+//! ([`TwoPcEngine::accept`], with write-completion and PutAck1
 //! effects pumped through the engine as they would be on the wire),
 //! `Decide` is the coordinator's decision point (the engine has either
 //! emitted its `Commit` effect by then, or the put deadline fires twice
 //! and aborts, mirroring §4.3), and `Finish(r)` delivers the buffered
-//! commit/abort to replica `r` ([`ReplicationEngine::on_commit`] /
-//! [`ReplicationEngine::on_abort`]). Replica 0 hosts the coordinator.
+//! commit/abort to replica `r` ([`TwoPcEngine::on_commit`] /
+//! [`TwoPcEngine::on_abort`]). Replica 0 hosts the coordinator.
 //! Every schedule must uphold:
 //!
 //! 1. **no stranded locks / no deadlock** — at quiescence no replica
@@ -66,8 +66,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use kv_core::{
     conflict_dependence, normal_form, Effect, EngineCfg, EngineRole, Explorer, Footprint, Group,
-    LockResolution, LogEntry, Model, NodeIdx, OpId, ReplicationEngine, Schedule, StorageCfg,
-    Timestamp, TwoPcEngine, Value, Visit,
+    LockResolution, LogEntry, Model, NodeIdx, OpId, Schedule, StorageCfg, Timestamp, TwoPcEngine,
+    Value, Visit,
 };
 use node_rt::{Ipv4, Time};
 
@@ -735,7 +735,7 @@ struct Settled {
 
 /// Run the production §4.4 resolution until no lock is left anywhere:
 /// each round the acting primary seeds a [`LockResolution`] with its own
-/// [`ReplicationEngine::lock_report`], absorbs every other member's, and
+/// [`TwoPcEngine::lock_report`], absorbs every other member's, and
 /// applies the settled verdicts (commit with the reported timestamp, or
 /// abort) to every member. One round settles one attempt per key, so
 /// stacked lock states (different ops locked on different replicas)
@@ -828,7 +828,7 @@ fn winner_of(run: &Run) -> Option<(Vec<u8>, Timestamp)> {
 }
 
 /// Phase two of the rejoin: replicas behind the winning copy sync via
-/// the recovery path ([`ReplicationEngine::sync_object`]) before they
+/// the recovery path ([`TwoPcEngine::sync_object`]) before they
 /// may serve gets again. Returns which replicas needed the sync.
 fn catch_up(run: &mut Run, winner: &Option<(Vec<u8>, Timestamp)>) -> Vec<usize> {
     let mut resynced = Vec::new();
@@ -921,7 +921,7 @@ fn put_while_down(run: &mut Run) {
 /// The failover tail grafted onto an executed schedule prefix: the
 /// coordinator's node (hosting replica 0's engine) crashes — its
 /// in-memory locks and coordinator records vanish
-/// ([`ReplicationEngine::reset`]), its written pendings survive as
+/// ([`TwoPcEngine::reset`]), its written pendings survive as
 /// in-doubt entries, and every in-flight step dies with it. With
 /// `write_durable` false the crash lands after the lock ack but before
 /// the node's object write (W) completed, so its pending does NOT

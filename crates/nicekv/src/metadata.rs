@@ -23,12 +23,11 @@ use nice_transport::{Msg, Transport, TransportEvent, TRANSPORT_TICK};
 
 use crate::config::KvConfig;
 use crate::msg::{HandoffRecord, KvMsg, LoadStats, PartitionView};
-use kv_core::KvError;
+use kv_core::{KvError, CTRL_MSG_BYTES};
 
 const TOK_HBCHECK: u64 = 1;
 /// Rebalance the adaptive load balancer every this many heartbeat ticks.
 const REBALANCE_EVERY: u32 = 4;
-const CTRL_MSG_BYTES: u32 = 64;
 
 /// Cookie namespace for unicast vring rules.
 const COOKIE_UNICAST: u64 = 0x1000_0000;
@@ -255,22 +254,6 @@ impl MetadataApp {
         self.views.get(&p)
     }
 
-    /// Liveness state of a node.
-    ///
-    /// # Panics
-    /// If `n` is outside the cluster; see [`try_node_state`](Self::try_node_state).
-    pub fn node_state(&self, n: NodeIdx) -> NodeState {
-        self.nodes[n.0 as usize].state
-    }
-
-    /// Liveness state of a node, as a typed result.
-    pub fn try_node_state(&self, n: NodeIdx) -> Result<NodeState, KvError> {
-        self.nodes
-            .get(n.0 as usize)
-            .map(|info| info.state)
-            .ok_or(KvError::UnknownNode { node: n })
-    }
-
     /// Live flow-table entries on the first switch (the §4.6 occupancy).
     pub fn table_occupancy(&self, now: Time) -> (usize, usize) {
         let sw = &self.switches[0];
@@ -292,16 +275,17 @@ impl MetadataApp {
             .map_or(Mac::ZERO, |info| info.mac)
     }
 
-    /// Liveness of `n`, total: an unknown index reads as `Down`, so a
-    /// malformed report can never route traffic or trigger a transition.
-    fn state_of(&self, n: NodeIdx) -> NodeState {
+    /// Liveness state of node `n`, total: an unknown index reads as
+    /// `Down`, so a malformed report can never route traffic or trigger
+    /// a transition.
+    pub fn node_state(&self, n: NodeIdx) -> NodeState {
         self.nodes
             .get(n.0 as usize)
             .map_or(NodeState::Down, |info| info.state)
     }
 
     fn is_get_eligible(&self, n: NodeIdx) -> bool {
-        let state = self.state_of(n);
+        let state = self.node_state(n);
         // The deliberate §3.3 mutation (chaos-suite checker validation
         // only): rejoining replicas serve gets before catch-up finishes,
         // exposing stale/absent reads the checker must flag.
@@ -329,7 +313,7 @@ impl MetadataApp {
         // unavailable than inconsistent).
         let primary_can_sink_misses = view.members.iter().any(|&(m, _)| m == view.primary)
             && !view.handoffs.contains(&view.primary)
-            && self.state_of(view.primary) == NodeState::Up;
+            && self.node_state(view.primary) == NodeState::Up;
         let get_targets: Vec<(NodeIdx, Ipv4)> = view
             .members
             .iter()
@@ -465,7 +449,7 @@ impl MetadataApp {
             }
         }
         for n in recipients {
-            if self.state_of(n) == NodeState::Down {
+            if self.node_state(n) == NodeState::Down {
                 continue;
             }
             let dst = self.addr(n);
@@ -648,7 +632,7 @@ impl MetadataApp {
     fn rejoin_source(&self, p: PartitionId, n: NodeIdx) -> Option<Ipv4> {
         self.views.get(&p).and_then(|view| {
             let pr = view.primary;
-            (pr != n && self.state_of(pr) != NodeState::Down).then(|| self.addr(pr))
+            (pr != n && self.node_state(pr) != NodeState::Down).then(|| self.addr(pr))
         })
     }
 
@@ -669,7 +653,7 @@ impl MetadataApp {
     /// A failed node asks to rejoin: phase 1 of §4.4 recovery — put ring
     /// only, plus a plan of handoff nodes to drain.
     fn rejoin(&mut self, n: NodeIdx, ctx: &mut Ctx) {
-        if self.state_of(n) == NodeState::Rejoining {
+        if self.node_state(n) == NodeState::Rejoining {
             // A duplicate request — the original plan was lost (e.g. the
             // node re-reported after learning of a metadata failover).
             // The views already list the node; just resend the plan.
@@ -717,7 +701,7 @@ impl MetadataApp {
     fn apply_admin(&mut self, op: AdminOp, ctx: &mut Ctx) {
         let changed = match op {
             AdminOp::AddNode(n) => {
-                if self.ring.nodes().contains(&n) || self.state_of(n) != NodeState::Up {
+                if self.ring.nodes().contains(&n) || self.node_state(n) != NodeState::Up {
                     return;
                 }
                 self.ring.add_node(n)
@@ -849,7 +833,7 @@ impl MetadataApp {
     /// Phase 2: the node holds consistent data — open the get path and
     /// retire its handoffs.
     fn recovered(&mut self, n: NodeIdx, ctx: &mut Ctx) {
-        if self.state_of(n) == NodeState::Up {
+        if self.node_state(n) == NodeState::Up {
             // An admin-added replica finished draining its hash ranges:
             // make it get-visible everywhere it was syncing.
             let parts: Vec<PartitionId> = self
@@ -881,7 +865,7 @@ impl MetadataApp {
             self.events.push((ctx.now(), MetaEvent::NodeRecovered(n)));
             return;
         }
-        if self.state_of(n) != NodeState::Rejoining {
+        if self.node_state(n) != NodeState::Rejoining {
             return;
         }
         if let Some(info) = self.nodes.get_mut(n.0 as usize) {

@@ -1,5 +1,5 @@
 //! The NICEKV storage node — the *policy adapter* over the shared
-//! [`kv_core::ReplicationEngine`].
+//! [`kv_core::TwoPcEngine`].
 //!
 //! All protocol state (object store, locks, 2PC coordinator records,
 //! waiting writers, lock resolution) lives in the engine; this file owns
@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use kv_core::{
     Effect, EngineCfg, EngineRole, Group, KvError, LockResolution, MetricsRegistry, ObjectStore,
-    ReplicationEngine, StorageCfg, TwoPcEngine, CTRL_MSG_BYTES,
+    StorageCfg, TwoPcEngine, CTRL_MSG_BYTES,
 };
 use nice_ring::{NodeIdx, PartitionId};
 use nice_transport::endpoint::{charge_send, CTRL_COST, REQ_COST};
@@ -610,7 +610,7 @@ impl ServerApp {
         });
         let live: Vec<(String, OpId)> = barrier
             .into_iter()
-            .filter(|(k, op)| self.engine.coord_live(k, *op))
+            .filter(|(k, op)| self.engine.coordinating(k, *op))
             .collect();
         if !live.is_empty() && tries < FETCH_GATE_TRIES {
             return self.hold_fetch(partition, from, src, Some(live), tries, ctx);
@@ -767,7 +767,7 @@ impl ServerApp {
             // commit or deadline-abort on its own. A coordinator record
             // lives at most ~2x op_timeout, so a genuinely wedged lock is
             // settled by the next sweep once the record is gone.
-            if committed_ts.is_none() && self.engine.coord_live(&key, op) {
+            if committed_ts.is_none() && self.engine.coordinating(&key, op) {
                 continue;
             }
             let group = self.cfg.multicast.vnode_for_key(partition, key.as_bytes());

@@ -39,6 +39,6 @@ pub use fault::{FaultPlan, Outage, Partition};
 pub use io::{NodeApp, NodeIo};
 pub use nemesis::{FaultStats, Nemesis, NemesisUdp, Verdict};
 pub use net::{ArpOp, Ipv4, Mac, Packet, Payload, Proto, ARP_WIRE_SIZE, HDR_TCP, HDR_UDP, MTU};
-pub use nice_workload::{Rng, XorShiftRng};
+pub use nice_workload::XorShiftRng;
 pub use runtime::{NodeSpec, RuntimeCfg, UdpHostCfg, UdpRuntime};
 pub use time::Time;

@@ -12,7 +12,7 @@ use std::ops::{Deref, DerefMut};
 use kv_core::{Attempt, ClientCore, KvClient, CTRL_MSG_BYTES};
 use nice_kv::ClientOp;
 use nice_transport::{Msg, Transport, TransportEvent, TRANSPORT_TICK};
-use node_rt::{Ipv4, NodeApp, NodeIo, Packet, Rng, Time};
+use node_rt::{Ipv4, NodeApp, NodeIo, Packet, Time};
 
 use crate::msg::NoobMsg;
 use crate::server::NoobRing;

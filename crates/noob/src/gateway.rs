@@ -9,7 +9,6 @@ use std::convert::Infallible;
 
 use nice_kv::KvError;
 use nice_transport::{Endpoint, Fired, Msg};
-use node_rt::Rng;
 use node_rt::{NodeApp, NodeIo, Packet, Time};
 
 use crate::msg::NoobMsg;

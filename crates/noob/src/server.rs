@@ -7,17 +7,19 @@
 //! the paper's Figures 5–7 quantify.
 //!
 //! The put state machines (2PC, primary-only, quorum) are the shared
-//! [`kv_core::ReplicationEngine`] — identical to NICEKV's by
+//! [`kv_core::TwoPcEngine`] — identical to NICEKV's by
 //! construction. This file owns what makes NOOB the baseline: full ring
 //! knowledge, request forwarding hops, R-1 unicast data fan-out, and
-//! chain replication.
+//! chain replication, which has no engine state machine of its own: the
+//! hops are choreographed here from the engine's `stage_write`,
+//! `sync_object` and `apply_copy`.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
 use kv_core::{
-    Effect, EngineCfg, EngineRole, Group, MetricsRegistry, ObjectStore, ReplicationEngine,
-    StorageCfg, TelemetryCfg, TwoPcEngine, CTRL_MSG_BYTES,
+    Effect, EngineCfg, EngineRole, Group, MetricsRegistry, ObjectStore, StorageCfg, TelemetryCfg,
+    TwoPcEngine, CTRL_MSG_BYTES,
 };
 use nice_kv::{OpId, Timestamp, Value};
 use nice_ring::{NodeIdx, PartitionId, PhysicalRing};

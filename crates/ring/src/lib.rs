@@ -29,7 +29,7 @@ pub use vring::{ClientDivisions, VRing};
 #[cfg(test)]
 mod prop_tests {
     use super::*;
-    use node_rt::{Ipv4, Rng, XorShiftRng};
+    use node_rt::{Ipv4, XorShiftRng};
 
     fn random_key(rng: &mut XorShiftRng) -> String {
         const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789:_-";

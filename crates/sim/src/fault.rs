@@ -22,7 +22,7 @@
 
 use std::fmt;
 
-use nice_workload::{Rng, XorShiftRng};
+use nice_workload::XorShiftRng;
 
 pub use node_rt::fault::{FaultPlan, Outage, Partition};
 
@@ -165,15 +165,18 @@ impl FaultState {
     /// window, then loss, duplication, and delay.
     pub fn judge(&mut self, at: Time, pkt: &Packet) -> Verdict {
         self.stats.inspected += 1;
-        for i in 0..self.plan.partitions.len() {
-            if self.plan.partitions[i].severs(at, pkt.src, pkt.dst) {
-                self.stats.partitioned += 1;
-                self.record(at, FaultKind::Partition, pkt);
-                return Verdict {
-                    copies: 0,
-                    extra_delay: Time::ZERO,
-                };
-            }
+        if self
+            .plan
+            .partitions
+            .iter()
+            .any(|p| p.severs(at, pkt.src, pkt.dst))
+        {
+            self.stats.partitioned += 1;
+            self.record(at, FaultKind::Partition, pkt);
+            return Verdict {
+                copies: 0,
+                extra_delay: Time::ZERO,
+            };
         }
         if !self.plan.window.contains(&at) {
             return Verdict::CLEAN;

@@ -62,7 +62,7 @@ pub use host::{App, CpuCfg, Ctx, HostCfg};
 pub use ids::{ChannelId, Endpoint, HostId, Port, SwitchId};
 pub use link::{Channel, ChannelCfg, ChannelStats};
 pub use net::{ArpOp, Ipv4, Mac, Packet, Payload, Proto, HDR_TCP, HDR_UDP, MTU};
-pub use nice_workload::{Rng, XorShiftRng};
+pub use nice_workload::XorShiftRng;
 pub use node_rt::{NodeApp, NodeIo};
 pub use sim::{HostStats, Simulation};
 pub use switch::{SwitchAction, SwitchCfg, SwitchLogic, SwitchView};

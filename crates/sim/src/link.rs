@@ -274,7 +274,7 @@ mod prop_tests {
     use super::*;
     use crate::ids::{ChannelId, HostId};
     use crate::net::{Ipv4, Mac, Packet};
-    use nice_workload::{Rng, XorShiftRng};
+    use nice_workload::XorShiftRng;
     use std::rc::Rc;
 
     fn pkt(bytes: u32) -> Packet {

@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use nice_flow::{prio, Action, FlowMatch, FlowRule, FlowSwitch, FlowTable, GroupBucket, GroupId};
 use nice_sim::{
-    App, ChannelCfg, Ctx, HostCfg, Ipv4, Mac, Packet, Rng, Simulation, SwitchCfg, Time, XorShiftRng,
+    App, ChannelCfg, Ctx, HostCfg, Ipv4, Mac, Packet, Simulation, SwitchCfg, Time, XorShiftRng,
 };
 
 use crate::{chunk_bytes, num_chunks, Msg, Transport, TransportEvent};

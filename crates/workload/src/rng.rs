@@ -14,39 +14,10 @@
 //! constant. Seeds are pre-mixed through SplitMix64 so that small,
 //! correlated seeds (0, 1, 2, ...) still land in well-separated states.
 
-/// Source of deterministic pseudo-randomness.
-///
-/// Mirrors the small slice of the `rand` API the workspace actually
-/// used: raw `u64`s, unit-interval `f64`s, and half-open integer ranges.
-pub trait Rng {
-    /// The next 64 uniformly distributed bits.
-    fn next_u64(&mut self) -> u64;
-
-    /// A uniform `f64` in `[0, 1)` with 53 bits of precision.
-    fn random_f64(&mut self) -> f64 {
-        // The top 53 bits are the best-scrambled in xorshift64*.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// A uniform draw from the half-open range `r` (`r.start < r.end`).
-    fn random_range<T: RangeSample>(&mut self, r: core::ops::Range<T>) -> T
-    where
-        Self: Sized,
-    {
-        T::sample_range(self, r)
-    }
-}
-
-impl<R: Rng + ?Sized> Rng for &mut R {
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
-}
-
 /// Integer types that can be drawn uniformly from a `Range`.
 pub trait RangeSample: Copy {
     /// A uniform draw from `[r.start, r.end)`; panics if the range is empty.
-    fn sample_range<R: Rng>(rng: &mut R, r: core::ops::Range<Self>) -> Self;
+    fn sample_range(rng: &mut XorShiftRng, r: core::ops::Range<Self>) -> Self;
 }
 
 /// Map 64 random bits onto `0..n` without modulo bias (widening
@@ -56,27 +27,30 @@ fn reduce(bits: u64, n: u64) -> u64 {
 }
 
 impl RangeSample for u64 {
-    fn sample_range<R: Rng>(rng: &mut R, r: core::ops::Range<u64>) -> u64 {
+    fn sample_range(rng: &mut XorShiftRng, r: core::ops::Range<u64>) -> u64 {
         assert!(r.start < r.end, "empty range");
         r.start + reduce(rng.next_u64(), r.end - r.start)
     }
 }
 
 impl RangeSample for usize {
-    fn sample_range<R: Rng>(rng: &mut R, r: core::ops::Range<usize>) -> usize {
+    fn sample_range(rng: &mut XorShiftRng, r: core::ops::Range<usize>) -> usize {
         assert!(r.start < r.end, "empty range");
         r.start + reduce(rng.next_u64(), (r.end - r.start) as u64) as usize
     }
 }
 
 impl RangeSample for u32 {
-    fn sample_range<R: Rng>(rng: &mut R, r: core::ops::Range<u32>) -> u32 {
+    fn sample_range(rng: &mut XorShiftRng, r: core::ops::Range<u32>) -> u32 {
         assert!(r.start < r.end, "empty range");
         r.start + reduce(rng.next_u64(), u64::from(r.end - r.start)) as u32
     }
 }
 
 /// A seeded xorshift64* generator (16 bytes of state, ~1ns per draw).
+///
+/// Its draws mirror the small slice of the `rand` API the workspace
+/// uses: raw `u64`s, unit-interval `f64`s, and half-open integer ranges.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XorShiftRng {
     s: u64,
@@ -95,16 +69,26 @@ impl XorShiftRng {
             s: if z == 0 { 0x9E37_79B9_7F4A_7C15 } else { z },
         }
     }
-}
 
-impl Rng for XorShiftRng {
-    fn next_u64(&mut self) -> u64 {
+    /// The next 64 uniformly distributed bits.
+    pub fn next_u64(&mut self) -> u64 {
         let mut s = self.s;
         s ^= s << 13;
         s ^= s >> 7;
         s ^= s << 17;
         self.s = s;
         s.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// A uniform `f64` in `[0, 1)` with 53 bits of precision.
+    pub fn random_f64(&mut self) -> f64 {
+        // The top 53 bits are the best-scrambled in xorshift64*.
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// A uniform draw from the half-open range `r` (`r.start < r.end`).
+    pub fn random_range<T: RangeSample>(&mut self, r: core::ops::Range<T>) -> T {
+        T::sample_range(self, r)
     }
 }
 

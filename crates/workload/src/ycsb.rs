@@ -4,7 +4,7 @@
 //! distribution. … We use the default YCSB configuration with 1KB
 //! objects."
 
-use crate::rng::Rng;
+use crate::rng::XorShiftRng;
 
 use crate::ops::{Op, OpKind};
 use crate::zipf::Zipf;
@@ -171,7 +171,7 @@ impl WorkloadRun {
         &self.wl
     }
 
-    fn pick_key<R: Rng>(&self, rng: &mut R) -> String {
+    fn pick_key(&self, rng: &mut XorShiftRng) -> String {
         match self.wl.dist {
             KeyDist::Zipfian => self
                 .wl
@@ -184,7 +184,7 @@ impl WorkloadRun {
     /// Draw the next operation(s). A read-modify-write yields a get
     /// followed by a put of the same key, which is why this returns one
     /// or two ops.
-    pub fn next_ops<R: Rng>(&mut self, rng: &mut R) -> Vec<Op> {
+    pub fn next_ops(&mut self, rng: &mut XorShiftRng) -> Vec<Op> {
         let x = rng.random_f64();
         let w = &self.wl;
         if x < w.read {

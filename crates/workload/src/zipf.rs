@@ -5,7 +5,7 @@
 //! YCSB's default `theta = 0.99` is what the paper's §6.7 workloads use
 //! ("these two have a zipf popularity distribution").
 
-use crate::rng::Rng;
+use crate::rng::XorShiftRng;
 
 /// Zipfian sampler over `0..n`.
 #[derive(Debug, Clone)]
@@ -54,7 +54,7 @@ impl Zipf {
     }
 
     /// Draw a rank in `0..n` (0 is the most popular item).
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
+    pub fn sample(&self, rng: &mut XorShiftRng) -> u64 {
         let u = rng.random_f64();
         let uz = u * self.zeta_n;
         if uz < 1.0 {

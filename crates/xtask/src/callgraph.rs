@@ -1051,7 +1051,7 @@ fn parse_generic_bounds(toks: &[Token]) -> BTreeMap<String, Vec<String>> {
     out
 }
 
-/// `where E: ReplicationEngine, F: Other` — single-segment bounds.
+/// `where E: Engine, F: Other` — single-segment bounds.
 fn parse_where_bounds(toks: &[Token]) -> BTreeMap<String, Vec<String>> {
     let mut out = BTreeMap::new();
     let mut param: Option<String> = None;
@@ -1104,6 +1104,8 @@ fn parse_params(toks: &[Token]) -> (bool, BTreeMap<String, String>) {
                     break;
                 }
             }
+            // A binding mode, not a parameter name (`&mut self`, `mut x`).
+            Tok::Ident(s) if depth == 1 && s == "mut" => {}
             // Only a bare receiver (`self`, `&mut self`), not
             // `x: &Self` etc.
             Tok::Ident(s) if depth == 1 && s == "self" && pending.is_none() => {
@@ -1358,6 +1360,15 @@ mod tests {
         let h = find(&w, "helper");
         assert!(!h.has_self);
         assert_eq!(w.fields["S"]["n"], "u32");
+    }
+
+    #[test]
+    fn mut_receivers_and_params_parse() {
+        let w = ws("struct S;\nimpl S {\n    fn m(&mut self, mut n: u32) -> u32 { n }\n    fn v(mut self) {}\n}\n");
+        let m = find(&w, "m");
+        assert!(m.has_self);
+        assert_eq!(m.locals["n"], "u32");
+        assert!(find(&w, "v").has_self);
     }
 
     #[test]

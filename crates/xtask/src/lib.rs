@@ -27,7 +27,7 @@
 //! 6. **panic_path** — may-panic sites (`unwrap`/`expect`/panicking
 //!    macros/slice indexing) reachable from any request-path entry
 //!    point, with the full call chain in the message.
-//! 7. **effect_purity** — `ReplicationEngine` transitions are pure:
+//! 7. **effect_purity** — `TwoPcEngine` transitions are pure:
 //!    no sends/sleeps/I-O anywhere they can reach; effects leave the
 //!    engine only as `Effect` values.
 //! 8. **determinism_taint** — clock reads, hash-order iteration, and

@@ -1,6 +1,6 @@
 //! `determinism_taint`: nondeterminism sources must not flow into
 //! protocol state, message bytes, or replay output. Roots are the
-//! deterministic surfaces — every `ReplicationEngine` transition,
+//! deterministic surfaces — every `TwoPcEngine` transition,
 //! every `render`/`render_*` fn (trace/replay output that must be
 //! byte-identical across runs), and every `metrics`/`snapshot` fn (the
 //! telemetry snapshot contract: two same-seed sim runs must produce
@@ -22,7 +22,7 @@
 //! no waivers.
 
 use crate::rules::textual::{hash_container_names, iterates_name};
-use crate::rules::{finding, RuleCtx};
+use crate::rules::{finding, is_engine_transition, RuleCtx};
 use crate::source::contains_token;
 use crate::Finding;
 
@@ -53,7 +53,7 @@ pub fn run(ctx: &RuleCtx, out: &mut Vec<Finding>) {
                 || f.name.starts_with("render_")
                 || f.name == "metrics"
                 || f.name == "snapshot"
-                || f.trait_name.as_deref() == Some("ReplicationEngine")
+                || is_engine_transition(f)
         })
         .collect();
     let parent = g.reach(&roots);

@@ -1,4 +1,4 @@
-//! `effect_purity`: `kv-core`'s `ReplicationEngine` transition methods
+//! `effect_purity`: `kv-core`'s `TwoPcEngine` transition methods
 //! must be pure state-machine steps. All side effects — sends, timers,
 //! sleeps, logging, filesystem or network I/O — leave the engine only
 //! as emitted `Effect` values; the adapter executes them. Enforced
@@ -8,7 +8,7 @@
 //! Clock reads (`Instant::now`/`SystemTime`) are reported by the
 //! sibling `determinism_taint` rule over the same roots, not here.
 
-use crate::rules::{finding, RuleCtx};
+use crate::rules::{finding, is_engine_transition, RuleCtx};
 use crate::source::contains_token;
 use crate::Finding;
 
@@ -38,13 +38,13 @@ const IMPURE_TOKENS: &[(&str, &str)] = &[
     ("io::stderr", "console I/O"),
 ];
 
-/// Run the rule: BFS from every `ReplicationEngine` impl method, then
+/// Run the rule: BFS from every `TwoPcEngine` method taking `self`, then
 /// scan each reached fn's body lines for ambient-effect tokens.
 pub fn run(ctx: &RuleCtx, out: &mut Vec<Finding>) {
     let g = &ctx.graph;
     let roots: Vec<usize> = g
         .production()
-        .filter(|&i| g.fns[i].trait_name.as_deref() == Some("ReplicationEngine"))
+        .filter(|&i| is_engine_transition(&g.fns[i]))
         .collect();
     let parent = g.reach(&roots);
     for &idx in parent.keys() {
@@ -69,7 +69,7 @@ pub fn run(ctx: &RuleCtx, out: &mut Vec<Finding>) {
                         tok,
                         format!(
                             "`{}` inside an engine transition ({why}); reachable \
-                             via {} — the ReplicationEngine is pure, side effects \
+                             via {} — the replication engine is pure, side effects \
                              leave only as Effect values",
                             tok.trim_matches(['.', '(']),
                             chain

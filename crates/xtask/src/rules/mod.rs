@@ -26,7 +26,7 @@ pub mod textual;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::callgraph::Workspace;
+use crate::callgraph::{FnItem, Workspace};
 use crate::source::{rs_files, SourceFile};
 use crate::Finding;
 
@@ -50,6 +50,14 @@ pub const ALL_RULES: &[&str] = &[
 /// from outside any request path.
 pub(crate) const GRAPH_EXCLUDED: &[&str] = &["crates/xtask", "crates/bench"];
 
+/// Is `f` a replication-engine transition — a `TwoPcEngine` method
+/// taking `self`? The root set of `effect_purity` and
+/// `determinism_taint`, and part of `panic_path`'s. Constructors (no
+/// `self`) stay out: `recover` opens the WAL file by design.
+pub fn is_engine_transition(f: &FnItem) -> bool {
+    f.self_ty.as_deref() == Some("TwoPcEngine") && f.has_self
+}
+
 /// Shared per-run state: every loaded source file plus the parsed
 /// workspace call graph.
 pub struct RuleCtx {
@@ -59,7 +67,7 @@ pub struct RuleCtx {
     /// and the facade `src/`.
     pub files: BTreeMap<String, SourceFile>,
     /// The workspace function/call-graph model (protocol crates only;
-    /// see [`GRAPH_EXCLUDED`]).
+    /// `xtask` and `bench` are excluded).
     pub graph: Workspace,
 }
 

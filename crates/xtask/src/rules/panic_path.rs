@@ -7,7 +7,7 @@
 //! or a counter bump, never a crash — including two helper calls deep.
 
 use crate::callgraph::FnItem;
-use crate::rules::{finding, RuleCtx};
+use crate::rules::{finding, is_engine_transition, RuleCtx};
 use crate::Finding;
 
 /// Non-`on_*` function names that start a request path: packet drivers,
@@ -15,13 +15,13 @@ use crate::Finding;
 const ENTRY_NAMES: &[&str] = &["drive", "handle", "step", "issue_next", "complete"];
 
 /// Is `f` a request-path entry point? Engine transitions (`on_*` and
-/// every `ReplicationEngine` impl), handler/driver names, and the
+/// every `TwoPcEngine` method taking `self`), handler/driver names, and the
 /// transport send surface (`send` / `*_send`).
 pub fn is_entry(f: &FnItem) -> bool {
     if f.is_test {
         return false;
     }
-    if f.trait_name.as_deref() == Some("ReplicationEngine") {
+    if is_engine_transition(f) {
         return true;
     }
     f.name.starts_with("on_")

@@ -253,7 +253,7 @@ pub fn layering(ctx: &RuleCtx, out: &mut Vec<Finding>) {
                         tok.trim(),
                         format!(
                             "`{}` in a policy adapter — store mutation and 2PC \
-                             transitions belong to kv-core's ReplicationEngine",
+                             transitions belong to kv-core's TwoPcEngine",
                             tok.trim()
                         ),
                     );

@@ -1,17 +1,20 @@
 //! BAD: an engine transition reaches a helper that does console I/O.
+//! The constructor's filesystem access is not a finding: only methods
+//! taking `self` are transitions.
 
 pub enum Effect {
     Send,
 }
 
-pub trait ReplicationEngine {
-    fn on_tick(&mut self) -> Vec<Effect>;
-}
+pub struct TwoPcEngine;
 
-pub struct Engine;
+impl TwoPcEngine {
+    pub fn recover(dir: &str) -> TwoPcEngine {
+        let _ = std::fs::create_dir_all(dir);
+        TwoPcEngine
+    }
 
-impl ReplicationEngine for Engine {
-    fn on_tick(&mut self) -> Vec<Effect> {
+    pub fn on_tick(&mut self) -> Vec<Effect> {
         log_state();
         vec![Effect::Send]
     }

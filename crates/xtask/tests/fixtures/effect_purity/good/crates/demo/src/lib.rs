@@ -6,14 +6,10 @@ pub enum Effect {
     Note(&'static str),
 }
 
-pub trait ReplicationEngine {
-    fn on_tick(&mut self) -> Vec<Effect>;
-}
+pub struct TwoPcEngine;
 
-pub struct Engine;
-
-impl ReplicationEngine for Engine {
-    fn on_tick(&mut self) -> Vec<Effect> {
+impl TwoPcEngine {
+    pub fn on_tick(&mut self) -> Vec<Effect> {
         collect_effects()
     }
 }

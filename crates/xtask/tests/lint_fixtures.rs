@@ -62,8 +62,19 @@ fn effect_purity_fires_on_bad_and_reports_the_chain() {
     let hits = assert_fires("effect_purity");
     let msg = &hits[0].msg;
     assert!(
-        msg.contains("Engine::on_tick") && msg.contains("log_state"),
+        msg.contains("TwoPcEngine::on_tick") && msg.contains("log_state"),
         "expected the transition→helper chain in the message, got: {msg}"
+    );
+}
+
+#[test]
+fn effect_purity_skips_constructors_without_self() {
+    // The bad fixture's `TwoPcEngine::recover` touches `std::fs` (the
+    // shape of the real WAL-opening constructor) but takes no `self`.
+    let hits = assert_fires("effect_purity");
+    assert!(
+        hits.iter().all(|h| h.ctx == "log_state"),
+        "only the transition's helper may be reported, got: {hits:?}"
     );
 }
 

@@ -28,6 +28,11 @@ cargo fmt --all --check
 echo "=== clippy ==="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "=== docs ==="
+# Rustdoc with warnings denied: a dangling intra-doc link (a renamed or
+# deleted item still named in a doc comment) fails here.
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
+
 echo "=== xtask lint (baseline ratchet) ==="
 # The byte-stable machine-readable report lands in target/ for tooling.
 # A finding whose key is missing from lint_baseline.json fails the gate;

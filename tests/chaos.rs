@@ -24,7 +24,7 @@ use nice::kv_core::{AdminEvent, ChaosPlan, ChaosSpec, History, Violation, Violat
 use nice::noob::{Access, NoobClientApp, NoobCluster, NoobClusterCfg, NoobMode};
 use nice::ring::{NodeIdx, PartitionId};
 use nice::sim::{FaultPlan, HostId, Ipv4, Simulation, Time};
-use nice::workload::{Rng, XorShiftRng};
+use nice::workload::XorShiftRng;
 
 const NODES: usize = 8;
 const R: usize = 3;

@@ -1,9 +1,12 @@
 //! Differential test: the same seeded YCSB workload and the same
 //! `FaultPlan` driven through NICE (2PC over switch multicast) and NOOB
-//! (2PC over unicast fan-out) must converge to the same committed
-//! object-store state. Both systems now share `kv_core`'s
-//! `ReplicationEngine`, so any divergence here is a policy-adapter bug,
-//! not a protocol fork.
+//! must converge to the same committed object-store state. NOOB runs in
+//! every replication mode: 2PC over unicast fan-out (also under a lossy
+//! network), and primary-only, quorum and chain on the fault-free seeds.
+//! NICE and NOOB's 2PC, primary-only and quorum modes share
+//! `kv_core::TwoPcEngine`, so a divergence there is a policy-adapter
+//! bug, not a protocol fork; chain is choreographed in the NOOB adapter
+//! itself.
 //!
 //! Each client owns a disjoint slice of the YCSB key space (ranks taken
 //! mod the client count, load and run phases both filtered to owned
@@ -185,33 +188,43 @@ fn committed_state<'a>(
     out
 }
 
-/// Drive the same workload + plan through both systems and compare the
-/// final committed stores byte for byte.
-fn assert_systems_agree(seed: u64, plan: Option<FaultPlan>) {
+/// Drive the same workload + plan through NICE and through NOOB in
+/// `mode`, and compare the final committed stores byte for byte.
+fn assert_systems_agree(seed: u64, plan: Option<FaultPlan>, mode: NoobMode) {
     let wl = Workload::a(RECORDS);
     let ops = build_ops(&wl, seed);
     // The paper's system: 2PC over switch multicast, vring addressing.
     let nice_map = drive(NiceCluster::build(shared_cfg(seed, &plan, &ops)));
-    // The baseline: 2PC over unicast fan-out, client-side routing (RAC).
-    let cfg =
-        NoobClusterCfg::from_nice(&shared_cfg(seed, &plan, &ops), Access::Rac, NoobMode::TwoPc);
+    // The baseline: unicast replication in `mode`, client-side routing
+    // (RAC).
+    let cfg = NoobClusterCfg::from_nice(&shared_cfg(seed, &plan, &ops), Access::Rac, mode);
     let noob_map = drive(NoobCluster::build(cfg));
     assert_eq!(
         nice_map.len(),
         RECORDS as usize,
         "NICE is missing committed keys"
     );
-    assert_eq!(nice_map, noob_map, "final committed stores diverge");
+    assert_eq!(
+        nice_map, noob_map,
+        "final committed stores diverge (seed {seed}, NOOB {mode:?})"
+    );
+}
+
+/// A NOOB mode against NICE on both fault-free seeds.
+fn assert_mode_agrees(mode: NoobMode) {
+    for seed in [11, 12] {
+        assert_systems_agree(seed, None, mode);
+    }
 }
 
 #[test]
 fn nice_and_noob_converge_seed_11() {
-    assert_systems_agree(11, None);
+    assert_systems_agree(11, None, NoobMode::TwoPc);
 }
 
 #[test]
 fn nice_and_noob_converge_seed_12() {
-    assert_systems_agree(12, None);
+    assert_systems_agree(12, None, NoobMode::TwoPc);
 }
 
 #[test]
@@ -223,5 +236,20 @@ fn nice_and_noob_converge_under_lossy_network() {
         .duplication(0.01)
         .extra_delay(0.05, Time::from_us(200))
         .window(Time::from_ms(50), Time::MAX);
-    assert_systems_agree(11, Some(plan));
+    assert_systems_agree(11, Some(plan), NoobMode::TwoPc);
+}
+
+#[test]
+fn nice_and_noob_primary_only_converge() {
+    assert_mode_agrees(NoobMode::PrimaryOnly);
+}
+
+#[test]
+fn nice_and_noob_quorum_converge() {
+    assert_mode_agrees(NoobMode::Quorum { k: 2 });
+}
+
+#[test]
+fn nice_and_noob_chain_converge() {
+    assert_mode_agrees(NoobMode::Chain);
 }

@@ -15,7 +15,7 @@ use nice::kv_core::{OpId, Timestamp, Value, WalRecord};
 use nice::noob::{NoobCodec, NoobMsg};
 use nice::ring::NodeIdx;
 use nice::rt::codec::{decode_frame, encode_frame};
-use nice::rt::{Ipv4, Mac, Packet, Rng, XorShiftRng};
+use nice::rt::{Ipv4, Mac, Packet, XorShiftRng};
 use nice::transport::{TpCodec, TpPayload};
 
 const FLIPS: usize = 300;

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use nice::kv_core::{History, RetryPolicy};
 use nice::noob::{GatewayPolicy, NoobMode, RealNoobCfg, RealNoobCluster, RealOp};
 use nice::rt::Time;
-use nice::workload::{Rng, XorShiftRng};
+use nice::workload::XorShiftRng;
 
 const KEYS: u32 = 128;
 
