@@ -18,12 +18,32 @@
 use nice_bench::harness::{par_map, size_label, ArgSpec, CsvOut};
 use nice_bench::systems::{nice_cluster, noob_cluster};
 use nice_bench::{RunSpec, System};
-use nice_kv::{ClientOp, Value};
+use nice_kv::{ClientOp, Deployment, SimCluster, Value};
 use nice_noob::{Access, NoobMode};
 use nice_ring::PartitionId;
-use nice_sim::{HostStats, Time};
+use nice_sim::HostStats;
 
 const SIZES: [u32; 5] = [1 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20];
+
+/// Per-server NIC stats of `spec`'s run, and of an idle twin of the same
+/// shape stopped when the run finished.
+fn server_stats<D: Deployment>(
+    build: fn(&RunSpec) -> SimCluster<D>,
+    spec: &RunSpec,
+) -> (Vec<HostStats>, Vec<HostStats>) {
+    let mut c = build(spec);
+    assert!(c.run_until_done(spec.deadline));
+    let finish = c.finish_time().expect("finished");
+    let stats = c.servers.iter().map(|&h| c.sim.host_stats(h)).collect();
+    let mut idle_spec = spec.clone();
+    idle_spec.client_ops = vec![vec![]];
+    let mut ic = build(&idle_spec);
+    ic.sim.run_until(finish);
+    (
+        stats,
+        ic.servers.iter().map(|&h| ic.sim.host_stats(h)).collect(),
+    )
+}
 
 /// Run the pinned-partition put workload and return
 /// `(primary_bytes, mean_secondary_bytes)` with idle baselines removed.
@@ -33,6 +53,7 @@ fn load_ratio(sys: System, r: usize, size: u32, ops: usize, seed: u64) -> (f64, 
     let p = PartitionId(0);
     let keys = probe.keys_in_partition(p, ops);
     let replicas: Vec<usize> = probe
+        .sys
         .ring
         .replica_set(p)
         .iter()
@@ -50,39 +71,10 @@ fn load_ratio(sys: System, r: usize, size: u32, ops: usize, seed: u64) -> (f64, 
     let mut spec = RunSpec::new(sys, r, vec![client_ops]);
     spec.seed = seed;
 
-    let (stats, finish, idle): (Vec<HostStats>, Time, Vec<HostStats>) = match sys {
-        System::Noob { .. } => {
-            let mut c = noob_cluster(&spec);
-            assert!(c.run_until_done(spec.deadline));
-            let finish = c.finish_time().expect("finished");
-            let stats = c.servers.iter().map(|&h| c.sim.host_stats(h)).collect();
-            let mut idle_spec = spec.clone();
-            idle_spec.client_ops = vec![vec![]];
-            let mut ic = noob_cluster(&idle_spec);
-            ic.sim.run_until(finish);
-            (
-                stats,
-                finish,
-                ic.servers.iter().map(|&h| ic.sim.host_stats(h)).collect(),
-            )
-        }
-        _ => {
-            let mut c = nice_cluster(&spec);
-            assert!(c.run_until_done(spec.deadline));
-            let finish = c.finish_time().expect("finished");
-            let stats = c.servers.iter().map(|&h| c.sim.host_stats(h)).collect();
-            let mut idle_spec = spec.clone();
-            idle_spec.client_ops = vec![vec![]];
-            let mut ic = nice_cluster(&idle_spec);
-            ic.sim.run_until(finish);
-            (
-                stats,
-                finish,
-                ic.servers.iter().map(|&h| ic.sim.host_stats(h)).collect(),
-            )
-        }
+    let (stats, idle) = match sys {
+        System::Noob { .. } => server_stats(noob_cluster, &spec),
+        _ => server_stats(nice_cluster, &spec),
     };
-    let _ = finish;
     let data_bytes = |i: usize| -> f64 {
         let s = stats[i];
         let b = idle[i];

@@ -33,6 +33,7 @@ fn main() {
     let p = PartitionId(0);
     let keys = probe.keys_in_partition(p, args.ops);
     let replicas: Vec<usize> = probe
+        .sys
         .ring
         .replica_set(p)
         .iter()

@@ -46,6 +46,7 @@ fn main() {
     let p = PartitionId(0);
     let keys = probe.keys_in_partition(p, 100);
     let replicas: Vec<usize> = probe
+        .sys
         .ring
         .replica_set(p)
         .iter()
@@ -143,7 +144,7 @@ fn main() {
     let crash = Time::from_secs(FAIL_AT_S);
     let healed = c
         .sim
-        .app::<MetadataApp>(c.meta)
+        .app::<MetadataApp>(c.sys.meta)
         .events
         .iter()
         .filter(|&&(t, ref ev)| {

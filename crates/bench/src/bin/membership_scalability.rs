@@ -35,25 +35,25 @@ fn main() {
         let mut c = nice_cluster(&spec);
         // settle, snapshot, fail one node, settle again
         c.sim.run_until(Time::from_secs(1));
-        let before = c.sim.host_stats(c.meta);
+        let before = c.sim.host_stats(c.sys.meta);
         let victim = c.servers[1];
         c.sim.schedule_crash(Time::from_secs(1), victim);
         c.sim.run_until(Time::from_secs(5));
-        let after = c.sim.host_stats(c.meta);
+        let after = c.sim.host_stats(c.sys.meta);
         // subtract steady-state control traffic measured on an idle twin
         let mut idle_spec = spec.clone();
         idle_spec.client_ops = vec![];
         let mut ic = nice_cluster(&idle_spec);
         ic.sim.run_until(Time::from_secs(1));
-        let ib = ic.sim.host_stats(ic.meta);
+        let ib = ic.sim.host_stats(ic.sys.meta);
         ic.sim.run_until(Time::from_secs(5));
-        let ia = ic.sim.host_stats(ic.meta);
+        let ia = ic.sim.host_stats(ic.sys.meta);
         let msgs = (after.pkts_sent - before.pkts_sent).saturating_sub(ia.pkts_sent - ib.pkts_sent);
         let bytes =
             (after.bytes_sent - before.bytes_sent).saturating_sub(ia.bytes_sent - ib.bytes_sent);
         // rules touched = partitions where the victim was a replica, times
         // (unicast + LB + group updates)
-        let affected = c.ring.partitions_of(nice_ring::NodeIdx(1)).len();
+        let affected = c.sys.ring.partitions_of(nice_ring::NodeIdx(1)).len();
         out.row(&[
             nodes.to_string(),
             msgs.to_string(),

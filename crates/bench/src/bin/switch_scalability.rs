@@ -69,7 +69,7 @@ fn main() {
         let mut c = nice_cluster(&spec);
         c.sim.run_until(Time::from_ms(200));
         let (entries, groups) = c.meta_app().table_occupancy(c.sim.now());
-        let parts = c.cfg.partitions as usize;
+        let parts = c.sys.cfg.partitions as usize;
         let phys = nodes + 1; // per-host unicast rules + metadata node
         let divisions = 3usize.next_power_of_two();
         let formula = if lb {

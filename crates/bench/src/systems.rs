@@ -1,7 +1,12 @@
 //! Drivers that run one experiment configuration on either system and
-//! collect the measurements every figure needs.
+//! collect the measurements every figure needs. Both systems build the
+//! same [`SimCluster`] testbed, so one generic [`run`] path harvests
+//! either; only the config layering in [`nice_cluster`] and
+//! [`noob_cluster`] is per system.
 
-use nice_kv::{ClientOp, ClusterCfg, MetricsRegistry, NiceCluster, PutMode};
+use nice_kv::{
+    ClientOp, ClusterCfg, Deployment, KvClient, MetricsRegistry, NiceCluster, PutMode, SimCluster,
+};
 use nice_noob::{Access, NoobCluster, NoobClusterCfg, NoobMode};
 use nice_sim::{FaultPlan, FaultStats, HostStats, Time};
 
@@ -202,56 +207,51 @@ fn collect_lat(
     }
 }
 
-/// Run an already-built cluster to completion and harvest what the
-/// figures plot. A macro, not a function: `NiceCluster` and `NoobCluster`
-/// share these accessor names but no type.
-macro_rules! run_cluster {
-    ($cluster:expr, $spec:expr) => {{
-        let mut c = $cluster;
-        let spec: &RunSpec = $spec;
-        for &(idx, bps) in &spec.throttled {
-            c.sim.schedule_link_rate(Time::ZERO, c.servers[idx], bps);
+/// Run an already-built cluster of either system to completion and
+/// harvest what the figures plot.
+fn run_cluster<D: Deployment>(mut c: SimCluster<D>, spec: &RunSpec) -> ExpResult {
+    for &(idx, bps) in &spec.throttled {
+        c.sim.schedule_link_rate(Time::ZERO, c.servers[idx], bps);
+    }
+    let done = c.run_until_done(spec.deadline);
+    let mut put_lat = Vec::new();
+    let mut get_lat = Vec::new();
+    let mut failures = 0;
+    let mut start = Time::MAX;
+    for i in 0..c.clients.len() {
+        let recs = c.client(i).records();
+        if let Some(r) = recs.get(spec.skip) {
+            start = start.min(r.start);
         }
-        let done = c.run_until_done(spec.deadline);
-        let mut put_lat = Vec::new();
-        let mut get_lat = Vec::new();
-        let mut failures = 0;
-        let mut start = Time::MAX;
-        for i in 0..c.clients.len() {
-            let recs = &c.client(i).records;
-            if let Some(r) = recs.get(spec.skip) {
-                start = start.min(r.start);
-            }
-            collect_lat(recs, spec.skip, &mut put_lat, &mut get_lat, &mut failures);
-        }
-        let finish = c.finish_time().unwrap_or(c.sim.now());
-        ExpResult {
-            put_lat,
-            get_lat,
-            failures,
-            total_link_bytes: c.sim.total_link_bytes(),
-            server_stats: c.servers.iter().map(|&h| c.sim.host_stats(h)).collect(),
-            server_gets: (0..c.servers.len())
-                .map(|i| c.server(i).metrics().counter("engine.gets_served"))
-                .collect(),
-            start: if start == Time::MAX {
-                Time::ZERO
-            } else {
-                start
-            },
-            finish,
-            done,
-            fault: c.sim.fault_stats(),
-            metrics: c.metrics(),
-        }
-    }};
+        collect_lat(recs, spec.skip, &mut put_lat, &mut get_lat, &mut failures);
+    }
+    let finish = c.finish_time().unwrap_or(c.sim.now());
+    ExpResult {
+        put_lat,
+        get_lat,
+        failures,
+        total_link_bytes: c.sim.total_link_bytes(),
+        server_stats: c.servers.iter().map(|&h| c.sim.host_stats(h)).collect(),
+        server_gets: (0..c.servers.len())
+            .map(|i| D::server_metrics(c.server(i)).counter("engine.gets_served"))
+            .collect(),
+        start: if start == Time::MAX {
+            Time::ZERO
+        } else {
+            start
+        },
+        finish,
+        done,
+        fault: c.sim.fault_stats(),
+        metrics: c.metrics(),
+    }
 }
 
 /// Run a spec on whichever system it names.
 pub fn run(spec: &RunSpec) -> ExpResult {
     match spec.system {
-        System::Noob { .. } => run_cluster!(noob_cluster(spec), spec),
-        _ => run_cluster!(nice_cluster(spec), spec),
+        System::Noob { .. } => run_cluster(noob_cluster(spec), spec),
+        _ => run_cluster(nice_cluster(spec), spec),
     }
 }
 

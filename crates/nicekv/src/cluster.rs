@@ -1,7 +1,10 @@
-//! Assembles a complete NICE deployment inside one simulation: an
-//! OpenFlow switch, the metadata service (SDN controller), storage nodes,
-//! and clients — the §6 testbed in a box.
+//! The simulated §6 testbed: one OpenFlow switch with every host on its
+//! own link, built once for both systems. [`SimCluster`] owns the star
+//! (switch, flow table, per-host attach and PHYS route) and the run
+//! surface; a [`Deployment`] supplies only what differs — NICE's
+//! metadata service ([`NiceSys`]) or NOOB's gateways.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -9,14 +12,15 @@ use std::rc::Rc;
 use nice_flow::{prio, Action, FlowMatch, FlowRule, FlowSwitch, FlowTable, L3Learner};
 use nice_ring::{NodeIdx, PartitionId, PhysicalRing};
 use nice_sim::{
-    ChannelCfg, FaultPlan, HostCfg, HostId, Ipv4, Mac, Simulation, SwitchCfg, SwitchId, Time,
+    App, ChannelCfg, FaultPlan, HostCfg, HostId, Ipv4, Mac, NodeApp, Port, Simulation, SwitchCfg,
+    SwitchId, Time,
 };
 
 use crate::client::{ClientApp, ClientOp};
 use crate::config::KvConfig;
 use crate::metadata::{MetadataApp, SwitchHandle};
 use crate::server::ServerApp;
-use kv_core::{ClusterSpec, KvClient, MetricsRegistry};
+use kv_core::{ClusterSpec, KvClient, MetricsRegistry, ObjectStore};
 
 /// Simulator host-layer configuration — the `SimHostCfg` half of the
 /// layered cluster config ([`ClusterSpec`] + host config + system
@@ -44,6 +48,25 @@ impl Default for SimHostCfg {
             fault_plan: None,
         }
     }
+}
+
+/// How many storage servers the address plan holds: [`server_ip`] hands
+/// out 10.0.0.10 upward and stays inside 10.0.0.0/24.
+pub const MAX_SERVERS: usize = 246;
+
+/// Address of storage server `i`: 10.0.0.10 + `i`, in every deployment
+/// (both simulated systems and the real NOOB runtime).
+///
+/// # Panics
+/// If `i` is past [`MAX_SERVERS`] — the builders' check that a deployment
+/// fits the plan.
+pub fn server_ip(i: usize) -> Ipv4 {
+    assert!(
+        i < MAX_SERVERS,
+        "storage server {i} is past the address plan: at most {MAX_SERVERS} storage servers \
+         fit in 10.0.0.10..=10.0.0.255"
+    );
+    Ipv4(Ipv4::new(10, 0, 0, 10).0 + i as u32)
 }
 
 /// Everything needed to build a NICE cluster, in the workspace's layered
@@ -89,18 +112,125 @@ impl ClusterCfg {
     }
 }
 
-/// A fully-wired NICE deployment.
-pub struct NiceCluster {
+/// What one system adds to the shared testbed: its config, its client
+/// and server apps, and the build steps that attach them. The value is
+/// the deployment's own parts, kept as [`SimCluster::sys`].
+pub trait Deployment: Sized {
+    /// The system's layered config.
+    type Cfg;
+    /// The client app on every client host.
+    type Client: KvClient + Any;
+    /// The app on every storage-server host.
+    type Server: Any;
+    /// The shared layers of `cfg`: deployment shape and simulator hosts.
+    fn layers(cfg: &Self::Cfg) -> (&ClusterSpec, &SimHostCfg);
+    /// Attach the system's hosts to `star` — storage servers through
+    /// [`Star::add_server`], clients through [`Star::add_client`] — and
+    /// return its parts.
+    fn attach(cfg: Self::Cfg, star: &mut Star) -> Self;
+    /// A server's telemetry registry.
+    fn server_metrics(server: &Self::Server) -> MetricsRegistry;
+    /// A server's object store.
+    fn server_store(server: &Self::Server) -> &ObjectStore;
+}
+
+/// The testbed while a [`Deployment`] attaches its hosts: one switch, and
+/// every host on its own asymmetric link with a static PHYS route to it
+/// (the operator knows the wiring, so unicast physical rules are
+/// installed up front; the reactive learning path of §5 still exists for
+/// anything unknown).
+pub struct Star {
+    sim: Simulation,
+    switch: SwitchId,
+    table: Rc<RefCell<FlowTable>>,
+    host: SimHostCfg,
+    /// Every attached host's switch port.
+    ports: BTreeMap<Ipv4, Port>,
+    servers: Vec<HostId>,
+    server_ips: Vec<Ipv4>,
+    clients: Vec<HostId>,
+    client_ips: Vec<Ipv4>,
+}
+
+impl Star {
+    fn new(seed: u64, host: SimHostCfg) -> Star {
+        let mut sim = Simulation::new(seed);
+        let table = Rc::new(RefCell::new(FlowTable::new()));
+        let switch = sim.add_switch(Box::new(FlowSwitch::new(Rc::clone(&table))), host.switch);
+        Star {
+            sim,
+            switch,
+            table,
+            host,
+            ports: BTreeMap::new(),
+            servers: Vec::new(),
+            server_ips: Vec::new(),
+            clients: Vec::new(),
+            client_ips: Vec::new(),
+        }
+    }
+
+    /// Attach a simulator-level app at `ip`/`mac` (the metadata service,
+    /// which programs the switch).
+    fn add_host(&mut self, app: Box<dyn App>, ip: Ipv4, mac: Mac) -> HostId {
+        let h = self.sim.add_host(app, HostCfg::new(ip, mac));
+        self.wire(h, ip, mac)
+    }
+
+    /// Attach a node-runtime app at `ip`/`mac` (a gateway; servers and
+    /// clients go through their own methods).
+    pub fn add_node(&mut self, app: Box<dyn NodeApp>, ip: Ipv4, mac: Mac) -> HostId {
+        let h = self.sim.add_node(app, HostCfg::new(ip, mac));
+        self.wire(h, ip, mac)
+    }
+
+    /// Link `h` to the switch and route `ip` to it.
+    fn wire(&mut self, h: HostId, ip: Ipv4, mac: Mac) -> HostId {
+        let link = self.host.link;
+        let port = self
+            .sim
+            .connect_asym(h, self.switch, link.host_uplink(), link);
+        self.table.borrow_mut().install(
+            FlowRule::new(
+                prio::PHYS,
+                FlowMatch::any().dst_ip(ip),
+                vec![Action::SetMacDst(mac), Action::Output(port)],
+            ),
+            Time::ZERO,
+        );
+        self.ports.insert(ip, port);
+        h
+    }
+
+    /// Attach the next storage server: index `i` sits at [`server_ip`]`(i)`
+    /// with MAC `0x200 + i`.
+    pub fn add_server(&mut self, app: Box<dyn NodeApp>) {
+        let i = self.servers.len();
+        let ip = server_ip(i);
+        let h = self.add_node(app, ip, Mac(0x200 + i as u64));
+        self.servers.push(h);
+        self.server_ips.push(ip);
+    }
+
+    /// Attach the next client at `ip`, with MAC `0x300 + j`.
+    pub fn add_client(&mut self, app: Box<dyn NodeApp>, ip: Ipv4) {
+        let j = self.clients.len();
+        let h = self.add_node(app, ip, Mac(0x300 + j as u64));
+        self.clients.push(h);
+        self.client_ips.push(ip);
+    }
+
+    /// When client `j` starts issuing: 97 µs after client `j - 1`.
+    pub fn client_start(&self, j: usize) -> Time {
+        self.host.client_start + Time::from_us(97) * j as u64
+    }
+}
+
+/// A fully-wired simulated deployment of system `D` on the shared star:
+/// [`NiceCluster`] and `nice_noob::NoobCluster` are this type.
+pub struct SimCluster<D> {
     /// The simulation world.
     pub sim: Simulation,
-    /// Resolved system configuration.
-    pub cfg: KvConfig,
-    /// The static placement.
-    pub ring: PhysicalRing,
-    /// The metadata-service host.
-    pub meta: HostId,
-    /// The hot-standby metadata host, if deployed.
-    pub meta_standby: Option<HostId>,
     /// Storage-node hosts (index = `NodeIdx`).
     pub servers: Vec<HostId>,
     /// Storage-node addresses.
@@ -109,205 +239,49 @@ pub struct NiceCluster {
     pub clients: Vec<HostId>,
     /// Client addresses.
     pub client_ips: Vec<Ipv4>,
-    /// The switch.
-    pub switch: SwitchId,
-    /// Its flow table (inspection).
-    pub table: Rc<RefCell<FlowTable>>,
+    /// The system's own parts.
+    pub sys: D,
 }
 
-impl NiceCluster {
-    /// Build and wire a cluster.
-    pub fn build(cfg: ClusterCfg) -> NiceCluster {
-        let spec = cfg.spec;
-        let parts = spec.partition_count();
-        let mut kv = cfg.kv;
-        kv.partitions = parts;
-        kv.replication = spec.replication;
-        kv.unicast = nice_ring::VRing::unicast(parts);
-        kv.multicast = nice_ring::VRing::multicast(parts);
-        kv.telemetry = spec.telemetry;
+/// A fully-wired NICE deployment.
+pub type NiceCluster = SimCluster<NiceSys>;
 
-        let mut sim = Simulation::new(spec.seed);
-        let table = Rc::new(RefCell::new(FlowTable::new()));
-        let switch = sim.add_switch(
-            Box::new(FlowSwitch::new(Rc::clone(&table))),
-            cfg.host.switch,
-        );
-
-        let meta_ip = Ipv4::new(10, 0, 0, 1);
-        let meta_mac = Mac(0x100);
-        let mut ports: BTreeMap<Ipv4, nice_sim::Port> = BTreeMap::new();
-
-        // Storage nodes (including spares, which start outside the ring).
-        let total_nodes = spec.nodes + spec.spares;
-        let mut servers = Vec::new();
-        let mut server_ips = Vec::new();
-        for i in 0..total_nodes {
-            let ip = Ipv4::new(10, 0, 0, 10 + i as u8);
-            let mac = Mac(0x200 + i as u64);
-            let app = ServerApp::new(kv, NodeIdx(i as u32), meta_ip, spec.storage);
-            let h = sim.add_node(Box::new(app), HostCfg::new(ip, mac));
-            let port = sim.connect_asym(h, switch, cfg.host.link.host_uplink(), cfg.host.link);
-            ports.insert(ip, port);
-            servers.push(h);
-            server_ips.push(ip);
-        }
-
-        // Clients: addresses inside kv.client_space, spread so that
-        // consecutive clients land in *different* LB divisions (§4.5) —
-        // client j sits in division j mod D.
-        let divisions = (spec.replication as u32).next_power_of_two().min(16);
-        let space_size = 1u32 << (32 - kv.client_space.1);
-        let stride = space_size / divisions;
-        let mut clients = Vec::new();
-        let mut client_ips = Vec::new();
-        for (j, ops) in cfg.client_ops.iter().enumerate() {
-            let j32 = j as u32;
-            let ip =
-                Ipv4(kv.client_space.0 .0 + (j32 % divisions) * stride + (j32 / divisions) + 1);
-            let mac = Mac(0x300 + j as u64);
-            let start = cfg.host.client_start + Time::from_us(97) * j as u64;
-            let mut app = ClientApp::new(kv, ops.clone(), start);
-            app.configure(&spec);
-            let h = sim.add_node(Box::new(app), HostCfg::new(ip, mac));
-            let port = sim.connect_asym(h, switch, cfg.host.link.host_uplink(), cfg.host.link);
-            ports.insert(ip, port);
-            clients.push(h);
-            client_ips.push(ip);
-        }
-
-        // Static physical provisioning: the operator knows the wiring, so
-        // unicast physical rules are installed up front (the reactive
-        // learning path of §5 still exists for anything unknown).
-        for (&ip, &port) in &ports {
-            let mac = if let Some(i) = server_ips.iter().position(|&s| s == ip) {
-                Mac(0x200 + i as u64)
-            } else if let Some(j) = client_ips.iter().position(|&c| c == ip) {
-                Mac(0x300 + j as u64)
-            } else {
-                continue;
-            };
-            table.borrow_mut().install(
-                FlowRule::new(
-                    prio::PHYS,
-                    FlowMatch::any().dst_ip(ip),
-                    vec![Action::SetMacDst(mac), Action::Output(port)],
-                ),
-                Time::ZERO,
-            );
-        }
-
-        // The metadata service + controller.
-        let ring = PhysicalRing::new(
-            parts,
-            (0..spec.nodes as u32).map(NodeIdx).collect(),
-            spec.replication,
-        );
-        let node_addrs: Vec<(Ipv4, Mac)> = server_ips
-            .iter()
-            .enumerate()
-            .map(|(i, &ip)| (ip, Mac(0x200 + i as u64)))
-            .collect();
-        let handle = SwitchHandle {
-            id: switch,
-            table: Rc::clone(&table),
-            ctrl_latency: cfg.host.switch.ctrl_latency,
-            ports: ports.clone(),
-        };
-        let standby_ip = Ipv4::new(10, 0, 0, 2);
-        let mut meta_app = MetadataApp::new(
-            kv,
-            ring.clone(),
-            node_addrs.clone(),
-            vec![handle],
-            L3Learner::new(),
-        );
-        if cfg.metadata_standby {
-            meta_app = meta_app.with_standby(standby_ip);
-        }
-        let meta = sim.add_host(Box::new(meta_app), HostCfg::new(meta_ip, meta_mac));
-        let meta_port = sim.connect_asym(meta, switch, cfg.host.link.host_uplink(), cfg.host.link);
-        table.borrow_mut().install(
-            FlowRule::new(
-                prio::PHYS,
-                FlowMatch::any().dst_ip(meta_ip),
-                vec![Action::SetMacDst(meta_mac), Action::Output(meta_port)],
-            ),
-            Time::ZERO,
-        );
-        sim.set_controller(switch, meta);
-
-        let meta_standby = if cfg.metadata_standby {
-            let standby_mac = Mac(0x101);
-            let handle = SwitchHandle {
-                id: switch,
-                table: Rc::clone(&table),
-                ctrl_latency: cfg.host.switch.ctrl_latency,
-                ports,
-            };
-            let app =
-                MetadataApp::new(kv, ring.clone(), node_addrs, vec![handle], L3Learner::new())
-                    .into_standby(meta_ip);
-            let h = sim.add_host(Box::new(app), HostCfg::new(standby_ip, standby_mac));
-            let port = sim.connect_asym(h, switch, cfg.host.link.host_uplink(), cfg.host.link);
-            table.borrow_mut().install(
-                FlowRule::new(
-                    prio::PHYS,
-                    FlowMatch::any().dst_ip(standby_ip),
-                    vec![Action::SetMacDst(standby_mac), Action::Output(port)],
-                ),
-                Time::ZERO,
-            );
-            Some(h)
-        } else {
-            None
-        };
-
+impl<D: Deployment> SimCluster<D> {
+    /// Build and wire a deployment.
+    pub fn build(cfg: D::Cfg) -> SimCluster<D> {
+        let (spec, host) = D::layers(&cfg);
+        let mut star = Star::new(spec.seed, host.clone());
+        let sys = D::attach(cfg, &mut star);
         // Fault injection: one plan at the delivery choke point; outage
         // indices map onto the storage-node slice.
-        if let Some(plan) = cfg.host.fault_plan {
-            sim.install_fault_plan(plan, &servers);
+        if let Some(plan) = star.host.fault_plan.take() {
+            star.sim.install_fault_plan(plan, &star.servers);
         }
-
-        NiceCluster {
-            sim,
-            cfg: kv,
-            ring,
-            meta,
-            meta_standby,
-            servers,
-            server_ips,
-            clients,
-            client_ips,
-            switch,
-            table,
+        SimCluster {
+            sim: star.sim,
+            servers: star.servers,
+            server_ips: star.server_ips,
+            clients: star.clients,
+            client_ips: star.client_ips,
+            sys,
         }
     }
 
     /// Borrow client `i`'s app.
-    pub fn client(&self, i: usize) -> &ClientApp {
-        self.sim.app::<ClientApp>(self.clients[i])
+    pub fn client(&self, i: usize) -> &D::Client {
+        self.sim.app::<D::Client>(self.clients[i])
     }
 
     /// Borrow server `i`'s app.
-    pub fn server(&self, i: usize) -> &ServerApp {
-        self.sim.app::<ServerApp>(self.servers[i])
-    }
-
-    /// Borrow the metadata app.
-    pub fn meta_app(&self) -> &MetadataApp {
-        self.sim.app::<MetadataApp>(self.meta)
+    pub fn server(&self, i: usize) -> &D::Server {
+        self.sim.app::<D::Server>(self.servers[i])
     }
 
     /// Run until every client drained its op queue (or `deadline`).
     /// Returns true if all clients finished.
     pub fn run_until_done(&mut self, deadline: Time) -> bool {
         loop {
-            let all_done = self
-                .clients
-                .iter()
-                .all(|&c| self.sim.app::<ClientApp>(c).done_at.is_some());
-            if all_done {
+            if (0..self.clients.len()).all(|i| self.client(i).is_done()) {
                 return true;
             }
             if self.sim.now() >= deadline {
@@ -320,22 +294,10 @@ impl NiceCluster {
 
     /// When the last client finished.
     pub fn finish_time(&self) -> Option<Time> {
-        self.clients
-            .iter()
-            .map(|&c| self.sim.app::<ClientApp>(c).done_at)
+        (0..self.clients.len())
+            .map(|i| self.client(i).core().done_at)
             .collect::<Option<Vec<_>>>()
             .map(|v| v.into_iter().max().unwrap_or(Time::ZERO))
-    }
-
-    /// The partition a key hashes into (static: independent of membership).
-    pub fn partition_of_key(&self, key: &str) -> PartitionId {
-        self.cfg.partition_of(key)
-    }
-
-    /// Queue an administrator ring-reconfiguration command (§4.4); it is
-    /// applied at the metadata service's next heartbeat tick.
-    pub fn admin(&mut self, op: crate::metadata::AdminOp) {
-        self.sim.app_mut::<MetadataApp>(self.meta).queue_admin(op);
     }
 
     /// Cluster-wide telemetry snapshot: every server's registry (engine
@@ -346,12 +308,146 @@ impl NiceCluster {
     pub fn metrics(&self) -> MetricsRegistry {
         let mut m = MetricsRegistry::default();
         for i in 0..self.servers.len() {
-            m.merge(&self.server(i).metrics());
+            m.merge(&D::server_metrics(self.server(i)));
         }
         for i in 0..self.clients.len() {
             m.merge(&self.client(i).metrics());
         }
         m
+    }
+}
+
+/// NICE's parts of a [`NiceCluster`]: the metadata service (SDN
+/// controller) and what it was built from.
+pub struct NiceSys {
+    /// Resolved system configuration.
+    pub cfg: KvConfig,
+    /// The static placement.
+    pub ring: PhysicalRing,
+    /// The metadata-service host.
+    pub meta: HostId,
+    /// The hot-standby metadata host, if deployed.
+    pub meta_standby: Option<HostId>,
+}
+
+impl Deployment for NiceSys {
+    type Cfg = ClusterCfg;
+    type Client = ClientApp;
+    type Server = ServerApp;
+
+    fn layers(cfg: &ClusterCfg) -> (&ClusterSpec, &SimHostCfg) {
+        (&cfg.spec, &cfg.host)
+    }
+
+    fn attach(cfg: ClusterCfg, star: &mut Star) -> NiceSys {
+        let spec = cfg.spec;
+        let parts = spec.partition_count();
+        let mut kv = cfg.kv;
+        kv.partitions = parts;
+        kv.replication = spec.replication;
+        kv.unicast = nice_ring::VRing::unicast(parts);
+        kv.multicast = nice_ring::VRing::multicast(parts);
+        kv.telemetry = spec.telemetry;
+
+        let meta_ip = Ipv4::new(10, 0, 0, 1);
+        let meta_mac = Mac(0x100);
+
+        // Storage nodes (including spares, which start outside the ring).
+        for i in 0..spec.nodes + spec.spares {
+            let app = ServerApp::new(kv, NodeIdx(i as u32), meta_ip, spec.storage);
+            star.add_server(Box::new(app));
+        }
+
+        // Clients: addresses inside kv.client_space, spread so that
+        // consecutive clients land in *different* LB divisions (§4.5) —
+        // client j sits in division j mod D.
+        let divisions = (spec.replication as u32).next_power_of_two().min(16);
+        let space_size = 1u32 << (32 - kv.client_space.1);
+        let stride = space_size / divisions;
+        for (j, ops) in cfg.client_ops.into_iter().enumerate() {
+            let j32 = j as u32;
+            let ip =
+                Ipv4(kv.client_space.0 .0 + (j32 % divisions) * stride + (j32 / divisions) + 1);
+            let mut app = ClientApp::new(kv, ops, star.client_start(j));
+            app.configure(&spec);
+            star.add_client(Box::new(app), ip);
+        }
+
+        // The metadata service + controller, which knows the port of
+        // every storage node and client.
+        let ring = PhysicalRing::new(
+            parts,
+            (0..spec.nodes as u32).map(NodeIdx).collect(),
+            spec.replication,
+        );
+        let node_addrs: Vec<(Ipv4, Mac)> = star
+            .server_ips
+            .iter()
+            .enumerate()
+            .map(|(i, &ip)| (ip, Mac(0x200 + i as u64)))
+            .collect();
+        let handle = SwitchHandle {
+            id: star.switch,
+            table: Rc::clone(&star.table),
+            ctrl_latency: star.host.switch.ctrl_latency,
+            ports: star.ports.clone(),
+        };
+        let meta_app = || {
+            let switches = vec![handle.clone()];
+            MetadataApp::new(
+                kv,
+                ring.clone(),
+                node_addrs.clone(),
+                switches,
+                L3Learner::new(),
+            )
+        };
+        let standby_ip = Ipv4::new(10, 0, 0, 2);
+        let mut active = meta_app();
+        if cfg.metadata_standby {
+            active = active.with_standby(standby_ip);
+        }
+        let meta = star.add_host(Box::new(active), meta_ip, meta_mac);
+        star.sim.set_controller(star.switch, meta);
+        let meta_standby = cfg.metadata_standby.then(|| {
+            let app = meta_app().into_standby(meta_ip);
+            star.add_host(Box::new(app), standby_ip, Mac(0x101))
+        });
+
+        NiceSys {
+            cfg: kv,
+            ring,
+            meta,
+            meta_standby,
+        }
+    }
+
+    fn server_metrics(server: &ServerApp) -> MetricsRegistry {
+        server.metrics()
+    }
+
+    fn server_store(server: &ServerApp) -> &ObjectStore {
+        server.store()
+    }
+}
+
+impl NiceCluster {
+    /// Borrow the metadata app.
+    pub fn meta_app(&self) -> &MetadataApp {
+        self.sim.app::<MetadataApp>(self.sys.meta)
+    }
+
+    /// The partition a key hashes into (static: independent of membership).
+    pub fn partition_of_key(&self, key: &str) -> PartitionId {
+        self.sys.cfg.partition_of(key)
+    }
+
+    /// Queue an administrator ring-reconfiguration command (§4.4); it is
+    /// applied at the metadata service's next heartbeat tick.
+    pub fn admin(&mut self, op: crate::metadata::AdminOp) {
+        self.sim
+            .app_mut::<MetadataApp>(self.sys.meta)
+            .queue_admin(op);
     }
 
     /// Generate `count` distinct keys that all hash into partition `p` —
@@ -361,7 +457,7 @@ impl NiceCluster {
         let mut i = 0u64;
         while keys.len() < count {
             let k = format!("pinned-{i}");
-            if self.cfg.partition_of(&k) == p {
+            if self.sys.cfg.partition_of(&k) == p {
                 keys.push(k);
             }
             i += 1;
@@ -379,7 +475,7 @@ mod tests {
         let c = NiceCluster::build(ClusterCfg::new(4, 3, vec![]));
         let keys = c.keys_in_partition(PartitionId(5), 10);
         assert_eq!(keys.len(), 10);
-        let bits = c.cfg.partitions.trailing_zeros();
+        let bits = c.sys.cfg.partitions.trailing_zeros();
         for k in &keys {
             assert_eq!((nice_ring::hash_str(k) >> (64 - bits)) as u32, 5);
         }
@@ -404,11 +500,17 @@ mod tests {
         let c = NiceCluster::build(ClusterCfg::new(5, 3, vec![vec![], vec![]]));
         assert_eq!(c.servers.len(), 5);
         assert_eq!(c.clients.len(), 2);
-        assert_eq!(c.cfg.partitions, 16);
-        assert_eq!(c.ring.replication(), 3);
+        assert_eq!(c.sys.cfg.partitions, 16);
+        assert_eq!(c.sys.ring.replication(), 3);
         // client IPs sit inside the LB client space
         for ip in &c.client_ips {
-            assert!(ip.in_prefix(c.cfg.client_space.0, c.cfg.client_space.1));
+            assert!(ip.in_prefix(c.sys.cfg.client_space.0, c.sys.cfg.client_space.1));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 246 storage servers")]
+    fn a_deployment_past_the_address_plan_is_rejected() {
+        NiceCluster::build(ClusterCfg::new(MAX_SERVERS + 1, 3, vec![]));
     }
 }

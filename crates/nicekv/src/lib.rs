@@ -33,7 +33,9 @@ pub mod msg;
 pub mod server;
 
 pub use client::{ClientApp, ClientOp, OpRecord};
-pub use cluster::{ClusterCfg, NiceCluster, SimHostCfg};
+pub use cluster::{
+    server_ip, ClusterCfg, Deployment, NiceCluster, NiceSys, SimCluster, SimHostCfg,
+};
 pub use config::{KvConfig, PutMode, RetryBackoff};
 pub use kv_core::ClusterSpec;
 pub use kv_core::{KvClient, KvError, MetricsRegistry, ObjectStore, StorageCfg};

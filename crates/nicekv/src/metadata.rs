@@ -35,6 +35,7 @@ const COOKIE_UNICAST: u64 = 0x1000_0000;
 const COOKIE_LB: u64 = 0x2000_0000;
 
 /// A switch under this controller's management.
+#[derive(Clone)]
 pub struct SwitchHandle {
     /// The switch.
     pub id: SwitchId,
@@ -461,6 +462,62 @@ impl MetadataApp {
         }
     }
 
+    /// Publish a changed view: store it, reprogram the switch for its
+    /// partition, push it to its members and to `extra`, and — when the
+    /// change moved the primary to `promoted` — tell the new primary to
+    /// take over, running §4.4 lock resolution like any other takeover.
+    fn publish(
+        &mut self,
+        view: PartitionView,
+        extra: &[NodeIdx],
+        promoted: Option<NodeIdx>,
+        ctx: &mut Ctx,
+    ) {
+        let p = view.partition;
+        self.views.insert(p, view);
+        let now = ctx.now();
+        self.install_partition(p, now);
+        self.push_view(p, extra, ctx);
+        if let Some(np) = promoted {
+            let dst = self.addr(np);
+            let msg = KvMsg::BecomePrimary { partition: p };
+            self.tp
+                .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES));
+        }
+    }
+
+    /// The nodes standing in as handoffs on partition `p`.
+    fn handoffs_of(&self, p: PartitionId) -> Vec<NodeIdx> {
+        self.handoffs
+            .get(&p)
+            .map(|hs| hs.iter().map(|&(_, h, _)| h).collect())
+            .unwrap_or_default()
+    }
+
+    /// Send `n` its plan of which node to drain each partition from.
+    fn send_plan(&mut self, n: NodeIdx, sources: Vec<(PartitionId, Option<Ipv4>)>, ctx: &mut Ctx) {
+        let dst = self.addr(n);
+        let msg = KvMsg::RejoinPlan { sources };
+        self.tp
+            .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES + 64));
+    }
+
+    /// Tell every node whose state `to` accepts that this instance is now
+    /// the active metadata service.
+    fn announce_failover(&mut self, to: impl Fn(NodeState) -> bool, ctx: &mut Ctx) {
+        let dsts: Vec<Ipv4> = self
+            .nodes
+            .iter()
+            .filter(|info| to(info.state))
+            .map(|info| info.ip)
+            .collect();
+        for dst in dsts {
+            let msg = KvMsg::MetaFailover { new_meta: ctx.ip() };
+            self.tp
+                .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES));
+        }
+    }
+
     /// Declare `n` failed: hide it from both rings, select handoffs, and
     /// notify affected replicas (§4.4).
     pub fn fail_node(&mut self, n: NodeIdx, ctx: &mut Ctx) {
@@ -527,11 +584,7 @@ impl MetadataApp {
             if let Some(hs) = self.handoffs.get_mut(&p) {
                 hs.retain(|&(_, h, _)| h != n);
             }
-            view.handoffs = self
-                .handoffs
-                .get(&p)
-                .map(|hs| hs.iter().map(|&(_, h, _)| h).collect())
-                .unwrap_or_default();
+            view.handoffs = self.handoffs_of(p);
             // Select a handoff for the failed ORIGINAL member (not for a
             // failed handoff of someone else — that original gets a new
             // stand-in below either way).
@@ -576,16 +629,7 @@ impl MetadataApp {
             if new_primary.is_none() {
                 new_primary = self.fix_primary(p, &mut view, ctx.now());
             }
-            self.views.insert(p, view);
-            let now = ctx.now();
-            self.install_partition(p, now);
-            self.push_view(p, &[], ctx);
-            if let Some(np) = new_primary {
-                let dst = self.addr(np);
-                let msg = KvMsg::BecomePrimary { partition: p };
-                self.tp
-                    .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES));
-            }
+            self.publish(view, &[], new_primary, ctx);
         }
     }
 
@@ -644,10 +688,7 @@ impl MetadataApp {
             .into_iter()
             .map(|p| (p, self.rejoin_source(p, n)))
             .collect();
-        let dst = self.addr(n);
-        let msg = KvMsg::RejoinPlan { sources };
-        self.tp
-            .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES + 64));
+        self.send_plan(n, sources, ctx);
     }
 
     /// A failed node asks to rejoin: phase 1 of §4.4 recovery — put ring
@@ -679,16 +720,8 @@ impl MetadataApp {
             // If the whole replica set had failed, the stored primary may
             // be dead: restore the invariant now that a member exists.
             let promoted = self.fix_primary(p, &mut view, ctx.now());
-            self.views.insert(p, view);
-            let now = ctx.now();
-            self.install_partition(p, now); // updates the multicast group
-            self.push_view(p, &[], ctx);
-            if let Some(np) = promoted {
-                let dst = self.addr(np);
-                let msg = KvMsg::BecomePrimary { partition: p };
-                self.tp
-                    .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES));
-            }
+            // Republishing updates the multicast group.
+            self.publish(view, &[], promoted, ctx);
         }
         self.send_rejoin_plan(n, ctx);
     }
@@ -777,9 +810,6 @@ impl MetadataApp {
                 None
             };
             let sync_pending = !view.syncing.is_empty();
-            self.views.insert(p, view);
-            let now = ctx.now();
-            self.install_partition(p, now);
             // Inform current and former members. Leavers only drop their
             // objects once the view they receive has an empty syncing
             // set (they may hold the only consistent copies until the
@@ -809,24 +839,15 @@ impl MetadataApp {
                     }
                 }
             }
-            self.push_view(p, &notify, ctx);
             // A reconfiguration that moves the primary must run §4.4 lock
             // resolution like any other takeover: it settles orphaned
             // locks AND floors the new primary's commit-sequence counter
             // (via the members' max_seq reports) so it never mints
             // timestamps an already-committed object would outrank.
-            if let Some(np) = promoted {
-                let dst = self.addr(np);
-                let msg = KvMsg::BecomePrimary { partition: p };
-                self.tp
-                    .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES));
-            }
+            self.publish(view, &notify, promoted, ctx);
         }
         for (n, sources) in plans {
-            let dst = self.addr(n);
-            let msg = KvMsg::RejoinPlan { sources };
-            self.tp
-                .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES + 64));
+            self.send_plan(n, sources, ctx);
         }
     }
 
@@ -848,19 +869,15 @@ impl MetadataApp {
                     continue;
                 };
                 view.syncing.retain(|&m| m != n);
-                let safe = view.syncing.is_empty();
-                self.views.insert(p, view);
-                let now = ctx.now();
-                self.install_partition(p, now);
                 // Every incoming replica has drained: re-notify the
                 // leavers whose garbage collection was deferred so they
                 // finally drop their (now redundant) copies.
-                let formers = if safe {
+                let formers = if view.syncing.is_empty() {
                     self.admin_gc.remove(&p).unwrap_or_default()
                 } else {
                     Vec::new()
                 };
-                self.push_view(p, &formers, ctx);
+                self.publish(view, &formers, None, ctx);
             }
             self.events.push((ctx.now(), MetaEvent::NodeRecovered(n)));
             return;
@@ -896,24 +913,11 @@ impl MetadataApp {
             // A crash-rejoin drains the node's full hash ranges, which
             // also completes any admin-reconfiguration sync it owed.
             view.syncing.retain(|&m| m != n);
-            view.handoffs = self
-                .handoffs
-                .get(&p)
-                .map(|hs| hs.iter().map(|&(_, h, _)| h).collect())
-                .unwrap_or_default();
+            view.handoffs = self.handoffs_of(p);
             // A retired handoff may have been the acting primary (the
             // whole original set had died): hand the role back.
             let promoted = self.fix_primary(p, &mut view, ctx.now());
-            self.views.insert(p, view);
-            let now = ctx.now();
-            self.install_partition(p, now);
-            self.push_view(p, &retired, ctx);
-            if let Some(np) = promoted {
-                let dst = self.addr(np);
-                let msg = KvMsg::BecomePrimary { partition: p };
-                self.tp
-                    .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES));
-            }
+            self.publish(view, &retired, promoted, ctx);
         }
     }
 
@@ -944,17 +948,7 @@ impl MetadataApp {
         // (their restart-time RejoinRequest goes to a black hole
         // otherwise, and they would never re-enter the ring).
         if self.took_over {
-            let down: Vec<Ipv4> = self
-                .nodes
-                .iter()
-                .filter(|info| info.state == NodeState::Down)
-                .map(|info| info.ip)
-                .collect();
-            for dst in down {
-                let msg = KvMsg::MetaFailover { new_meta: ctx.ip() };
-                self.tp
-                    .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES));
-            }
+            self.announce_failover(|state| state == NodeState::Down, ctx);
         }
         let now = ctx.now();
         let dead: Vec<NodeIdx> = self
@@ -1014,17 +1008,7 @@ impl MetadataApp {
         for p in parts {
             self.install_partition(p, now);
         }
-        let live: Vec<Ipv4> = self
-            .nodes
-            .iter()
-            .filter(|info| info.state != NodeState::Down)
-            .map(|info| info.ip)
-            .collect();
-        for dst in live {
-            let msg = KvMsg::MetaFailover { new_meta: ctx.ip() };
-            self.tp
-                .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES));
-        }
+        self.announce_failover(|state| state != NodeState::Down, ctx);
     }
 
     /// Workload-informed rebalancing (the paper's §4.5 future work):

@@ -56,8 +56,9 @@ fn replication_reaches_all_replicas() {
         "exactly R replicas hold the object: {holders:?}"
     );
     // and they are exactly the ring's replica set for the key's partition
-    let p = c.ring.partition_of_key(b"replicate-me");
-    let mut expect: Vec<usize> = c.ring.replica_set(p).iter().map(|n| n.0 as usize).collect();
+    let ring = &c.sys.ring;
+    let p = ring.partition_of_key(b"replicate-me");
+    let mut expect: Vec<usize> = ring.replica_set(p).iter().map(|n| n.0 as usize).collect();
     expect.sort();
     assert_eq!(holders, expect);
     // all replicas committed with the same timestamp
@@ -134,8 +135,9 @@ fn concurrent_writers_same_key_converge() {
     assert!(c.run_until_done(Time::from_secs(30)));
     assert!(c.client(0).records.iter().all(OpRecord::ok));
     assert!(c.client(1).records.iter().all(OpRecord::ok));
-    let p = c.ring.partition_of_key(b"contended");
-    let replicas: Vec<usize> = c.ring.replica_set(p).iter().map(|n| n.0 as usize).collect();
+    let ring = &c.sys.ring;
+    let p = ring.partition_of_key(b"contended");
+    let replicas: Vec<usize> = ring.replica_set(p).iter().map(|n| n.0 as usize).collect();
     let versions: Vec<(Vec<u8>, nice_kv::Timestamp)> = replicas
         .iter()
         .map(|&i| {
@@ -171,8 +173,9 @@ fn load_balancing_spreads_gets_across_replicas() {
     // Let the seed put land before the readers start hammering: client 0
     // starts first (staggered starts), and retries cover the rest.
     assert!(c.run_until_done(Time::from_secs(60)));
-    let p = c.ring.partition_of_key(b"hot");
-    let replicas: Vec<usize> = c.ring.replica_set(p).iter().map(|n| n.0 as usize).collect();
+    let ring = &c.sys.ring;
+    let p = ring.partition_of_key(b"hot");
+    let replicas: Vec<usize> = ring.replica_set(p).iter().map(|n| n.0 as usize).collect();
     let served: Vec<u64> = replicas
         .iter()
         .map(|&i| c.server(i).metrics().counter("engine.gets_served"))
@@ -192,9 +195,10 @@ fn without_load_balancing_primary_serves_all_gets() {
     cfg.kv.load_balancing = false;
     let mut c = NiceCluster::build(cfg);
     assert!(c.run_until_done(Time::from_secs(60)));
-    let p = c.ring.partition_of_key(b"hot");
-    let primary = c.ring.primary(p).0 as usize;
-    let replicas: Vec<usize> = c.ring.replica_set(p).iter().map(|n| n.0 as usize).collect();
+    let ring = &c.sys.ring;
+    let p = ring.partition_of_key(b"hot");
+    let primary = ring.primary(p).0 as usize;
+    let replicas: Vec<usize> = ring.replica_set(p).iter().map(|n| n.0 as usize).collect();
     for &i in &replicas {
         let served = c.server(i).metrics().counter("engine.gets_served");
         if i == primary {
@@ -239,8 +243,8 @@ fn client_sends_one_copy_regardless_of_replication() {
         "client sent {sent} bytes for a {size}-byte object at R=5"
     );
     // while every replica received a full copy
-    let p = c.ring.partition_of_key(b"big");
-    for n in c.ring.replica_set(p) {
+    let p = c.sys.ring.partition_of_key(b"big");
+    for n in c.sys.ring.replica_set(p) {
         let got = c.sim.host_stats(c.servers[n.0 as usize]).bytes_recv;
         assert!(got >= size as u64, "replica {n:?} received {got}");
     }
@@ -257,7 +261,7 @@ fn secondary_failure_handoff_and_recovery() {
     let probe = NiceCluster::build(ClusterCfg::new(8, 3, vec![]));
     let p = PartitionId(0);
     let keys = probe.keys_in_partition(p, 40);
-    let replicas: Vec<u32> = probe.ring.replica_set(p).iter().map(|n| n.0).collect();
+    let replicas: Vec<u32> = probe.sys.ring.replica_set(p).iter().map(|n| n.0).collect();
     let victim = replicas[1]; // a secondary
     drop(probe);
 
@@ -322,7 +326,7 @@ fn handoff_forwards_gets_for_objects_it_lacks() {
     let probe = NiceCluster::build(ClusterCfg::new(8, 3, vec![]));
     let p = PartitionId(1);
     let keys = probe.keys_in_partition(p, 5);
-    let replicas: Vec<u32> = probe.ring.replica_set(p).iter().map(|n| n.0).collect();
+    let replicas: Vec<u32> = probe.sys.ring.replica_set(p).iter().map(|n| n.0).collect();
     let victim = replicas[1];
     drop(probe);
 
@@ -390,7 +394,7 @@ fn primary_failure_promotes_secondary_and_work_continues() {
     let probe = NiceCluster::build(ClusterCfg::new(8, 3, vec![]));
     let p = PartitionId(2);
     let keys = probe.keys_in_partition(p, 30);
-    let primary = probe.ring.primary(p).0;
+    let primary = probe.sys.ring.primary(p).0;
     drop(probe);
 
     let mut ops = Vec::new();
@@ -434,7 +438,7 @@ fn writes_during_failure_reach_rejoined_node() {
     let probe = NiceCluster::build(ClusterCfg::new(8, 3, vec![]));
     let p = PartitionId(3);
     let keys = probe.keys_in_partition(p, 10);
-    let replicas: Vec<u32> = probe.ring.replica_set(p).iter().map(|n| n.0).collect();
+    let replicas: Vec<u32> = probe.sys.ring.replica_set(p).iter().map(|n| n.0).collect();
     let victim = replicas[2];
     drop(probe);
 
@@ -493,6 +497,7 @@ fn adaptive_lb_rebalances_skewed_divisions() {
     let p = PartitionId(0);
     let keys = probe.keys_in_partition(p, 5);
     let replicas: Vec<usize> = probe
+        .sys
         .ring
         .replica_set(p)
         .iter()

@@ -1,17 +1,14 @@
-//! Assembles a NOOB deployment: storage nodes, optional gateways, and
-//! clients behind a conventional (statically routed) switch — no SDN
-//! cooperation anywhere.
+//! NOOB's half of the simulated testbed: storage nodes, optional
+//! gateways, and clients on `nice_kv::SimCluster`'s star, routed by its
+//! static PHYS rules alone — no SDN cooperation anywhere. Also the NOOB
+//! address plan both hosts share.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
-
-use nice_flow::{prio, Action, FlowMatch, FlowRule, FlowSwitch, FlowTable};
-use nice_kv::{ClientOp, ClusterSpec, SimHostCfg};
+use nice_kv::cluster::Star;
+use nice_kv::{server_ip, ClientOp, ClusterSpec, Deployment, SimCluster, SimHostCfg};
 use nice_ring::{NodeIdx, PhysicalRing};
-use nice_sim::{HostCfg, HostId, Ipv4, Mac, Simulation, SwitchId, Time};
+use nice_sim::{HostId, Ipv4, Mac};
 
-use kv_core::{KvClient, MetricsRegistry};
+use kv_core::{MetricsRegistry, ObjectStore};
 
 use crate::client::{ClientRoute, NoobClientApp};
 use crate::gateway::{GatewayApp, GatewayPolicy};
@@ -95,54 +92,77 @@ impl NoobClusterCfg {
     }
 }
 
-/// A wired NOOB deployment.
-pub struct NoobCluster {
-    /// The simulation world.
-    pub sim: Simulation,
-    /// Shared deployment knowledge.
-    pub ring: NoobRing,
-    /// Storage-node hosts.
-    pub servers: Vec<HostId>,
-    /// Gateway hosts.
-    pub gateways: Vec<HostId>,
-    /// Client hosts.
-    pub clients: Vec<HostId>,
-    /// The switch.
-    pub switch: SwitchId,
+/// How many clients the address plan holds: [`client_ip`] hands out
+/// 10.0.1.1 upward and stays inside 10.0.1.0/24.
+pub const MAX_CLIENTS: usize = 255;
+
+/// How many gateways the address plan holds: [`gateway_ip`] hands out
+/// 10.0.2.1 upward and stays inside 10.0.2.0/24.
+pub const MAX_GATEWAYS: usize = 255;
+
+/// Address of client `j`: 10.0.1.1 + `j`, on both hosts.
+///
+/// # Panics
+/// If `j` is past [`MAX_CLIENTS`].
+pub fn client_ip(j: usize) -> Ipv4 {
+    assert!(
+        j < MAX_CLIENTS,
+        "client {j} is past the address plan: at most {MAX_CLIENTS} clients fit in \
+         10.0.1.1..=10.0.1.255"
+    );
+    Ipv4(Ipv4::new(10, 0, 1, 1).0 + j as u32)
 }
 
-impl NoobCluster {
-    /// Build and wire the deployment.
-    pub fn build(cfg: NoobClusterCfg) -> NoobCluster {
+/// Address of gateway `g`: 10.0.2.1 + `g` ([`GATEWAY_IP`] is gateway 0).
+///
+/// # Panics
+/// If `g` is past [`MAX_GATEWAYS`].
+pub fn gateway_ip(g: usize) -> Ipv4 {
+    assert!(
+        g < MAX_GATEWAYS,
+        "gateway {g} is past the address plan: at most {MAX_GATEWAYS} gateways fit in \
+         10.0.2.1..=10.0.2.255"
+    );
+    Ipv4(GATEWAY_IP.0 + g as u32)
+}
+
+/// The first gateway's address (the real runtime deploys only this one).
+pub const GATEWAY_IP: Ipv4 = Ipv4::new(10, 0, 2, 1);
+
+/// A wired NOOB deployment.
+pub type NoobCluster = SimCluster<NoobSys>;
+
+/// NOOB's parts of a [`NoobCluster`].
+pub struct NoobSys {
+    /// Shared deployment knowledge.
+    pub ring: NoobRing,
+    /// Gateway hosts.
+    pub gateways: Vec<HostId>,
+}
+
+impl Deployment for NoobSys {
+    type Cfg = NoobClusterCfg;
+    type Client = NoobClientApp;
+    type Server = NoobServerApp;
+
+    fn layers(cfg: &NoobClusterCfg) -> (&ClusterSpec, &SimHostCfg) {
+        (&cfg.spec, &cfg.host)
+    }
+
+    fn attach(cfg: NoobClusterCfg, star: &mut Star) -> NoobSys {
         let spec = cfg.spec;
-        let parts = spec.partition_count();
-        let phys = PhysicalRing::new(
-            parts,
-            (0..spec.nodes as u32).map(NodeIdx).collect(),
-            spec.replication,
-        );
-
-        let mut sim = Simulation::new(spec.seed);
-        let table = Rc::new(RefCell::new(FlowTable::new()));
-        let switch = sim.add_switch(
-            Box::new(FlowSwitch::new(Rc::clone(&table))),
-            cfg.host.switch,
-        );
-        let mut rules: Vec<(Ipv4, Mac, nice_sim::Port)> = Vec::new();
-        let mut ports: HashMap<Ipv4, nice_sim::Port> = HashMap::new();
-
-        // Storage nodes.
-        let server_ips: Vec<Ipv4> = (0..spec.nodes)
-            .map(|i| Ipv4::new(10, 0, 0, 10 + i as u8))
-            .collect();
         let ring = NoobRing {
-            ring: phys,
-            addrs: server_ips.clone(),
+            ring: PhysicalRing::new(
+                spec.partition_count(),
+                (0..spec.nodes as u32).map(NodeIdx).collect(),
+                spec.replication,
+            ),
+            addrs: (0..spec.nodes).map(server_ip).collect(),
             port: 9000,
         };
-        let mut servers = Vec::new();
-        for (i, &ip) in server_ips.iter().enumerate() {
-            let mac = Mac(0x200 + i as u64);
+
+        // Storage nodes.
+        for i in 0..spec.nodes {
             let app = NoobServerApp::new(
                 ring.clone(),
                 NodeIdx(i as u32),
@@ -150,11 +170,7 @@ impl NoobCluster {
                 spec.storage,
                 spec.telemetry,
             );
-            let h = sim.add_node(Box::new(app), HostCfg::new(ip, mac));
-            let port = sim.connect_asym(h, switch, cfg.host.link.host_uplink(), cfg.host.link);
-            ports.insert(ip, port);
-            rules.push((ip, mac, port));
-            servers.push(h);
+            star.add_server(Box::new(app));
         }
 
         // Gateways.
@@ -164,122 +180,76 @@ impl NoobCluster {
             (Access::Rag, true) => GatewayPolicy::BalancedReplicas,
             (Access::Rac, _) => GatewayPolicy::Primary, // unused
         };
-        let mut gateways = Vec::new();
         let n_gw = if cfg.access == Access::Rac {
             0
         } else {
             cfg.gateways.max(1)
         };
-        for g in 0..n_gw {
-            let ip = Ipv4::new(10, 0, 2, 1 + g as u8);
-            let mac = Mac(0x400 + g as u64);
-            let app = GatewayApp::new(ring.clone(), policy);
-            let h = sim.add_node(Box::new(app), HostCfg::new(ip, mac));
-            let port = sim.connect_asym(h, switch, cfg.host.link.host_uplink(), cfg.host.link);
-            ports.insert(ip, port);
-            rules.push((ip, mac, port));
-            gateways.push((h, ip));
-        }
+        let gateways: Vec<HostId> = (0..n_gw)
+            .map(|g| {
+                let app = GatewayApp::new(ring.clone(), policy);
+                star.add_node(Box::new(app), gateway_ip(g), Mac(0x400 + g as u64))
+            })
+            .collect();
 
         // Clients.
-        let mut clients = Vec::new();
-        for (j, ops) in cfg.client_ops.iter().enumerate() {
-            let ip = Ipv4(Ipv4::new(10, 0, 1, 0).0 + 1 + j as u32);
-            let mac = Mac(0x300 + j as u64);
+        for (j, ops) in cfg.client_ops.into_iter().enumerate() {
             let route = match (cfg.access, cfg.caching_rac) {
                 (Access::Rac, true) => ClientRoute::CachingRac,
                 (Access::Rac, false) => ClientRoute::Direct {
                     lb_gets: cfg.lb_gets,
                 },
-                _ => ClientRoute::Gateway(gateways[j % gateways.len()].1),
+                _ => ClientRoute::Gateway(gateway_ip(j % n_gw)),
             };
-            let start = cfg.host.client_start + Time::from_us(97) * j as u64;
-            let mut app = NoobClientApp::new(ring.clone(), route, ops.clone(), start);
+            let mut app = NoobClientApp::new(ring.clone(), route, ops, star.client_start(j));
             app.configure(&spec);
-            let h = sim.add_node(Box::new(app), HostCfg::new(ip, mac));
-            let port = sim.connect_asym(h, switch, cfg.host.link.host_uplink(), cfg.host.link);
-            ports.insert(ip, port);
-            rules.push((ip, mac, port));
-            clients.push(h);
+            star.add_client(Box::new(app), client_ip(j));
         }
 
-        // Conventional IP routing: static rules for every host.
-        for (ip, mac, port) in rules {
-            table.borrow_mut().install(
-                FlowRule::new(
-                    prio::PHYS,
-                    FlowMatch::any().dst_ip(ip),
-                    vec![Action::SetMacDst(mac), Action::Output(port)],
-                ),
-                Time::ZERO,
-            );
-        }
-
-        // Fault injection: one plan at the delivery choke point; outage
-        // indices map onto the storage-node slice.
-        if let Some(plan) = cfg.host.fault_plan {
-            sim.install_fault_plan(plan, &servers);
-        }
-
-        NoobCluster {
-            sim,
-            ring,
-            servers,
-            gateways: gateways.into_iter().map(|(h, _)| h).collect(),
-            clients,
-            switch,
-        }
+        NoobSys { ring, gateways }
     }
 
-    /// Borrow client `i`'s app.
-    pub fn client(&self, i: usize) -> &NoobClientApp {
-        self.sim.app::<NoobClientApp>(self.clients[i])
+    fn server_metrics(server: &NoobServerApp) -> MetricsRegistry {
+        server.metrics()
     }
 
-    /// Borrow server `i`'s app.
-    pub fn server(&self, i: usize) -> &NoobServerApp {
-        self.sim.app::<NoobServerApp>(self.servers[i])
+    fn server_store(server: &NoobServerApp) -> &ObjectStore {
+        server.store()
     }
+}
 
-    /// Run until every client drained its queue (or `deadline`).
-    pub fn run_until_done(&mut self, deadline: Time) -> bool {
-        loop {
-            let all_done = self
-                .clients
-                .iter()
-                .all(|&c| self.sim.app::<NoobClientApp>(c).done_at.is_some());
-            if all_done {
-                return true;
-            }
-            if self.sim.now() >= deadline {
-                return false;
-            }
-            let step = Time::from_ms(10).min(deadline - self.sim.now());
-            self.sim.run_for(step);
-        }
-    }
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
 
-    /// When the last client finished.
-    pub fn finish_time(&self) -> Option<Time> {
-        self.clients
+    use super::*;
+    use nice_kv::cluster::MAX_SERVERS;
+
+    #[test]
+    fn address_plan_is_injective_and_disjoint() {
+        let servers: Vec<Ipv4> = (0..MAX_SERVERS).map(server_ip).collect();
+        let clients: Vec<Ipv4> = (0..MAX_CLIENTS).map(client_ip).collect();
+        let gateways: Vec<Ipv4> = (0..MAX_GATEWAYS).map(gateway_ip).collect();
+        let all: BTreeSet<Ipv4> = servers
             .iter()
-            .map(|&c| self.sim.app::<NoobClientApp>(c).done_at)
-            .collect::<Option<Vec<_>>>()
-            .map(|v| v.into_iter().max().unwrap_or(Time::ZERO))
+            .chain(&clients)
+            .chain(&gateways)
+            .copied()
+            .collect();
+        assert_eq!(all.len(), MAX_SERVERS + MAX_CLIENTS + MAX_GATEWAYS);
+        for (ips, net) in [(&servers, 0), (&clients, 1), (&gateways, 2)] {
+            for ip in ips {
+                assert!(ip.in_prefix(Ipv4::new(10, 0, net, 0), 24), "{ip}");
+            }
+        }
+        assert_eq!(gateway_ip(0), GATEWAY_IP);
+        assert_eq!(servers[MAX_SERVERS - 1], Ipv4::new(10, 0, 0, 255));
     }
 
-    /// Cluster-wide telemetry snapshot: every server's registry (engine
-    /// counters, WAL/store totals, transport repair stats, phase
-    /// histograms) merged with every client's (end-to-end latency,
-    /// retries). Deterministic under a fixed seed.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut m = MetricsRegistry::default();
-        for i in 0..self.servers.len() {
-            m.merge(&self.server(i).metrics());
-        }
-        for (i, _) in self.clients.iter().enumerate() {
-            m.merge(&self.client(i).metrics());
-        }
-        m
+    #[test]
+    #[should_panic(expected = "at most 255 clients")]
+    fn a_client_past_the_address_plan_is_rejected() {
+        let ops = vec![Vec::new(); MAX_CLIENTS + 1];
+        NoobCluster::build(NoobClusterCfg::new(3, 3, Access::Rac, NoobMode::TwoPc, ops));
     }
 }

@@ -26,7 +26,7 @@ pub mod server;
 pub mod wire;
 
 pub use client::{ClientRoute, NoobClientApp};
-pub use cluster::{NoobCluster, NoobClusterCfg};
+pub use cluster::{NoobCluster, NoobClusterCfg, NoobSys};
 pub use gateway::{GatewayApp, GatewayPolicy};
 pub use msg::{Access, NoobMode, NoobMsg};
 pub use real::{RealNoobCfg, RealNoobCluster, RealOp};

@@ -105,18 +105,9 @@ impl RealNoobCfg {
     }
 }
 
-/// Address of server `i` (same plan as the simulated cluster builder).
-pub fn server_ip(i: usize) -> Ipv4 {
-    Ipv4::new(10, 0, 0, 10 + i as u8)
-}
-
-/// Address of client `j`.
-pub fn client_ip(j: usize) -> Ipv4 {
-    Ipv4(Ipv4::new(10, 0, 1, 0).0 + 1 + j as u32)
-}
-
-/// The gateway's address.
-pub const GATEWAY_IP: Ipv4 = Ipv4::new(10, 0, 2, 1);
+/// The address plan, shared with the simulated deployments.
+pub use crate::cluster::{client_ip, GATEWAY_IP};
+pub use nice_kv::server_ip;
 
 /// A running loopback NOOB cluster.
 pub struct RealNoobCluster {

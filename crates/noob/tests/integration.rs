@@ -73,7 +73,7 @@ fn rag_primary_only_roundtrip() {
     assert!(c.run_until_done(Time::from_secs(30)));
     assert_roundtrip(&c, 0, 10);
     // everything flowed through the gateway
-    let gw = c.sim.app::<nice_noob::GatewayApp>(c.gateways[0]);
+    let gw = c.sim.app::<nice_noob::GatewayApp>(c.sys.gateways[0]);
     assert_eq!(gw.forwarded, 20);
 }
 
@@ -170,7 +170,7 @@ fn primary_only_serves_all_gets_from_primary() {
         all,
     ));
     assert!(c.run_until_done(Time::from_secs(60)));
-    let primary = c.ring.ring.primary(c.ring.partition_of("hot")).0 as usize;
+    let primary = c.sys.ring.ring.primary(c.sys.ring.partition_of("hot")).0 as usize;
     let served: Vec<u64> = (0..8)
         .map(|i| c.server(i).metrics().counter("engine.gets_served"))
         .collect();
@@ -194,9 +194,10 @@ fn lb_gets_spread_over_replicas_with_2pc() {
     let mut c = NoobCluster::build(cfg);
     assert!(c.run_until_done(Time::from_secs(60)));
     let replicas: Vec<usize> = c
+        .sys
         .ring
         .ring
-        .replica_set(c.ring.partition_of("hot"))
+        .replica_set(c.sys.ring.partition_of("hot"))
         .iter()
         .map(|n| n.0 as usize)
         .collect();
@@ -217,8 +218,9 @@ fn multiple_gateways_share_clients() {
     for i in 0..4 {
         assert_roundtrip(&c, i, 5);
     }
-    let f0 = c.sim.app::<nice_noob::GatewayApp>(c.gateways[0]).forwarded;
-    let f1 = c.sim.app::<nice_noob::GatewayApp>(c.gateways[1]).forwarded;
+    let gws = &c.sys.gateways;
+    let f0 = c.sim.app::<nice_noob::GatewayApp>(gws[0]).forwarded;
+    let f1 = c.sim.app::<nice_noob::GatewayApp>(gws[1]).forwarded;
     assert!(f0 > 0 && f1 > 0, "both gateways used: {f0} {f1}");
 }
 
@@ -239,7 +241,7 @@ fn noob_primary_link_carries_replication_fanout() {
         vec![ops],
     ));
     assert!(c.run_until_done(Time::from_secs(30)));
-    let primary = c.ring.ring.primary(c.ring.partition_of("big")).0 as usize;
+    let primary = c.sys.ring.ring.primary(c.sys.ring.partition_of("big")).0 as usize;
     let sent = c.sim.host_stats(c.servers[primary]).bytes_sent;
     assert!(
         sent > 4 * size as u64,

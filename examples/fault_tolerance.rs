@@ -17,7 +17,7 @@ fn main() {
     let probe = NiceCluster::build(ClusterCfg::new(8, 3, vec![]));
     let p = PartitionId(0);
     let keys = probe.keys_in_partition(p, 30);
-    let replicas: Vec<u32> = probe.ring.replica_set(p).iter().map(|n| n.0).collect();
+    let replicas: Vec<u32> = probe.sys.ring.replica_set(p).iter().map(|n| n.0).collect();
     let victim = replicas[1];
     drop(probe);
 

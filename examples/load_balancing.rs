@@ -26,8 +26,9 @@ fn run(lb: bool) -> (Vec<u64>, f64) {
     cfg.spec.retry_not_found = true;
     let mut c = NiceCluster::build(cfg);
     assert!(c.run_until_done(Time::from_secs(120)));
-    let p = c.ring.partition_of_key(KEY.as_bytes());
+    let p = c.sys.ring.partition_of_key(KEY.as_bytes());
     let served: Vec<u64> = c
+        .sys
         .ring
         .replica_set(p)
         .iter()

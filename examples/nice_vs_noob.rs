@@ -7,8 +7,8 @@
 //!
 //! Run with: `cargo run --release --example nice_vs_noob`
 
-use nice::kv::{ClientOp, ClusterCfg, NiceCluster, Value};
-use nice::noob::{Access, NoobCluster, NoobClusterCfg, NoobMode};
+use nice::kv::{ClientOp, ClusterCfg, Deployment, KvClient, NiceSys, SimCluster, Value};
+use nice::noob::{Access, NoobClusterCfg, NoobMode, NoobSys};
 use nice::sim::Time;
 
 fn ops(size: u32, n: usize) -> Vec<ClientOp> {
@@ -20,13 +20,20 @@ fn ops(size: u32, n: usize) -> Vec<ClientOp> {
         .collect()
 }
 
-fn mean_us(records: &[nice::kv::OpRecord]) -> f64 {
-    let lats: Vec<f64> = records
+/// Run one system's cluster to completion: (mean put latency in µs,
+/// total network bytes).
+fn run<D: Deployment>(cfg: D::Cfg) -> (f64, u64) {
+    let mut c = SimCluster::<D>::build(cfg);
+    assert!(c.run_until_done(Time::from_secs(300)));
+    let lats: Vec<f64> = c
+        .client(0)
+        .records()
         .iter()
         .filter(|r| r.ok())
         .map(|r| (r.end - r.start).as_ns() as f64 / 1e3)
         .collect();
-    lats.iter().sum::<f64>() / lats.len() as f64
+    let mean = lats.iter().sum::<f64>() / lats.len() as f64;
+    (mean, c.sim.total_link_bytes())
 }
 
 fn main() {
@@ -37,21 +44,14 @@ fn main() {
     );
     println!("{}", "-".repeat(74));
     for size in [1u32 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20] {
-        let mut nice_c = NiceCluster::build(ClusterCfg::new(15, 3, vec![ops(size, N)]));
-        assert!(nice_c.run_until_done(Time::from_secs(300)));
-        let nice_lat = mean_us(&nice_c.client(0).records);
-        let nice_net = nice_c.sim.total_link_bytes();
-
-        let mut noob_c = NoobCluster::build(NoobClusterCfg::new(
+        let (nice_lat, nice_net) = run::<NiceSys>(ClusterCfg::new(15, 3, vec![ops(size, N)]));
+        let (noob_lat, noob_net) = run::<NoobSys>(NoobClusterCfg::new(
             15,
             3,
             Access::Rac,
             NoobMode::PrimaryOnly,
             vec![ops(size, N)],
         ));
-        assert!(noob_c.run_until_done(Time::from_secs(300)));
-        let noob_lat = mean_us(&noob_c.client(0).records);
-        let noob_net = noob_c.sim.total_link_bytes();
 
         println!(
             "{:>7}K | {:>10.0}us {:>10.0}us | {:>8.2}x | {:>8}MB {:>8}MB",

@@ -43,8 +43,8 @@ fn main() {
 
     println!("\nreplica placement (from the consistent-hashing ring):");
     for k in ["alpha", "beta", "gamma"] {
-        let p = cluster.ring.partition_of_key(k.as_bytes());
-        let replicas = cluster.ring.replica_set(p);
+        let p = cluster.sys.ring.partition_of_key(k.as_bytes());
+        let replicas = cluster.sys.ring.replica_set(p);
         let holders: Vec<String> = replicas
             .iter()
             .map(|n| {

@@ -87,15 +87,25 @@ echo "runtime-chaos: stats archived in target/runtime_chaos_stats.txt"
 echo "=== benchmark-smoke (perfbench builds and passes its checks) ==="
 # BENCHMARK.json's package is its own workspace root and is compiled
 # unmodified against this tree: a renamed pub item or registry name
-# breaks it without any tier above noticing. Two real-runtime workloads
-# (the closed loop, and the open loop that pushes ops into live clients
-# through the gateway) and the simulator one at --quick; every run
-# checks its own output (all ops done, gets full-size, history
-# linearizable) and exits non-zero on a failed check. Gate on the exit
-# code only — --quick numbers are labelled non-comparable.
-for wl in rt_put_heavy rt_open_mixed sim_ycsb_b; do
-  timeout 300 cargo run -q --release --offline \
-    --manifest-path perfbench/Cargo.toml -- --workload "$wl" --quick
+# breaks it without any tier above noticing. The committed
+# BENCHMARK.json must be exactly what the benchmark emits from its own
+# workload and metric tables. Then every workload that file declares
+# runs at --quick; every run checks its own output (all ops done, gets
+# full-size, history linearizable) and exits non-zero on a failed check.
+# Gate on the exit code only — --quick numbers are labelled
+# non-comparable.
+BENCH=(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --)
+if ! "${BENCH[@]}" --emit-benchmark-json | diff -u BENCHMARK.json -; then
+  echo "benchmark-smoke: BENCHMARK.json differs from benchmark --emit-benchmark-json" >&2
+  exit 1
+fi
+WORKLOADS=$(sed -n 's/^ *{"name": "\([a-z0-9_]*\)", "why".*/\1/p' BENCHMARK.json)
+if [ -z "$WORKLOADS" ]; then
+  echo "benchmark-smoke: no workloads found in BENCHMARK.json" >&2
+  exit 1
+fi
+for wl in $WORKLOADS; do
+  timeout 300 "${BENCH[@]}" --workload "$wl" --quick
 done
 
 if [ "$RELEASE" = 1 ]; then

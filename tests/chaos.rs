@@ -17,13 +17,13 @@
 //! Set `CHAOS_SEED=<n>` to replay one chosen seed through the sweep.
 
 use nice::kv::{
-    AdminOp, ClientApp, ClientOp, ClusterCfg, KvClient, MetaRole, MetadataApp, NiceCluster,
-    PutMode, RetryBackoff, Value,
+    server_ip, AdminOp, ClientApp, ClientOp, ClusterCfg, Deployment, KvClient, MetaRole,
+    MetadataApp, NiceCluster, NiceSys, PutMode, RetryBackoff, SimCluster, Value,
 };
 use nice::kv_core::{AdminEvent, ChaosPlan, ChaosSpec, History, Violation, ViolationKind};
-use nice::noob::{Access, NoobClientApp, NoobCluster, NoobClusterCfg, NoobMode};
+use nice::noob::{Access, NoobCluster, NoobClusterCfg, NoobMode, NoobSys};
 use nice::ring::{NodeIdx, PartitionId};
-use nice::sim::{FaultPlan, HostId, Ipv4, Simulation, Time};
+use nice::sim::{FaultPlan, Ipv4, Time};
 use nice::workload::XorShiftRng;
 
 const NODES: usize = 8;
@@ -124,54 +124,35 @@ fn client_debug(j: usize, core: &kv_core::ClientCore) -> String {
 }
 
 // ---------------------------------------------------------------------
-// The generic drive harness: everything a chaos run does to client apps
-// goes through `KvClient`, so NICE and NOOB share one code path instead
-// of mirrored per-system blocks.
+// The generic drive harness: both systems are one `SimCluster` whose
+// client apps implement `KvClient`, so NICE and NOOB share one code path
+// instead of mirrored per-system blocks.
 // ---------------------------------------------------------------------
 
 /// Push one wave of per-client op lists; returns how many ops were fed.
-fn push_wave<A: KvClient + std::any::Any>(
-    sim: &mut Simulation,
-    clients: &[HostId],
-    per_client: &[Vec<ClientOp>],
-) -> usize {
+fn push_wave<D: Deployment>(c: &mut SimCluster<D>, per_client: &[Vec<ClientOp>]) -> usize {
     let mut pushed = 0;
-    for (j, &h) in clients.iter().enumerate() {
+    for (j, &h) in c.clients.iter().enumerate() {
         let ops = per_client[j].clone();
         pushed += ops.len();
-        sim.app_mut::<A>(h).push_ops(ops);
+        c.sim.app_mut::<D::Client>(h).push_ops(ops);
     }
     pushed
 }
 
-/// Per-client wedge report for drain-failure asserts.
-fn stuck_report<A: KvClient + std::any::Any>(sim: &Simulation, clients: &[HostId]) -> String {
-    clients
-        .iter()
-        .enumerate()
-        .map(|(j, &h)| client_debug(j, sim.app::<A>(h).core()))
-        .collect()
-}
-
 /// Feed everything every client observed into one [`History`].
-fn record_history<A: KvClient + std::any::Any>(
-    sim: &Simulation,
-    clients: &[HostId],
-    ips: &[Ipv4],
-) -> History {
+fn record_history<D: Deployment>(c: &SimCluster<D>) -> History {
     let mut history = History::new();
-    for (j, &h) in clients.iter().enumerate() {
-        history.record_client(ips[j], sim.app::<A>(h).core());
+    for (j, &ip) in c.client_ips.iter().enumerate() {
+        history.record_client(ip, c.client(j).core());
     }
     history
 }
 
 /// The common tail of a chaos run: wedge report, history capture, and
 /// the byte-identity replay trace.
-fn finish_run<A: KvClient + std::any::Any>(
-    sim: &Simulation,
-    clients: &[HostId],
-    ips: &[Ipv4],
+fn finish_run<D: Deployment>(
+    c: &SimCluster<D>,
     plan: &ChaosPlan,
     drained: bool,
     pushed: usize,
@@ -179,10 +160,12 @@ fn finish_run<A: KvClient + std::any::Any>(
     let stuck = if drained {
         String::new()
     } else {
-        stuck_report::<A>(sim, clients)
+        (0..c.clients.len())
+            .map(|j| client_debug(j, c.client(j).core()))
+            .collect()
     };
-    let history = record_history::<A>(sim, clients, ips);
-    let trace = format!("{}{}{}", plan.render(), sim.fault_trace(), history.render());
+    let history = record_history(c);
+    let trace = plan.render() + &c.sim.fault_trace() + &history.render();
     RunOutcome {
         history,
         trace,
@@ -230,9 +213,7 @@ fn wave_time(w: usize) -> Time {
 /// Both clusters hand out the same storage addresses; computing them up
 /// front lets the fault plan exist before the cluster does.
 fn storage_ips(total: usize) -> Vec<Ipv4> {
-    (0..total)
-        .map(|i| Ipv4::new(10, 0, 0, 10 + i as u8))
-        .collect()
+    (0..total).map(server_ip).collect()
 }
 
 fn fast_timers(kv: &mut nice::kv::KvConfig, seed: u64) {
@@ -248,14 +229,20 @@ fn fast_timers(kv: &mut nice::kv::KvConfig, seed: u64) {
     });
 }
 
-fn run_nice(seed: u64, mode: PutMode, spec: &ChaosSpec, shared: bool) -> RunOutcome {
-    let plan = ChaosPlan::generate(seed, spec);
-    let fp = plan.fault_plan(&storage_ips(NODES));
+/// The deployment both systems' chaos runs start from: `plan`'s faults,
+/// a late client start, fast timers.
+fn chaos_cfg(seed: u64, plan: &ChaosPlan) -> ClusterCfg {
     let mut cfg = ClusterCfg::new(NODES, R, vec![Vec::new(); CLIENTS]);
     cfg.spec.seed = seed;
     cfg.host.client_start = Time::from_ms(400);
-    cfg.host.fault_plan = Some(fp);
+    cfg.host.fault_plan = Some(plan.fault_plan(&storage_ips(NODES)));
     fast_timers(&mut cfg.kv, seed);
+    cfg
+}
+
+fn run_nice(seed: u64, mode: PutMode, spec: &ChaosSpec, shared: bool) -> RunOutcome {
+    let plan = ChaosPlan::generate(seed, spec);
+    let mut cfg = chaos_cfg(seed, &plan);
     cfg.kv.put_mode = mode;
     if plan.meta_crash.is_some() {
         cfg.metadata_standby = true;
@@ -266,7 +253,7 @@ fn run_nice(seed: u64, mode: PutMode, spec: &ChaosSpec, shared: bool) -> RunOutc
     let mut c = NiceCluster::build(cfg);
     assert_eq!(&c.server_ips[..NODES], &storage_ips(NODES)[..]);
     if let Some(t) = plan.meta_crash {
-        c.sim.schedule_crash(t, c.meta);
+        c.sim.schedule_crash(t, c.sys.meta);
     }
 
     // Merge workload waves and admin events into one timeline.
@@ -286,16 +273,16 @@ fn run_nice(seed: u64, mode: PutMode, spec: &ChaosSpec, shared: bool) -> RunOutc
         c.sim.run_until(t);
         match act {
             Act::Wave(w) => {
-                pushed += push_wave::<ClientApp>(&mut c.sim, &c.clients.clone(), &wave_ops[w]);
+                pushed += push_wave(&mut c, &wave_ops[w]);
             }
             Act::Admin(ev) => {
                 // Queue on whichever metadata service is alive: the
                 // standby owns the cluster once the active crashed.
                 let meta_dead = plan.meta_crash.is_some_and(|mc| mc <= t);
                 let host = if meta_dead {
-                    c.meta_standby.unwrap_or(c.meta)
+                    c.sys.meta_standby.unwrap_or(c.sys.meta)
                 } else {
-                    c.meta
+                    c.sys.meta
                 };
                 let op = match ev {
                     AdminEvent::AddNode(n) => AdminOp::AddNode(NodeIdx(n as u32)),
@@ -306,35 +293,24 @@ fn run_nice(seed: u64, mode: PutMode, spec: &ChaosSpec, shared: bool) -> RunOutc
         }
     }
     let drained = c.run_until_done(DEADLINE);
-    finish_run::<ClientApp>(&c.sim, &c.clients, &c.client_ips, &plan, drained, pushed)
+    finish_run(&c, &plan, drained, pushed)
 }
 
 fn run_noob(seed: u64, mode: NoobMode, spec: &ChaosSpec, shared: bool) -> RunOutcome {
     let plan = ChaosPlan::generate(seed, spec);
-    let fp = plan.fault_plan(&storage_ips(NODES));
-    let mut nice_cfg = ClusterCfg::new(NODES, R, vec![Vec::new(); CLIENTS]);
-    nice_cfg.spec.seed = seed;
-    nice_cfg.host.client_start = Time::from_ms(400);
-    nice_cfg.host.fault_plan = Some(fp);
-    fast_timers(&mut nice_cfg.kv, seed);
     // RAC direct routing: clients know placement, no gateway middlebox —
     // the fault schedule hits the storage protocol, nothing else.
-    let cfg = NoobClusterCfg::from_nice(&nice_cfg, Access::Rac, mode);
+    let cfg = NoobClusterCfg::from_nice(&chaos_cfg(seed, &plan), Access::Rac, mode);
     let mut c = NoobCluster::build(cfg);
 
     let wave_ops = waves(seed, shared);
     let mut pushed = 0usize;
     for (w, per_client) in wave_ops.iter().enumerate() {
         c.sim.run_until(wave_time(w));
-        pushed += push_wave::<NoobClientApp>(&mut c.sim, &c.clients.clone(), per_client);
+        pushed += push_wave(&mut c, per_client);
     }
     let drained = c.run_until_done(DEADLINE);
-    // NOOB's builder assigns client addresses sequentially in
-    // 10.0.1.0/24 (no LB divisions to spread over).
-    let ips: Vec<Ipv4> = (0..c.clients.len())
-        .map(|j| Ipv4(Ipv4::new(10, 0, 1, 0).0 + 1 + j as u32))
-        .collect();
-    finish_run::<NoobClientApp>(&c.sim, &c.clients, &ips, &plan, drained, pushed)
+    finish_run(&c, &plan, drained, pushed)
 }
 
 fn run_cell(cell: Cell, seed: u64) -> RunOutcome {
@@ -430,14 +406,20 @@ fn chaos_sweep_full_matrix() {
 
 #[test]
 fn chaos_replay_is_byte_identical() {
-    let a = run_cell(Cell::NiceTwoPc, 5);
-    let b = run_cell(Cell::NiceTwoPc, 5);
-    assert_eq!(
-        a.trace, b.trace,
-        "same seed must replay the plan, the fault trace, and the history byte-for-byte"
-    );
-    let c = run_cell(Cell::NiceTwoPc, 6);
-    assert_ne!(a.trace, c.trace, "different seeds must actually differ");
+    for cell in [Cell::NiceTwoPc, Cell::NoobTwoPc] {
+        let a = run_cell(cell, 5);
+        let b = run_cell(cell, 5);
+        assert_eq!(
+            a.trace, b.trace,
+            "{cell:?}: same seed must replay the plan, the fault trace, and the history \
+             byte-for-byte"
+        );
+        let c = run_cell(cell, 6);
+        assert_ne!(
+            a.trace, c.trace,
+            "{cell:?}: different seeds must actually differ"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -454,7 +436,7 @@ fn ring_hiding_violations(break_hiding: bool) -> Vec<Violation> {
     let probe = NiceCluster::build(ClusterCfg::new(NODES, R, Vec::new()));
     let p = PartitionId(0);
     let keys = probe.keys_in_partition(p, 10);
-    let replicas: Vec<u32> = probe.ring.replica_set(p).iter().map(|n| n.0).collect();
+    let replicas: Vec<u32> = probe.sys.ring.replica_set(p).iter().map(|n| n.0).collect();
     let victim = replicas[1] as usize;
     let victim_ip = probe.server_ips[victim];
     let others: Vec<Ipv4> = probe
@@ -506,7 +488,7 @@ fn ring_hiding_violations(break_hiding: bool) -> Vec<Violation> {
     }
     assert!(c.run_until_done(Time::from_secs(40)), "gets drain");
 
-    record_history::<ClientApp>(&c.sim, &c.clients, &c.client_ips).check()
+    record_history(&c).check()
 }
 
 #[test]
@@ -536,7 +518,7 @@ fn metadata_failover_mid_put_storm_linearizes() {
     // storage-node failure on its own. The clients' history must still
     // linearize end to end.
     let probe = NiceCluster::build(ClusterCfg::new(NODES, R, Vec::new()));
-    let victim = probe.ring.replica_set(PartitionId(0))[1].0 as usize;
+    let victim = probe.sys.ring.replica_set(PartitionId(0))[1].0 as usize;
     drop(probe);
 
     const STORM_CLIENTS: usize = 3;
@@ -576,24 +558,24 @@ fn metadata_failover_mid_put_storm_linearizes() {
     cfg.host.client_start = Time::from_ms(400);
     fast_timers(&mut cfg.kv, 23);
     let mut c = NiceCluster::build(cfg);
-    let standby = c.meta_standby.expect("standby deployed");
+    let standby = c.sys.meta_standby.expect("standby deployed");
     // Meta dies early in the storm; a storage secondary dies after the
     // promotion — only the new active can install its handoff.
-    c.sim.schedule_crash(Time::from_ms(800), c.meta);
+    c.sim.schedule_crash(Time::from_ms(800), c.sys.meta);
     c.sim.schedule_crash(Time::from_ms(1600), c.servers[victim]);
 
     let mut pushed = 0usize;
     for (w, per_client) in storm.iter().enumerate() {
         c.sim
             .run_until(Time::from_ms(500) + Time::from_ms(400) * w as u64);
-        pushed += push_wave::<ClientApp>(&mut c.sim, &c.clients.clone(), per_client);
+        pushed += push_wave(&mut c, per_client);
     }
     assert!(c.run_until_done(Time::from_secs(60)), "storm drains");
 
     let sb = c.sim.app::<MetadataApp>(standby);
     assert_eq!(sb.role(), MetaRole::Active, "standby promoted itself");
 
-    let history = record_history::<ClientApp>(&c.sim, &c.clients, &c.client_ips);
+    let history = record_history(&c);
     let violations = history.check();
     assert!(
         violations.is_empty(),
@@ -614,40 +596,41 @@ fn metadata_failover_mid_put_storm_linearizes() {
 
 /// Telemetry determinism contract: two chaos runs from the same seed —
 /// same fault plan, same workload, same config — must produce
-/// byte-identical metrics snapshots. Every histogram bucket and counter
-/// in the merged cluster registry is derived from simulated time and
-/// seeded draws, so even one wall-clock or hash-order leak
-/// into the snapshot path shows up here as a diff.
+/// byte-identical metrics snapshots, on NICE and on NOOB (2PC, RAC).
+/// Every histogram bucket and counter in the merged cluster registry is
+/// derived from simulated time and seeded draws, so even one wall-clock
+/// or hash-order leak into the snapshot path shows up here as a diff.
 #[test]
 fn same_seed_chaos_runs_yield_byte_identical_telemetry() {
-    let run = || {
-        let mut ops: Vec<Vec<ClientOp>> = vec![Vec::new(); 3];
-        let mut rng = XorShiftRng::seed_from_u64(0x7E1E);
-        for (j, per_client) in ops.iter_mut().enumerate() {
-            for i in 0..40 {
-                let key = format!("t{}", rng.random_range(0u64..24));
-                if i % 4 == 0 {
-                    per_client.push(ClientOp::Put {
-                        key,
-                        value: Value::synthetic(256 + j as u32),
-                    });
-                } else {
-                    per_client.push(ClientOp::Get { key });
-                }
+    let mut ops: Vec<Vec<ClientOp>> = vec![Vec::new(); 3];
+    let mut rng = XorShiftRng::seed_from_u64(0x7E1E);
+    for (j, per_client) in ops.iter_mut().enumerate() {
+        for i in 0..40 {
+            let key = format!("t{}", rng.random_range(0u64..24));
+            if i % 4 == 0 {
+                per_client.push(ClientOp::Put {
+                    key,
+                    value: Value::synthetic(256 + j as u32),
+                });
+            } else {
+                per_client.push(ClientOp::Get { key });
             }
         }
-        let mut cfg = ClusterCfg::new(6, 3, ops);
-        cfg.spec.seed = 0x7E1E;
-        cfg.spec.retry_not_found = true;
-        cfg.host.fault_plan = Some(FaultPlan::new(0x7E1E).loss(0.01).duplication(0.005));
-        fast_timers(&mut cfg.kv, 0x7E1E);
-        let mut c = NiceCluster::build(cfg);
-        assert!(c.run_until_done(Time::from_secs(120)), "chaos run drains");
-        c.metrics().render()
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a, b, "same seed must replay to identical telemetry");
+    }
+    let mut cfg = ClusterCfg::new(6, 3, ops);
+    cfg.spec.seed = 0x7E1E;
+    cfg.spec.retry_not_found = true;
+    cfg.host.fault_plan = Some(FaultPlan::new(0x7E1E).loss(0.01).duplication(0.005));
+    fast_timers(&mut cfg.kv, 0x7E1E);
+    let noob = NoobClusterCfg::from_nice(&cfg, Access::Rac, NoobMode::TwoPc);
+    let a = telemetry_of::<NiceSys>(cfg.clone());
+    let b = telemetry_of::<NiceSys>(cfg);
+    assert_eq!(a, b, "NICE: same seed must replay to identical telemetry");
+    assert_eq!(
+        telemetry_of::<NoobSys>(noob.clone()),
+        telemetry_of::<NoobSys>(noob),
+        "NOOB: same seed must replay to identical telemetry"
+    );
     // The snapshot must be non-vacuous: the hot-path histograms and the
     // engine counters all saw traffic. The list also pins the spelling
     // of every name `perfbench/` reads by string — `counter()` returns 0
@@ -677,4 +660,12 @@ fn same_seed_chaos_runs_yield_byte_identical_telemetry() {
     ] {
         assert!(a.contains(needle), "snapshot is missing {needle}:\n{a}");
     }
+}
+
+/// Run one lossy telemetry workload to completion and render the merged
+/// registry.
+fn telemetry_of<D: Deployment>(cfg: D::Cfg) -> String {
+    let mut c = SimCluster::<D>::build(cfg);
+    assert!(c.run_until_done(Time::from_secs(120)), "chaos run drains");
+    c.metrics().render()
 }

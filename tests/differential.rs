@@ -17,7 +17,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use nice::kv::{ClientOp, ClusterCfg, KvClient, NiceCluster, ObjectStore, Value};
+use nice::kv::{
+    ClientOp, ClusterCfg, Deployment, KvClient, NiceCluster, ObjectStore, SimCluster, Value,
+};
 use nice::noob::{Access, NoobCluster, NoobClusterCfg, NoobMode};
 use nice::sim::{FaultPlan, Time};
 use nice::workload::{OpKind, Workload, WorkloadRun, XorShiftRng};
@@ -83,85 +85,27 @@ fn shared_cfg(seed: u64, plan: &Option<FaultPlan>, ops: &[Vec<ClientOp>]) -> Clu
     cfg
 }
 
-/// The cluster surface the differential harness needs. Both systems
-/// expose the same shape (clients implementing [`KvClient`], servers
-/// owning an [`ObjectStore`]), so the drive-and-verify logic in
-/// [`drive`] exists once instead of as parallel per-system paths.
-trait System {
-    /// Name used in assertion messages.
-    const NAME: &'static str;
-    type Client: KvClient;
-    fn run_until_done(&mut self, deadline: Time) -> bool;
-    fn run_for(&mut self, t: Time);
-    fn client_count(&self) -> usize;
-    fn client(&self, i: usize) -> &Self::Client;
-    fn stores(&self) -> Vec<&ObjectStore>;
-}
-
-impl System for NiceCluster {
-    const NAME: &'static str = "NICE";
-    type Client = nice::kv::ClientApp;
-    fn run_until_done(&mut self, deadline: Time) -> bool {
-        NiceCluster::run_until_done(self, deadline)
-    }
-    fn run_for(&mut self, t: Time) {
-        self.sim.run_for(t);
-    }
-    fn client_count(&self) -> usize {
-        self.clients.len()
-    }
-    fn client(&self, i: usize) -> &Self::Client {
-        NiceCluster::client(self, i)
-    }
-    fn stores(&self) -> Vec<&ObjectStore> {
-        (0..self.servers.len())
-            .map(|i| self.server(i).store())
-            .collect()
-    }
-}
-
-impl System for NoobCluster {
-    const NAME: &'static str = "NOOB";
-    type Client = nice::noob::NoobClientApp;
-    fn run_until_done(&mut self, deadline: Time) -> bool {
-        NoobCluster::run_until_done(self, deadline)
-    }
-    fn run_for(&mut self, t: Time) {
-        self.sim.run_for(t);
-    }
-    fn client_count(&self) -> usize {
-        self.clients.len()
-    }
-    fn client(&self, i: usize) -> &Self::Client {
-        NoobCluster::client(self, i)
-    }
-    fn stores(&self) -> Vec<&ObjectStore> {
-        (0..self.servers.len())
-            .map(|i| self.server(i).store())
-            .collect()
-    }
-}
-
 /// Run one system to completion, quiesce it, assert every client op
 /// succeeded, and fold its committed state — the whole per-system half
 /// of the differential check, generic over which system it is.
-fn drive<S: System>(mut sys: S) -> BTreeMap<String, Vec<u8>> {
+fn drive<D: Deployment>(name: &str, mut c: SimCluster<D>) -> BTreeMap<String, Vec<u8>> {
     assert!(
-        sys.run_until_done(Time::from_secs(300)),
-        "{} did not drain",
-        S::NAME
+        c.run_until_done(Time::from_secs(300)),
+        "{name} did not drain"
     );
     // Quiesce: let reliable-transport retransmissions of the last
     // commits land before inspecting replica state.
-    sys.run_for(Time::from_secs(2));
-    for c in 0..sys.client_count() {
+    c.sim.run_for(Time::from_secs(2));
+    for i in 0..c.clients.len() {
         assert!(
-            sys.client(c).records().iter().all(nice::kv::OpRecord::ok),
-            "{} client {c} had failed ops",
-            S::NAME
+            c.client(i).records().iter().all(nice::kv::OpRecord::ok),
+            "{name} client {i} had failed ops"
         );
     }
-    committed_state(S::NAME, sys.stores().into_iter())
+    committed_state(
+        name,
+        (0..c.servers.len()).map(|i| D::server_store(c.server(i))),
+    )
 }
 
 /// Fold every server's committed objects into one `key → bytes` map,
@@ -194,11 +138,11 @@ fn assert_systems_agree(seed: u64, plan: Option<FaultPlan>, mode: NoobMode) {
     let wl = Workload::a(RECORDS);
     let ops = build_ops(&wl, seed);
     // The paper's system: 2PC over switch multicast, vring addressing.
-    let nice_map = drive(NiceCluster::build(shared_cfg(seed, &plan, &ops)));
+    let nice_map = drive("NICE", NiceCluster::build(shared_cfg(seed, &plan, &ops)));
     // The baseline: unicast replication in `mode`, client-side routing
     // (RAC).
     let cfg = NoobClusterCfg::from_nice(&shared_cfg(seed, &plan, &ops), Access::Rac, mode);
-    let noob_map = drive(NoobCluster::build(cfg));
+    let noob_map = drive("NOOB", NoobCluster::build(cfg));
     assert_eq!(
         nice_map.len(),
         RECORDS as usize,

@@ -21,7 +21,7 @@ fn two_secondaries_fail_and_system_survives() {
     let probe = NiceCluster::build(ClusterCfg::new(10, 3, Vec::new()));
     let p = PartitionId(0);
     let keys = probe.keys_in_partition(p, 20);
-    let replicas: Vec<u32> = probe.ring.replica_set(p).iter().map(|n| n.0).collect();
+    let replicas: Vec<u32> = probe.sys.ring.replica_set(p).iter().map(|n| n.0).collect();
     drop(probe);
 
     let mut ops = Vec::new();
@@ -64,7 +64,7 @@ fn failed_node_is_invisible_to_gets_until_recovered() {
     let probe = NiceCluster::build(ClusterCfg::new(8, 3, Vec::new()));
     let p = PartitionId(0);
     let keys = probe.keys_in_partition(p, 10);
-    let replicas: Vec<u32> = probe.ring.replica_set(p).iter().map(|n| n.0).collect();
+    let replicas: Vec<u32> = probe.sys.ring.replica_set(p).iter().map(|n| n.0).collect();
     let victim = replicas[1];
     drop(probe);
 
@@ -126,7 +126,7 @@ fn handoff_failure_is_replaced() {
     // replacement for the original failed node.
     let probe = NiceCluster::build(ClusterCfg::new(10, 3, Vec::new()));
     let p = PartitionId(0);
-    let replicas: Vec<u32> = probe.ring.replica_set(p).iter().map(|n| n.0).collect();
+    let replicas: Vec<u32> = probe.sys.ring.replica_set(p).iter().map(|n| n.0).collect();
     let victim = replicas[1];
     drop(probe);
 
@@ -171,7 +171,7 @@ fn primary_and_secondary_fail_together() {
     let probe = NiceCluster::build(ClusterCfg::new(10, 3, Vec::new()));
     let p = PartitionId(0);
     let keys = probe.keys_in_partition(p, 10);
-    let replicas: Vec<u32> = probe.ring.replica_set(p).iter().map(|n| n.0).collect();
+    let replicas: Vec<u32> = probe.sys.ring.replica_set(p).iter().map(|n| n.0).collect();
     drop(probe);
 
     let mut ops = Vec::new();
@@ -203,12 +203,13 @@ fn cluster_keeps_serving_unrelated_partitions_during_failure() {
     // A failure in one partition must not disturb puts/gets elsewhere.
     let probe = NiceCluster::build(ClusterCfg::new(10, 3, Vec::new()));
     let p_fail = PartitionId(0);
-    let replicas: Vec<u32> = probe.ring.replica_set(p_fail).iter().map(|n| n.0).collect();
+    let ring = &probe.sys.ring;
+    let replicas: Vec<u32> = ring.replica_set(p_fail).iter().map(|n| n.0).collect();
     // find a partition that shares no nodes with p_fail
     let mut other = None;
-    for q in 0..probe.ring.num_partitions() {
+    for q in 0..ring.num_partitions() {
         let q = PartitionId(q);
-        let set: Vec<u32> = probe.ring.replica_set(q).iter().map(|n| n.0).collect();
+        let set: Vec<u32> = ring.replica_set(q).iter().map(|n| n.0).collect();
         if set.iter().all(|n| !replicas.contains(n)) {
             other = Some(q);
             break;
@@ -258,7 +259,7 @@ fn full_cluster_crash_converges() {
         let probe = NiceCluster::build(ClusterCfg::new(8, 3, Vec::new()));
         let p = PartitionId(0);
         let key = probe.keys_in_partition(p, 1).remove(0);
-        let replicas: Vec<u32> = probe.ring.replica_set(p).iter().map(|n| n.0).collect();
+        let replicas: Vec<u32> = probe.sys.ring.replica_set(p).iter().map(|n| n.0).collect();
         drop(probe);
 
         let ops = vec![ClientOp::Put {
@@ -336,7 +337,7 @@ fn admin_add_node_expands_ring_with_synced_data() {
     let meta = c.meta_app();
     let mut serves = 0;
     let mut holds = 0;
-    for p in 0..c.cfg.partitions {
+    for p in 0..c.sys.cfg.partitions {
         let p = PartitionId(p);
         if let Some(v) = meta.view(p) {
             if v.members.iter().any(|&(n, _)| n == spare) {
@@ -396,7 +397,7 @@ fn admin_remove_node_keeps_data_available() {
     c.sim.run_for(Time::from_secs(5));
 
     // victim serves nothing anymore
-    for p in 0..c.cfg.partitions {
+    for p in 0..c.sys.cfg.partitions {
         let view = c.meta_app().view(PartitionId(p)).expect("view");
         assert!(
             !view.members.iter().any(|&(n, _)| n == victim),
@@ -432,7 +433,7 @@ fn metadata_standby_takes_over() {
     let probe = NiceCluster::build(ClusterCfg::new(8, 3, Vec::new()));
     let p = PartitionId(0);
     let keys = probe.keys_in_partition(p, 30);
-    let replicas: Vec<u32> = probe.ring.replica_set(p).iter().map(|n| n.0).collect();
+    let replicas: Vec<u32> = probe.sys.ring.replica_set(p).iter().map(|n| n.0).collect();
     let victim = replicas[1];
     drop(probe);
 
@@ -450,10 +451,10 @@ fn metadata_standby_takes_over() {
         cfg.host.client_start = Time::from_ms(100);
         NiceCluster::build(cfg)
     };
-    let standby = c.meta_standby.expect("standby deployed");
+    let standby = c.sys.meta_standby.expect("standby deployed");
 
     // 1. kill the active metadata service early
-    c.sim.schedule_crash(Time::from_ms(200), c.meta);
+    c.sim.schedule_crash(Time::from_ms(200), c.sys.meta);
     // 2. then kill a storage secondary — only the promoted standby can
     //    orchestrate the handoff
     c.sim
@@ -507,7 +508,7 @@ fn rejoin_after_handoff_chain_failure_recovers_all_writes() {
     let probe = NiceCluster::build(ClusterCfg::new(10, 3, Vec::new()));
     let p = PartitionId(0);
     let keys = probe.keys_in_partition(p, 12);
-    let replicas: Vec<u32> = probe.ring.replica_set(p).iter().map(|n| n.0).collect();
+    let replicas: Vec<u32> = probe.sys.ring.replica_set(p).iter().map(|n| n.0).collect();
     let f = replicas[1];
     drop(probe);
 
@@ -569,7 +570,7 @@ fn rejoining_node_with_lost_catchup_stays_off_get_ring() {
     let probe = NiceCluster::build(ClusterCfg::new(8, 3, Vec::new()));
     let p = PartitionId(0);
     let keys = probe.keys_in_partition(p, 10);
-    let replicas: Vec<u32> = probe.ring.replica_set(p).iter().map(|n| n.0).collect();
+    let replicas: Vec<u32> = probe.sys.ring.replica_set(p).iter().map(|n| n.0).collect();
     let victim = replicas[1] as usize;
     let victim_ip = probe.server_ips[victim];
     let others: Vec<Ipv4> = probe

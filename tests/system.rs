@@ -141,6 +141,7 @@ fn quorum_is_faster_than_full_replication_with_slow_nodes() {
     let p = PartitionId(0);
     let keys = probe.keys_in_partition(p, 5);
     let replicas: Vec<usize> = probe
+        .sys
         .ring
         .replica_set(p)
         .iter()
