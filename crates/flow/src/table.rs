@@ -7,9 +7,9 @@
 //! `now + ctrl_latency`, which is how the paper's failure-hiding window
 //! (the <2 s unavailability of Figure 11) arises.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use nice_sim::{Packet, Port, SwitchAction, Time};
+use nice_sim::{Ipv4, Packet, Port, SwitchAction, Time};
 
 use crate::rule::{Action, FlowMatch, FlowRule, GroupId};
 
@@ -80,6 +80,44 @@ impl Entry {
     }
 }
 
+/// Entry indices by destination prefix. Per `ip_dst` prefix length in use,
+/// a map from network to the entries whose `ip_dst` is that prefix; plus
+/// the entries with no `ip_dst`. The entries a packet can match are then
+/// one probe per length plus the dst-less ones (NetChain's exact-match
+/// table and TurboKV's range directory index switch lookups the same way).
+#[derive(Debug, Default)]
+struct DstIndex {
+    by_len: BTreeMap<u8, HashMap<Ipv4, Vec<usize>>>,
+    any_dst: Vec<usize>,
+}
+
+impl DstIndex {
+    /// Index entry `i`, whose match is `m`.
+    fn add(&mut self, i: usize, m: &FlowMatch) {
+        match m.ip_dst {
+            Some((net, len)) => self
+                .by_len
+                .entry(len)
+                .or_default()
+                .entry(net.network(len))
+                .or_default()
+                .push(i),
+            None => self.any_dst.push(i),
+        }
+    }
+
+    /// Every entry whose `ip_dst` (if any) covers `dst`, each once, in no
+    /// particular order.
+    fn candidates(&self, dst: Ipv4) -> impl Iterator<Item = usize> + '_ {
+        self.by_len
+            .iter()
+            .filter_map(move |(&len, nets)| nets.get(&dst.network(len)))
+            .flatten()
+            .chain(&self.any_dst)
+            .copied()
+    }
+}
+
 /// Statistics of one rule, for tests and the scalability table.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RuleStats {
@@ -93,6 +131,8 @@ pub struct RuleStats {
 #[derive(Debug, Default)]
 pub struct FlowTable {
     entries: Vec<Entry>,
+    /// `entries` by destination prefix, so a lookup need not scan them all.
+    index: DstIndex,
     groups: HashMap<GroupId, Vec<GroupVersion>>,
     next_seq: u64,
     /// Installs since the last amortized purge of dead entries.
@@ -116,7 +156,7 @@ impl FlowTable {
     ///
     /// Long-dead entries are purged on an amortized schedule so repeated
     /// replacements (failure handling, load-balancer rebalancing) do not
-    /// grow the per-packet scan without bound.
+    /// grow the table, or the lookup's candidate lists, without bound.
     pub fn install(&mut self, rule: FlowRule, at: Time) {
         self.installs_since_purge += 1;
         if self.installs_since_purge >= 256 {
@@ -134,6 +174,7 @@ impl FlowTable {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.index.add(self.entries.len(), &rule.m);
         self.entries.push(Entry {
             installed_at: at,
             active_from: at,
@@ -211,6 +252,10 @@ impl FlowTable {
         self.entries.retain(|e| {
             e.live(now) || e.active_from > now // keep not-yet-active rules
         });
+        self.index = DstIndex::default();
+        for (i, e) in self.entries.iter().enumerate() {
+            self.index.add(i, &e.rule.m);
+        }
     }
 
     fn group_buckets(&self, id: GroupId, now: Time) -> Option<&[GroupBucket]> {
@@ -227,8 +272,12 @@ impl FlowTable {
     /// miss (the caller decides the miss behavior).
     pub fn apply(&mut self, in_port: Port, pkt: &Packet, now: Time) -> Option<Vec<SwitchAction>> {
         self.last_seen = self.last_seen.max(now);
+        let candidates = self
+            .index
+            .candidates(pkt.dst)
+            .filter_map(|i| Some((i, self.entries.get(i)?)));
         let mut best: Option<(usize, &Entry)> = None;
-        for (i, e) in self.entries.iter().enumerate() {
+        for (i, e) in candidates {
             if !e.live(now) || !e.rule.m.matches(in_port, pkt) {
                 continue;
             }
@@ -584,5 +633,165 @@ mod tests {
         t.purge(Time::from_us(500));
         assert_eq!(t.live_entries(Time::from_us(500)), 0);
         assert_eq!(t.live_entries(Time::from_ms(1)), 1);
+    }
+
+    /// `apply` as a scan of every entry: the max of (priority,
+    /// specificity, seq) over the live matches. Kept as the oracle of the
+    /// destination index.
+    fn apply_by_scan(
+        t: &mut FlowTable,
+        in_port: Port,
+        pkt: &Packet,
+        now: Time,
+    ) -> Option<Vec<SwitchAction>> {
+        t.last_seen = t.last_seen.max(now);
+        let best = t
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.live(now) && e.rule.m.matches(in_port, pkt))
+            .max_by_key(|(_, e)| (e.rule.priority, e.rule.m.specificity(), e.seq))
+            .map(|(i, _)| i);
+        let Some(e) = best.and_then(|i| t.entries.get_mut(i)) else {
+            t.misses += 1;
+            return None;
+        };
+        e.last_match = now;
+        e.hits += 1;
+        e.bytes += pkt.wire_size as u64;
+        let actions = e.rule.actions.clone();
+        Some(t.run_actions(&actions, pkt, now))
+    }
+
+    /// An entry's `(seq, hits, bytes, last_match)`.
+    type EntryCounters = (u64, u64, u64, Time);
+
+    /// Everything `apply` may change, entry by entry.
+    fn counters(t: &FlowTable) -> (Vec<EntryCounters>, u64, Time) {
+        let entries = t.entries.iter();
+        let entries = entries.map(|e| (e.seq, e.hits, e.bytes, e.last_match));
+        (entries.collect(), t.misses, t.last_seen)
+    }
+
+    /// Forwarded packets with the headers the rules rewrite.
+    fn rendered(acts: &Option<Vec<SwitchAction>>) -> Option<Vec<String>> {
+        let acts = acts.as_ref()?.iter().map(|a| match a {
+            SwitchAction::Forward { port, pkt } => format!("{port:?} {pkt:?} {:?}", pkt.dst_mac),
+            other => format!("{other:?}"),
+        });
+        Some(acts.collect())
+    }
+
+    /// The destination index picks the rule the linear scan picks: over
+    /// random rule sets (every prefix length from /0 to /32 and rules with
+    /// no `ip_dst`; port, MAC, protocol and source matches; equal
+    /// priorities; hard and idle timeouts; rules not yet active; cookie
+    /// deletions; replacements, enough to trigger the amortized purge),
+    /// random packets get the same actions and leave the same counters.
+    #[test]
+    fn indexed_apply_matches_the_linear_scan() {
+        use nice_sim::{Proto, XorShiftRng};
+        let addr = |rng: &mut XorShiftRng| {
+            let net = [10 << 24 | 10 << 16, 10 << 24 | 11 << 16, 10 << 24];
+            Ipv4(net[rng.random_range(0usize..3)] | rng.random_range(0u32..1 << 10))
+        };
+        let lens = [0u8, 8, 16, 22, 24, 26, 30, 32, 32, 32];
+        for case in 0..8u64 {
+            let mut rng = XorShiftRng::seed_from_u64(0xf10a_0001 ^ case);
+            let (mut indexed, mut scanned) = (FlowTable::new(), FlowTable::new());
+            let mut installed: Vec<(u16, FlowMatch)> = Vec::new();
+            let mut now = Time::ZERO;
+            let (mut hits, mut purges) = (0u32, 0u32);
+            for step in 0..6_000u32 {
+                now += Time::from_us(rng.random_range(0u64..20));
+                let roll = rng.random_range(0u32..100);
+                if roll < 20 {
+                    let (priority, m) = match installed.len() {
+                        n if n > 0 && rng.random_range(0u32..3) == 0 => {
+                            installed[rng.random_range(0..n)]
+                        }
+                        _ => {
+                            let mut m = FlowMatch::any();
+                            if rng.random_range(0u32..5) > 0 {
+                                let len = lens[rng.random_range(0usize..lens.len())];
+                                m = m.dst_prefix(addr(&mut rng), len);
+                            }
+                            let r = rng.random_range(0u32..64);
+                            if r & 1 != 0 {
+                                m = m.in_port(Port(rng.random_range(0u32..3) as u16));
+                            }
+                            if r & 2 != 0 {
+                                m = m.eth_dst(Mac(rng.random_range(0u64..3)));
+                            }
+                            if r & 4 != 0 {
+                                m = m.proto([Proto::Udp, Proto::Tcp][rng.random_range(0usize..2)]);
+                            }
+                            if r & 8 != 0 {
+                                m = m.dst_port(9000 + rng.random_range(0u32..2) as u16);
+                            }
+                            if r & 16 != 0 {
+                                m = m.src_port(7000 + rng.random_range(0u32..2) as u16);
+                            }
+                            if r & 32 != 0 {
+                                m = m.src_prefix(addr(&mut rng), 24);
+                            }
+                            let priority = [1u16, 5, 5, 10][rng.random_range(0usize..4)];
+                            installed.push((priority, m));
+                            (priority, m)
+                        }
+                    };
+                    let port = Port(rng.random_range(0u32..16) as u16);
+                    let mac = Mac(rng.random_range(0u64..1 << 20));
+                    let mut rule = FlowRule::new(
+                        priority,
+                        m,
+                        vec![Action::SetMacDst(mac), Action::Output(port)],
+                    )
+                    .cookie(rng.random_range(0u64..4));
+                    match rng.random_range(0u32..8) {
+                        0 => rule = rule.hard(Time::from_us(rng.random_range(1u64..3_000))),
+                        1 => rule = rule.idle(Time::from_us(rng.random_range(1u64..500))),
+                        _ => {}
+                    }
+                    let at = now + Time::from_us(rng.random_range(0u64..200));
+                    let before = indexed.entries.len();
+                    indexed.install(rule.clone(), at);
+                    scanned.install(rule, at);
+                    purges += u32::from(indexed.entries.len() <= before);
+                } else if roll < 22 {
+                    let (cookie, at) = (rng.random_range(0u64..4), now + Time::from_us(50));
+                    indexed.remove_by_cookie(cookie, at);
+                    scanned.remove_by_cookie(cookie, at);
+                } else {
+                    let dst = addr(&mut rng);
+                    let (src_port, dst_port) = (
+                        7000 + rng.random_range(0u32..2) as u16,
+                        9000 + rng.random_range(0u32..2) as u16,
+                    );
+                    let src = addr(&mut rng);
+                    let mut pkt = if rng.random_range(0u32..2) == 0 {
+                        Packet::udp(src, Mac(9), dst, src_port, dst_port, 100, Rc::new(()))
+                    } else {
+                        Packet::tcp(src, Mac(9), dst, src_port, dst_port, 100, Rc::new(()))
+                    };
+                    pkt.dst_mac = Mac(rng.random_range(0u64..3));
+                    let in_port = Port(rng.random_range(0u32..3) as u16);
+                    let got = indexed.apply(in_port, &pkt, now);
+                    let want = apply_by_scan(&mut scanned, in_port, &pkt, now);
+                    assert_eq!(rendered(&got), rendered(&want), "case {case} step {step}");
+                    hits += u32::from(want.is_some());
+                }
+                assert_eq!(
+                    counters(&indexed),
+                    counters(&scanned),
+                    "case {case} step {step}"
+                );
+            }
+            // The schedule reached what the test is about.
+            assert!(
+                hits > 1_000 && purges > 0,
+                "case {case}: {hits} hits, {purges} purges"
+            );
+        }
     }
 }

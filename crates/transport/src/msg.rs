@@ -59,10 +59,6 @@ pub enum TransportEvent {
     Delivered {
         /// Sender's physical address and transport port.
         from: (Ipv4, u16),
-        /// Destination IP as seen on the wire at the receiver (after any
-        /// switch rewrite this is the receiver's physical address; it is
-        /// the *original* vnode address only if no rewrite rule matched).
-        dst_ip: Ipv4,
         /// How it arrived.
         carrier: Carrier,
         /// The message.

@@ -1,11 +1,13 @@
 //! Randomized transport properties: for arbitrary message sizes and
 //! fan-outs, the reliable transports deliver every message exactly once,
-//! intact, to every required receiver — and the chunker conserves bytes.
+//! intact, to every required receiver — the chunker conserves bytes, and
+//! reassembly expiry and NACK pacing agree with a per-tick countdown.
 //!
 //! Cases are drawn from the in-tree seeded PRNG so the suite is fully
 //! deterministic and builds offline (no proptest dependency).
 
 use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use nice_flow::{prio, Action, FlowMatch, FlowRule, FlowSwitch, FlowTable, GroupBucket, GroupId};
@@ -13,7 +15,10 @@ use nice_sim::{
     App, ChannelCfg, Ctx, HostCfg, Ipv4, Mac, Packet, Simulation, SwitchCfg, Time, XorShiftRng,
 };
 
-use crate::{chunk_bytes, num_chunks, Msg, Transport, TransportEvent};
+use crate::transport::tests::{FakeIo, ME};
+use crate::{
+    chunk_bytes, num_chunks, Msg, RudpCfg, TpPayload, Transport, TransportEvent, TRANSPORT_TICK,
+};
 
 const PORT: u16 = 9100;
 
@@ -200,5 +205,169 @@ fn multicast_delivers_to_all_members() {
         // the non-member host saw nothing
         assert_eq!(sim.app::<Node>(hosts[4]).delivered.len(), 0, "case {case}");
         assert_eq!(sim.app::<Node>(hosts[0]).sent_done, 1, "case {case}");
+    }
+}
+
+type Key = (Ipv4, u64);
+
+/// The receive side's expiry and NACK pacing as a per-tick countdown: every
+/// tick walks every held state, counts its linger down by one and drops it
+/// at zero, after picking the one incomplete state (round robin in key
+/// order) whose NACK countdown runs. `Transport` keeps expiry ticks in a
+/// heap instead; this is the oracle it must agree with.
+struct CountdownModel {
+    cfg: RudpCfg,
+    states: BTreeMap<Key, ModelState>,
+    nack_rr: u64,
+}
+
+struct ModelState {
+    total: u32,
+    have: BTreeSet<u32>,
+    delivered: bool,
+    nack_left: u32,
+    linger_left: u32,
+}
+
+impl CountdownModel {
+    /// A chunk arrives; returns whether it completes an undelivered message.
+    fn chunk(&mut self, key: Key, seq: u32, total: u32) -> bool {
+        let cfg = self.cfg;
+        let st = self.states.entry(key).or_insert_with(|| ModelState {
+            total,
+            have: BTreeSet::new(),
+            delivered: false,
+            nack_left: cfg.nack_ticks,
+            linger_left: cfg.linger_ticks,
+        });
+        st.have.insert(seq);
+        st.nack_left = cfg.nack_ticks;
+        st.linger_left = cfg.linger_ticks;
+        let deliver = st.have.len() == st.total as usize && !st.delivered;
+        st.delivered |= deliver;
+        deliver
+    }
+
+    /// One tick; returns the key that sent a NACK, if one did.
+    fn tick(&mut self) -> Option<Key> {
+        let incomplete: Vec<Key> = self
+            .states
+            .iter()
+            .filter(|(_, s)| s.have.len() < s.total as usize)
+            .map(|(&k, _)| k)
+            .collect();
+        let allowed = incomplete
+            .get((self.nack_rr % incomplete.len().max(1) as u64) as usize)
+            .copied();
+        if allowed.is_some() {
+            self.nack_rr += 1;
+        }
+        let nack_ticks = self.cfg.nack_ticks;
+        let mut nacked = None;
+        self.states.retain(|&key, s| {
+            s.linger_left = s.linger_left.saturating_sub(1);
+            if s.linger_left == 0 {
+                return false;
+            }
+            if allowed == Some(key) {
+                s.nack_left -= 1;
+                if s.nack_left == 0 {
+                    s.nack_left = nack_ticks;
+                    nacked = Some(key);
+                }
+            }
+            true
+        });
+        nacked
+    }
+}
+
+/// A reliable-UDP chunk of message `key` as the switch hands it to `ME`.
+fn chunk_from(key: Key, seq: u32, total: u32) -> Packet {
+    let payload = Rc::new(TpPayload::Chunk {
+        sender: key.0,
+        msg_id: key.1,
+        seq,
+        total,
+        msg_size: total * nice_sim::MTU,
+        data: Rc::new(()),
+        retx: seq % 2 == 1,
+    });
+    Packet::udp(key.0, Mac(2), ME, PORT, PORT, 50, payload)
+}
+
+/// Expiry by heap ≡ expiry by countdown: over random interleavings of
+/// first, duplicate and refreshing chunks, transfers left incomplete by
+/// lost chunks, ticks and crashes, the transport holds exactly the states
+/// the countdown holds, NACKs the same key on every tick, and delivers the
+/// same messages.
+#[test]
+fn expiry_heap_matches_the_per_tick_countdown() {
+    let cfg = RudpCfg::default();
+    let senders = [
+        Ipv4::new(10, 0, 0, 2),
+        Ipv4::new(10, 0, 0, 3),
+        Ipv4::new(10, 0, 0, 4),
+    ];
+    for case in 0..3u64 {
+        let mut rng = XorShiftRng::seed_from_u64(0x7261_0004 ^ case);
+        let mut tp = Transport::new(PORT);
+        let mut io = FakeIo::new();
+        let mut model = CountdownModel {
+            cfg,
+            states: BTreeMap::new(),
+            nack_rr: 0,
+        };
+        let (mut ticks, mut nacks, mut expired) = (0u64, 0u32, 0u32);
+        for step in 0..30_000u32 {
+            let held_before = model.states.len();
+            let roll = rng.random_range(0u32..10_000);
+            // Every third stretch of 4096 ticks is quiet: everything held
+            // lingers out, the last incomplete states NACKing every tick.
+            let quiet = ticks / 4096 % 3 == 2;
+            if roll < 1 {
+                tp.on_crash();
+                model.states.clear();
+            } else if roll < 3_000 && !quiet {
+                // Message ids drift with time, so old messages go quiet
+                // and linger out; one chunk in fifty is a late one for an
+                // old id, which may find its state gone.
+                let base = ticks / 256;
+                let msg_id = if rng.random_range(0u32..50) == 0 {
+                    rng.random_range(0..base + 1)
+                } else {
+                    base + rng.random_range(0u64..8)
+                };
+                let key = (senders[rng.random_range(0usize..3)], msg_id);
+                let total = 1 + (msg_id % 4) as u32;
+                let seq = rng.random_range(0..total);
+                let evs = tp.on_packet(&chunk_from(key, seq, total), &mut io);
+                let delivered = model.chunk(key, seq, total);
+                assert_eq!(evs.len(), usize::from(delivered), "case {case} step {step}");
+            } else {
+                ticks += 1;
+                io.sent.clear();
+                assert!(tp.on_timer(TRANSPORT_TICK, &mut io).is_empty());
+                let sent: Vec<Key> = io
+                    .sent
+                    .iter()
+                    .filter_map(|p| match p.payload_as::<TpPayload>() {
+                        Some(TpPayload::Nack { msg_id, .. }) => Some((p.dst, *msg_id)),
+                        _ => None,
+                    })
+                    .collect();
+                let want = model.tick();
+                assert_eq!(sent, Vec::from_iter(want), "case {case} tick {ticks}");
+                nacks += u32::from(want.is_some());
+                expired += (held_before - model.states.len()) as u32;
+            }
+            let want: Vec<Key> = model.states.keys().copied().collect();
+            assert_eq!(tp.held(), want, "case {case} step {step}");
+        }
+        // The schedule reached what the test is about.
+        assert!(
+            nacks > 1000 && expired > 100,
+            "case {case}: {nacks} NACKs, {expired} expiries"
+        );
     }
 }

@@ -350,7 +350,6 @@ pub struct RecvState {
     msg_size: u32,
     data: Rc<dyn std::any::Any>,
     carrier: Carrier,
-    dst_ip: Ipv4,
     proto: Proto,
     bitmap: Vec<u64>,
     have: u32,
@@ -358,21 +357,24 @@ pub struct RecvState {
     max_seen: u32,
     delivered: bool,
     nack_left: u32,
-    linger_left: u32,
+    /// The transport tick at which this state is dropped: `linger_ticks`
+    /// (at least one) after the tick its latest chunk arrived in.
+    pub(crate) expires: u64,
 }
 
 impl RecvState {
-    /// Create reassembly state from the first chunk observed.
+    /// Create reassembly state from the first chunk observed, in
+    /// transport tick `tick`.
     #[allow(clippy::too_many_arguments)]
     pub fn from_chunk(
         cfg: &RudpCfg,
+        tick: u64,
         sender: Ipv4,
         sender_port: u16,
         msg_id: u64,
         total: u32,
         msg_size: u32,
         data: Rc<dyn std::any::Any>,
-        dst_ip: Ipv4,
         proto: Proto,
     ) -> RecvState {
         RecvState {
@@ -387,7 +389,6 @@ impl RecvState {
             } else {
                 Carrier::ReliableUdp
             },
-            dst_ip,
             proto,
             bitmap: vec![0; total.div_ceil(64) as usize],
             have: 0,
@@ -395,7 +396,7 @@ impl RecvState {
             max_seen: 0,
             delivered: false,
             nack_left: cfg.nack_ticks,
-            linger_left: cfg.linger_ticks,
+            expires: expiry(cfg, tick),
         }
     }
 
@@ -459,13 +460,14 @@ impl RecvState {
         ctx.send(pkt);
     }
 
-    /// Handle one data chunk; returns a `Delivered` event on completion of
-    /// an undelivered message.
+    /// Handle one data chunk, arrived in transport tick `tick`; returns a
+    /// `Delivered` event on completion of an undelivered message.
     pub fn on_chunk(
         &mut self,
         cfg: &RudpCfg,
         ctx: &mut dyn NodeIo,
         my_port: u16,
+        tick: u64,
         seq: u32,
     ) -> Option<TransportEvent> {
         // A seq past the count this state was opened with is hostile
@@ -476,13 +478,12 @@ impl RecvState {
         self.max_seen = self.max_seen.max(seq);
         self.mark(seq);
         self.nack_left = cfg.nack_ticks;
-        self.linger_left = cfg.linger_ticks;
+        self.expires = expiry(cfg, tick);
         self.send_ack(ctx, my_port);
         if self.complete() && !self.delivered {
             self.delivered = true;
             return Some(TransportEvent::Delivered {
                 from: (self.sender, self.sender_port),
-                dst_ip: self.dst_ip,
                 carrier: self.carrier,
                 msg: Msg {
                     data: Rc::clone(&self.data),
@@ -493,31 +494,18 @@ impl RecvState {
         None
     }
 
-    /// Periodic tick: fire NACKs while incomplete; expire when lingered
-    /// out. Returns true when the state should be dropped. `may_nack`
-    /// paces repair: the owning [`crate::Transport`] permits only one
-    /// reassembly state to request repair per tick, bounding repair
-    /// injection per receiver regardless of how many transfers lag.
-    /// Bumps `nacks` when a NACK goes out (telemetry).
-    pub fn on_tick(
+    /// One tick of this incomplete state's NACK countdown: every
+    /// `nack_ticks` of its turns it re-requests its missing chunks. The
+    /// owning [`crate::Transport`] gives one reassembly state a turn per
+    /// tick, bounding repair injection per receiver regardless of how many
+    /// transfers lag. Bumps `nacks` when a NACK goes out (telemetry).
+    pub fn nack_tick(
         &mut self,
         cfg: &RudpCfg,
         ctx: &mut dyn NodeIo,
         my_port: u16,
-        may_nack: bool,
         nacks: &mut u64,
-    ) -> bool {
-        if self.complete() {
-            self.linger_left = self.linger_left.saturating_sub(1);
-            return self.linger_left == 0;
-        }
-        self.linger_left = self.linger_left.saturating_sub(1);
-        if self.linger_left == 0 {
-            return true; // abandoned transfer
-        }
-        if !may_nack {
-            return false;
-        }
+    ) {
         self.nack_left = self.nack_left.saturating_sub(1);
         if self.nack_left == 0 {
             self.nack_left = cfg.nack_ticks;
@@ -570,8 +558,12 @@ impl RecvState {
                 *nacks += 1;
             }
         }
-        false
     }
+}
+
+/// The tick at which reassembly state refreshed in tick `tick` expires.
+fn expiry(cfg: &RudpCfg, tick: u64) -> u64 {
+    tick + u64::from(cfg.linger_ticks.max(1))
 }
 
 #[cfg(test)]

@@ -13,7 +13,9 @@
 //! * TCP-like streams with connection handshakes and caching
 //!   ([`Transport::tcp_send`]) — replies and inter-node traffic.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::rc::Rc;
 
 use node_rt::{Ipv4, NodeIo, Packet, Proto, HDR_TCP, HDR_UDP, MTU};
@@ -77,13 +79,24 @@ enum Conn {
     Established,
 }
 
+/// Identifies a reassembly: the original sender and its message id.
+type RecvKey = (Ipv4, u64);
+
 /// The transport stack. See module docs.
 pub struct Transport {
     cfg: RudpCfg,
     port: u16,
     next_msg_id: u64,
     senders: BTreeMap<u64, SendState>,
-    recvs: BTreeMap<(Ipv4, u64), RecvState>,
+    recvs: BTreeMap<RecvKey, RecvState>,
+    /// The keys of `recvs` still missing chunks: the NACK round robin.
+    incomplete: BTreeSet<RecvKey>,
+    /// One `(tick, key)` per state in `recvs`, `tick` no later than the
+    /// state's `expires`. A popped entry whose state was refreshed since
+    /// goes back with the new tick, so a tick touches only what is due.
+    expiries: BinaryHeap<Reverse<(u64, RecvKey)>>,
+    /// Transport ticks run so far: the clock of `RecvState::expires`.
+    ticks: u64,
     conns: BTreeMap<Ipv4, Conn>,
     tick_armed: bool,
     /// Round-robin cursor for NACK pacing across reassembly states.
@@ -95,17 +108,15 @@ pub struct Transport {
 impl Transport {
     /// A stack bound to `port` with default tuning.
     pub fn new(port: u16) -> Transport {
-        Transport::with_cfg(port, RudpCfg::default())
-    }
-
-    /// A stack bound to `port` with explicit tuning.
-    pub fn with_cfg(port: u16, cfg: RudpCfg) -> Transport {
         Transport {
-            cfg,
+            cfg: RudpCfg::default(),
             port,
             next_msg_id: 1,
             senders: BTreeMap::new(),
             recvs: BTreeMap::new(),
+            incomplete: BTreeSet::new(),
+            expiries: BinaryHeap::new(),
+            ticks: 0,
             conns: BTreeMap::new(),
             tick_armed: false,
             nack_rr: 0,
@@ -121,6 +132,12 @@ impl Transport {
     /// The local transport port.
     pub fn port(&self) -> u16 {
         self.port
+    }
+
+    /// The reassembly states held, by key.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> Vec<RecvKey> {
+        self.recvs.keys().copied().collect()
     }
 
     fn arm(&mut self, ctx: &mut dyn NodeIo) {
@@ -301,7 +318,6 @@ impl Transport {
             TpPayload::Datagram { data, size } => {
                 events.push(TransportEvent::Delivered {
                     from: (pkt.src, pkt.src_port),
-                    dst_ip: pkt.dst,
                     carrier: Carrier::Datagram,
                     msg: Msg {
                         data: Rc::clone(data),
@@ -328,21 +344,31 @@ impl Transport {
                 }
                 self.arm(ctx);
                 let key = (*sender, *msg_id);
-                let st = self.recvs.entry(key).or_insert_with(|| {
-                    RecvState::from_chunk(
-                        &self.cfg,
-                        *sender,
-                        pkt.src_port,
-                        *msg_id,
-                        *total,
-                        *msg_size,
-                        Rc::clone(data),
-                        pkt.dst,
-                        pkt.proto,
-                    )
-                });
-                if let Some(ev) = st.on_chunk(&self.cfg, ctx, self.port, *seq) {
+                let st = match self.recvs.entry(key) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
+                        let st = RecvState::from_chunk(
+                            &self.cfg,
+                            self.ticks,
+                            *sender,
+                            pkt.src_port,
+                            *msg_id,
+                            *total,
+                            *msg_size,
+                            Rc::clone(data),
+                            pkt.proto,
+                        );
+                        self.expiries.push(Reverse((st.expires, key)));
+                        e.insert(st)
+                    }
+                };
+                if let Some(ev) = st.on_chunk(&self.cfg, ctx, self.port, self.ticks, *seq) {
                     events.push(ev);
+                }
+                if st.complete() {
+                    self.incomplete.remove(&key);
+                } else {
+                    self.incomplete.insert(key);
                 }
             }
             TpPayload::Ack {
@@ -459,35 +485,35 @@ impl Transport {
         }
 
         // Receiver ticks. NACK pacing: at most one incomplete reassembly
-        // may request repair per tick (round-robin, deterministic order),
-        // so total repair demand per receiver stays bounded no matter how
-        // many straggling transfers it has.
-        let mut incomplete: Vec<(Ipv4, u64)> = self
-            .recvs
-            .iter()
-            .filter(|(_, r)| !r.complete())
-            .map(|(&k, _)| k)
-            .collect();
-        incomplete.sort_unstable();
-        let rr_at = (self.nack_rr % incomplete.len().max(1) as u64) as usize;
-        let allowed = incomplete.get(rr_at).copied();
-        if allowed.is_some() {
+        // may request repair per tick (round-robin in key order, picked
+        // before this tick's expiries), so total repair demand per
+        // receiver stays bounded no matter how many straggling transfers
+        // it has. A state expiring in this tick sends no NACK.
+        self.ticks += 1;
+        let len = self.incomplete.len() as u64;
+        if len > 0 {
+            let allowed = self.incomplete.iter().nth((self.nack_rr % len) as usize);
             self.nack_rr += 1;
-        }
-        let mut drop_keys = Vec::new();
-        for (&key, r) in self.recvs.iter_mut() {
-            if r.on_tick(
-                &self.cfg,
-                ctx,
-                self.port,
-                allowed == Some(key),
-                &mut self.stats.nacks_sent,
-            ) {
-                drop_keys.push(key);
+            if let Some(r) = allowed.and_then(|k| self.recvs.get_mut(k)) {
+                if r.expires > self.ticks {
+                    r.nack_tick(&self.cfg, ctx, self.port, &mut self.stats.nacks_sent);
+                }
             }
         }
-        for k in drop_keys {
-            self.recvs.remove(&k);
+        // Expiry: completed states linger to serve straggler chunks and
+        // late NACKs; incomplete ones are abandoned transfers.
+        while let Some(&Reverse((at, key))) = self.expiries.peek() {
+            if at > self.ticks {
+                break;
+            }
+            self.expiries.pop();
+            match self.recvs.get(&key) {
+                Some(r) if r.expires > self.ticks => self.expiries.push(Reverse((r.expires, key))),
+                _ => {
+                    self.recvs.remove(&key);
+                    self.incomplete.remove(&key);
+                }
+            }
         }
 
         // Handshake retries.
@@ -548,6 +574,8 @@ impl Transport {
     pub fn on_crash(&mut self) {
         self.senders.clear();
         self.recvs.clear();
+        self.incomplete.clear();
+        self.expiries.clear();
         self.conns.clear();
         self.tick_armed = false;
     }
@@ -572,9 +600,11 @@ pub(crate) mod tests {
     pub(crate) const ME: Ipv4 = Ipv4::new(10, 0, 0, 1);
     pub(crate) const PEER: Ipv4 = Ipv4::new(10, 0, 0, 2);
 
-    /// A host at `ME` that only writes down, in order, what it was asked.
+    /// A host at `ME` that only writes down, in order, what it was asked
+    /// (and keeps the packets it was asked to send).
     pub(crate) struct FakeIo {
         pub(crate) asked: Vec<(&'static str, Time, u64)>,
+        pub(crate) sent: Vec<Packet>,
         rng: XorShiftRng,
     }
 
@@ -582,6 +612,7 @@ pub(crate) mod tests {
         pub(crate) fn new() -> FakeIo {
             FakeIo {
                 asked: Vec::new(),
+                sent: Vec::new(),
                 rng: XorShiftRng::seed_from_u64(1),
             }
         }
@@ -597,8 +628,9 @@ pub(crate) mod tests {
         fn mac(&self) -> Mac {
             Mac(1)
         }
-        fn send(&mut self, _pkt: Packet) {
+        fn send(&mut self, pkt: Packet) {
             self.asked.push(("send", Time::ZERO, 0));
+            self.sent.push(pkt);
         }
         fn set_timer(&mut self, delay: Time, token: u64) {
             self.asked.push(("set_timer", delay, token));
@@ -649,6 +681,37 @@ pub(crate) mod tests {
         assert!(tp.on_packet(&chunk(1, 3, size), &mut io).is_empty());
         assert!(tp.on_packet(&chunk(5, 6, 6 * MTU), &mut io).is_empty());
         let evs = tp.on_packet(&chunk(2, 3, size), &mut io);
+        assert!(matches!(evs[..], [TransportEvent::Delivered { .. }]));
+    }
+
+    #[test]
+    fn a_chunk_refreshes_its_linger_and_a_chunk_after_expiry_opens_a_fresh_state() {
+        let linger = RudpCfg::default().linger_ticks;
+        let mut tp = Transport::new(PORT);
+        let mut io = FakeIo::new();
+        let ticks = |tp: &mut Transport, io: &mut FakeIo, n: u32| {
+            for _ in 0..n {
+                assert!(tp.on_timer(TRANSPORT_TICK, io).is_empty());
+            }
+        };
+        let evs = tp.on_packet(&chunk(0, 1, 10), &mut io);
+        assert!(matches!(evs[..], [TransportEvent::Delivered { .. }]));
+        ticks(&mut tp, &mut io, linger - 1);
+        assert_eq!(tp.held(), [(PEER, 7)]);
+        // A duplicate in the last tick of the linger is acked again, not
+        // delivered again, and restarts the linger.
+        io.sent.clear();
+        assert!(tp.on_packet(&chunk(0, 1, 10), &mut io).is_empty());
+        assert!(matches!(
+            io.sent[..],
+            [ref ack] if matches!(ack.payload_as::<TpPayload>(), Some(TpPayload::Ack { complete: true, .. }))
+        ));
+        ticks(&mut tp, &mut io, linger - 1);
+        assert_eq!(tp.held(), [(PEER, 7)]);
+        ticks(&mut tp, &mut io, 1);
+        assert!(tp.held().is_empty());
+        // The same message after expiry is new to this receiver.
+        let evs = tp.on_packet(&chunk(0, 1, 10), &mut io);
         assert!(matches!(evs[..], [TransportEvent::Delivered { .. }]));
     }
 }

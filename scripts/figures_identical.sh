@@ -2,7 +2,9 @@
 # Proof that a refactor left simulated behaviour alone (ROADMAP "One of
 # each": figure CSVs byte-identical). Builds <parent-ref> and the working
 # tree, runs every figure binary at --quick --seed 42 from each, and
-# diffs the two bench_results/ sets.
+# diffs the two bench_results/ sets. It also prints the wall seconds of
+# every figure on each side, and both totals, so a simulator speed change
+# gets its per-figure numbers from the run that proves the CSVs equal.
 #
 #   scripts/figures_identical.sh <parent-ref>
 #
@@ -40,14 +42,20 @@ echo "=== build working tree ==="
 CARGO_TARGET_DIR="$ROOT/target" cargo build -q --release --offline -p nice-bench
 
 status=0
+declare -A secs
 # run_figs <dir holding the binaries> <side>: CSVs land in
-# $OUT/<side>/bench_results (the binaries write relative to their cwd).
+# $OUT/<side>/bench_results (the binaries write relative to their cwd);
+# each figure's wall seconds land in secs[<side>.<fig>], their sum in
+# secs[<side>.total].
 run_figs() {
   for fig in $FIGS; do
+    start=$EPOCHREALTIME
     if ! (cd "$OUT/$2" && "$1/$fig" --quick --seed 42 >"$fig.log" 2>&1); then
       echo "$2: $fig exited non-zero (log: $OUT/$2/$fig.log)"
       [ "$2" = then ] || status=1
     fi
+    secs[$2.$fig]=$(awk "BEGIN { print $EPOCHREALTIME - $start }")
+    secs[$2.total]=$(awk "BEGIN { print ${secs[$2.total]:-0} + ${secs[$2.$fig]} }")
     if [ ! -s "$OUT/$2/bench_results/$fig.csv" ]; then
       echo "$2: $fig wrote no CSV"
       status=1
@@ -58,6 +66,12 @@ echo "=== figures: $REF ==="
 run_figs "$OUT/then-target/release" then
 echo "=== figures: working tree ==="
 run_figs "$ROOT/target/release" now
+
+echo "=== wall seconds ==="
+printf '%-24s %14.14s %14s\n' figure "$REF" "working tree"
+for fig in $FIGS total; do
+  printf '%-24s %12.2f s %12.2f s\n' "$fig" "${secs[then.$fig]}" "${secs[now.$fig]}"
+done
 
 echo "=== diff ==="
 diff -r "$OUT/then/bench_results" "$OUT/now/bench_results" || status=1
