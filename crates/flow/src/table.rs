@@ -298,8 +298,8 @@ impl FlowTable {
         e.last_match = now;
         e.hits += 1;
         e.bytes += pkt.wire_size as u64;
-        let actions = e.rule.actions.clone();
-        Some(self.run_actions(&actions, pkt, now))
+        let e = best.and_then(|i| self.entries.get(i))?;
+        Some(self.run_actions(&e.rule.actions, pkt, now))
     }
 
     /// Apply an action list to (a copy of) `pkt`.
@@ -317,13 +317,9 @@ impl FlowTable {
                 }),
                 Action::Controller => out.push(SwitchAction::ToController { pkt: cur.clone() }),
                 Action::Group(gid) => {
-                    if let Some(buckets) = self.group_buckets(gid, now) {
-                        // Each bucket operates on an independent copy.
-                        let copies: Vec<Vec<Action>> =
-                            buckets.iter().map(|b| b.actions.clone()).collect();
-                        for b in copies {
-                            out.extend(self.run_actions(&b, &cur, now));
-                        }
+                    // Each bucket operates on an independent copy.
+                    for b in self.group_buckets(gid, now).unwrap_or_default() {
+                        out.extend(self.run_actions(&b.actions, &cur, now));
                     }
                 }
                 Action::Drop => return Vec::new(),

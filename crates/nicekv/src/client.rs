@@ -118,7 +118,7 @@ impl ClientApp {
         self.core.sent(&at, ctx);
     }
 
-    fn drive(&mut self, events: Vec<TransportEvent>, ctx: &mut dyn NodeIo) {
+    fn drive(&mut self, events: impl IntoIterator<Item = TransportEvent>, ctx: &mut dyn NodeIo) {
         for ev in events {
             let next = match ev {
                 TransportEvent::Delivered { msg, .. } => match msg.downcast::<KvMsg>() {

@@ -1142,7 +1142,7 @@ impl MetadataApp {
         }
     }
 
-    fn drive(&mut self, events: Vec<TransportEvent>, ctx: &mut Ctx) {
+    fn drive(&mut self, events: impl IntoIterator<Item = TransportEvent>, ctx: &mut Ctx) {
         for ev in events {
             if let TransportEvent::Delivered { from, msg, .. } = ev {
                 if let Some(kv) = msg.downcast::<KvMsg>() {

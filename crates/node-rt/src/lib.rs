@@ -32,6 +32,7 @@ mod io;
 pub mod nemesis;
 pub mod net;
 pub mod runtime;
+mod sched;
 pub mod time;
 
 pub use codec::{ByteReader, ByteWriter, WireCodec};
@@ -41,4 +42,5 @@ pub use nemesis::{FaultStats, Nemesis, NemesisUdp, Verdict};
 pub use net::{ArpOp, Ipv4, Mac, Packet, Payload, Proto, ARP_WIRE_SIZE, HDR_TCP, HDR_UDP, MTU};
 pub use nice_workload::XorShiftRng;
 pub use runtime::{NodeSpec, RuntimeCfg, UdpHostCfg, UdpRuntime};
+pub use sched::Scheduler;
 pub use time::Time;

@@ -17,7 +17,7 @@
 //! [`RuntimeCfg`] (+ [`UdpHostCfg`]), list the nodes as [`NodeSpec`]s,
 //! and call [`UdpRuntime::spawn`].
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -32,6 +32,7 @@ use crate::fault::FaultPlan;
 use crate::io::{NodeApp, NodeIo};
 use crate::nemesis::{FaultStats, Nemesis, NemesisUdp};
 use crate::net::{Ipv4, Mac, Packet};
+use crate::sched::Scheduler;
 use crate::time::Time;
 
 /// How long a node blocks in `recv` when it has nothing else to do.
@@ -176,8 +177,7 @@ impl UdpRuntime {
                 codec: Arc::clone(&cfg.codec),
                 epoch,
                 rng: XorShiftRng::seed_from_u64(node_seed(cfg.seed, ip)),
-                timers: BinaryHeap::new(),
-                timer_seq: 0,
+                timers: Scheduler::new(),
             };
             let handle = std::thread::Builder::new()
                 .name(format!("node-{ip}"))
@@ -310,10 +310,9 @@ struct HostIo {
     codec: Arc<dyn WireCodec>,
     epoch: Instant,
     rng: XorShiftRng,
-    /// Min-heap of `(deadline ns, arm order, token)`; arm order keeps
-    /// same-deadline timers FIFO.
-    timers: BinaryHeap<std::cmp::Reverse<(u64, u64, u64)>>,
-    timer_seq: u64,
+    /// Armed timer tokens by deadline; same-deadline timers fire in arm
+    /// order.
+    timers: Scheduler<u64>,
 }
 
 impl HostIo {
@@ -323,25 +322,16 @@ impl HostIo {
 
     /// Pop every timer whose deadline has passed.
     fn due_timers(&mut self) -> Vec<u64> {
-        let now = self.now_ns();
-        let mut due = Vec::new();
-        while let Some(std::cmp::Reverse((deadline, _, token))) = self.timers.peek().copied() {
-            if deadline > now {
-                break;
-            }
-            self.timers.pop();
-            due.push(token);
-        }
-        due
+        let now = Time(self.now_ns());
+        std::iter::from_fn(|| self.timers.pop_due(now))
+            .map(|(_, token)| token)
+            .collect()
     }
 
     /// How long the socket may block before the next timer or delayed
     /// (nemesis-held) frame is due.
     fn wait_budget(&self) -> Duration {
-        let timer = self
-            .timers
-            .peek()
-            .map(|std::cmp::Reverse((deadline, _, _))| *deadline);
+        let timer = self.timers.next_deadline().map(Time::as_ns);
         let deadline = match (timer, self.socket.next_due()) {
             (Some(t), Some(d)) => Some(t.min(d)),
             (t, d) => t.or(d),
@@ -383,9 +373,7 @@ impl NodeIo for HostIo {
 
     fn set_timer(&mut self, delay: Time, token: u64) {
         let deadline = self.now_ns().saturating_add(delay.as_ns());
-        self.timer_seq += 1;
-        self.timers
-            .push(std::cmp::Reverse((deadline, self.timer_seq, token)));
+        self.timers.push(Time(deadline), token);
     }
 
     fn cpu_work(&mut self, _amount: Time) {

@@ -150,7 +150,7 @@ impl NoobClientApp {
         self.core.sent(&at, ctx);
     }
 
-    fn drive(&mut self, events: Vec<TransportEvent>, ctx: &mut dyn NodeIo) {
+    fn drive(&mut self, events: impl IntoIterator<Item = TransportEvent>, ctx: &mut dyn NodeIo) {
         for ev in events {
             let TransportEvent::Delivered { from, msg, .. } = ev else {
                 continue;

@@ -1,15 +1,15 @@
 //! The discrete-event simulation kernel.
 //!
 //! [`Simulation`] owns the topology (hosts, switches, channels), the event
-//! heap, and the per-entity state. Determinism: events are ordered by
-//! `(time, insertion sequence)`, every host gets a PRNG seeded from the
-//! master seed and its id, and nothing reads the wall clock.
+//! queue (a [`node_rt::Scheduler`]), and the per-entity state. Determinism:
+//! events are ordered by `(time, insertion sequence)`, every host gets a
+//! PRNG seeded from the master seed and its id, and nothing reads the
+//! wall clock.
 
 use std::any::Any;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use nice_workload::XorShiftRng;
+use node_rt::Scheduler;
 
 use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::host::{App, Ctx, Effect, HostCfg};
@@ -108,35 +108,10 @@ enum Ev {
     },
 }
 
-struct HeapItem {
-    at: Time,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// The simulation world.
 pub struct Simulation {
     now: Time,
-    seq: u64,
-    heap: BinaryHeap<HeapItem>,
+    queue: Scheduler<Ev>,
     hosts: Vec<HostNode>,
     switches: Vec<SwitchNode>,
     channels: Vec<Channel>,
@@ -151,8 +126,7 @@ impl Simulation {
     pub fn new(seed: u64) -> Simulation {
         Simulation {
             now: Time::ZERO,
-            seq: 0,
-            heap: BinaryHeap::new(),
+            queue: Scheduler::new(),
             hosts: Vec::new(),
             switches: Vec::new(),
             channels: Vec::new(),
@@ -177,9 +151,7 @@ impl Simulation {
 
     fn push(&mut self, at: Time, ev: Ev) {
         debug_assert!(at >= self.now, "event scheduled in the past");
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(HeapItem { at, seq, ev });
+        self.queue.push(at, ev);
     }
 
     // ---------------------------------------------------------------
@@ -417,11 +389,8 @@ impl Simulation {
     /// Advance to absolute time `t`, processing every event up to and
     /// including it. The clock lands exactly on `t`.
     pub fn run_until(&mut self, t: Time) {
-        while let Some(top) = self.heap.peek() {
-            if top.at > t {
-                break;
-            }
-            self.step();
+        while let Some((at, ev)) = self.queue.pop_due(t) {
+            self.process(at, ev);
         }
         self.now = self.now.max(t);
     }
@@ -432,16 +401,20 @@ impl Simulation {
         self.run_until(t);
     }
 
-    /// Process a single event; returns false when the heap is empty.
+    /// Process a single event; returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(item) = self.heap.pop() else {
+        let Some((at, ev)) = self.queue.pop_due(Time::MAX) else {
             return false;
         };
-        debug_assert!(item.at >= self.now);
-        self.now = item.at;
-        self.events_processed += 1;
-        self.dispatch(item.ev);
+        self.process(at, ev);
         true
+    }
+
+    fn process(&mut self, at: Time, ev: Ev) {
+        debug_assert!(at >= self.now);
+        self.now = at;
+        self.events_processed += 1;
+        self.dispatch(ev);
     }
 
     fn dispatch(&mut self, ev: Ev) {

@@ -126,27 +126,26 @@ impl<M: Any + Clone, C> Endpoint<M, C> {
         self.tp.tcp_send(ctx, dst, port, Msg::new(msg, size));
     }
 
-    /// Queue every delivered message on the serial CPU; it is processed
-    /// (and replied to) when its processing slot completes.
-    fn enqueue(&mut self, events: Vec<TransportEvent>, ctx: &mut dyn NodeIo) {
-        for ev in events {
-            if let TransportEvent::Delivered { from, msg, .. } = ev {
-                if let Some(m) = msg.downcast::<M>() {
-                    let cost = (self.cost)(m);
-                    let tok = self.park(Fired::Message {
-                        msg: m.clone(),
-                        src: from.0,
-                    });
-                    ctx.cpu_defer(cost, tok);
-                }
+    /// Queue a delivered message on the serial CPU; it is processed (and
+    /// replied to) when its processing slot completes.
+    fn enqueue(&mut self, ev: TransportEvent, ctx: &mut dyn NodeIo) {
+        if let TransportEvent::Delivered { from, msg } = ev {
+            if let Some(m) = msg.downcast::<M>() {
+                let cost = (self.cost)(m);
+                let tok = self.park(Fired::Message {
+                    msg: m.clone(),
+                    src: from.0,
+                });
+                ctx.cpu_defer(cost, tok);
             }
         }
     }
 
     /// Forward the app's `on_packet` hook here.
     pub fn on_packet(&mut self, pkt: &Packet, ctx: &mut dyn NodeIo) {
-        let events = self.tp.on_packet(pkt, ctx);
-        self.enqueue(events, ctx);
+        if let Some(ev) = self.tp.on_packet(pkt, ctx) {
+            self.enqueue(ev, ctx);
+        }
     }
 
     /// Forward the app's `on_timer` hook here. Returns the work `token`
@@ -154,8 +153,9 @@ impl<M: Any + Clone, C> Endpoint<M, C> {
     /// or it is stale (armed before a crash).
     pub fn on_timer(&mut self, token: u64, ctx: &mut dyn NodeIo) -> Option<Fired<M, C>> {
         if token == TRANSPORT_TICK {
-            let events = self.tp.on_timer(token, ctx);
-            self.enqueue(events, ctx);
+            for ev in self.tp.on_timer(token, ctx) {
+                self.enqueue(ev, ctx);
+            }
             return None;
         }
         if token < FIRST_TOKEN {

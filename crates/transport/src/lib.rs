@@ -21,7 +21,7 @@ pub mod transport;
 pub mod wire;
 
 pub use endpoint::{Endpoint, Fired};
-pub use msg::{Carrier, Msg, MsgToken, TpPayload, TransportEvent};
+pub use msg::{Msg, MsgToken, TpPayload, TransportEvent};
 pub use rudp::{chunk_bytes, num_chunks, RudpCfg};
 pub use transport::{TpStats, Transport, TRANSPORT_TICK};
 pub use wire::TpCodec;

@@ -40,18 +40,6 @@ impl std::fmt::Debug for Msg {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MsgToken(pub u64);
 
-/// How a reliable message was carried (receivers may care whether a
-/// message arrived via the multicast ring or a direct stream).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Carrier {
-    /// Unreliable single datagram.
-    Datagram,
-    /// Reliable UDP (unicast or switch multicast), the §5 data path.
-    ReliableUdp,
-    /// TCP-like stream.
-    Tcp,
-}
-
 /// Events surfaced to the application by [`crate::Transport`].
 #[derive(Debug)]
 pub enum TransportEvent {
@@ -59,8 +47,6 @@ pub enum TransportEvent {
     Delivered {
         /// Sender's physical address and transport port.
         from: (Ipv4, u16),
-        /// How it arrived.
-        carrier: Carrier,
         /// The message.
         msg: Msg,
     },

@@ -40,7 +40,7 @@ impl Node {
             sent_done: 0,
         }
     }
-    fn handle(&mut self, evs: Vec<TransportEvent>) {
+    fn handle(&mut self, evs: impl IntoIterator<Item = TransportEvent>) {
         for ev in evs {
             match ev {
                 TransportEvent::Delivered { from, msg, .. } => {
@@ -343,7 +343,7 @@ fn expiry_heap_matches_the_per_tick_countdown() {
                 let seq = rng.random_range(0..total);
                 let evs = tp.on_packet(&chunk_from(key, seq, total), &mut io);
                 let delivered = model.chunk(key, seq, total);
-                assert_eq!(evs.len(), usize::from(delivered), "case {case} step {step}");
+                assert_eq!(evs.is_some(), delivered, "case {case} step {step}");
             } else {
                 ticks += 1;
                 io.sent.clear();

@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use node_rt::{Ipv4, NodeIo, Packet, Proto, Time, HDR_TCP, HDR_UDP, MTU};
 
-use crate::msg::{Carrier, Msg, MsgToken, TpPayload, TransportEvent};
+use crate::msg::{Msg, MsgToken, TpPayload, TransportEvent};
 
 /// Tuning knobs for the reliable engine. Defaults are calibrated for the
 /// simulated 1 Gbps / ~30 µs RTT fabric.
@@ -349,7 +349,6 @@ pub struct RecvState {
     total: u32,
     msg_size: u32,
     data: Rc<dyn std::any::Any>,
-    carrier: Carrier,
     proto: Proto,
     bitmap: Vec<u64>,
     have: u32,
@@ -384,11 +383,6 @@ impl RecvState {
             total,
             msg_size,
             data,
-            carrier: if proto == Proto::Tcp {
-                Carrier::Tcp
-            } else {
-                Carrier::ReliableUdp
-            },
             proto,
             bitmap: vec![0; total.div_ceil(64) as usize],
             have: 0,
@@ -484,7 +478,6 @@ impl RecvState {
             self.delivered = true;
             return Some(TransportEvent::Delivered {
                 from: (self.sender, self.sender_port),
-                carrier: self.carrier,
                 msg: Msg {
                     data: Rc::clone(&self.data),
                     size: self.msg_size,

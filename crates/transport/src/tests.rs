@@ -41,7 +41,8 @@ const PORT: u16 = 9000;
 struct TestApp {
     tp: Transport,
     plan: Vec<Plan>,
-    delivered: Vec<(Ipv4, u32, Carrier, Time)>,
+    /// `(sender, size, payload, arrival)` of every delivered message.
+    delivered: Vec<(Ipv4, u32, Option<u64>, Time)>,
     sent: Vec<(MsgToken, Vec<Ipv4>, Time)>,
     failed: Vec<MsgToken>,
 }
@@ -57,13 +58,12 @@ impl TestApp {
         }
     }
 
-    fn handle(&mut self, evs: Vec<TransportEvent>, ctx: &mut Ctx) {
+    fn handle(&mut self, evs: impl IntoIterator<Item = TransportEvent>, ctx: &mut Ctx) {
         for ev in evs {
             match ev {
-                TransportEvent::Delivered {
-                    from, carrier, msg, ..
-                } => {
-                    self.delivered.push((from.0, msg.size, carrier, ctx.now()));
+                TransportEvent::Delivered { from, msg } => {
+                    let payload = msg.downcast::<u64>().copied();
+                    self.delivered.push((from.0, msg.size, payload, ctx.now()));
                 }
                 TransportEvent::Sent { token, acked_by } => {
                     self.sent.push((token, acked_by, ctx.now()));
@@ -74,24 +74,29 @@ impl TestApp {
     }
 }
 
+/// A `size`-byte message whose payload is its size, so a receiver can
+/// tell it arrived intact.
+fn msg(size: u32) -> Msg {
+    Msg::new(u64::from(size), size)
+}
+
 impl App for TestApp {
     fn on_start(&mut self, ctx: &mut Ctx) {
         for p in self.plan.clone() {
             match p {
-                Plan::Udp { dst, size } => self.tp.udp_send(ctx, dst, PORT, Msg::new(0u64, size)),
+                Plan::Udp { dst, size } => self.tp.udp_send(ctx, dst, PORT, msg(size)),
                 Plan::Rudp { dst, size } => {
-                    self.tp.rudp_send(ctx, dst, PORT, Msg::new(0u64, size));
+                    self.tp.rudp_send(ctx, dst, PORT, msg(size));
                 }
                 Plan::Tcp { dst, size } => {
-                    self.tp.tcp_send(ctx, dst, PORT, Msg::new(0u64, size));
+                    self.tp.tcp_send(ctx, dst, PORT, msg(size));
                 }
                 Plan::Mcast {
                     group,
                     size,
                     expected,
                 } => {
-                    self.tp
-                        .mcast_send(ctx, group, PORT, Msg::new(0u64, size), expected);
+                    self.tp.mcast_send(ctx, group, PORT, msg(size), expected);
                 }
                 Plan::AnyK {
                     group,
@@ -99,8 +104,7 @@ impl App for TestApp {
                     expected,
                     k,
                 } => {
-                    self.tp
-                        .anyk_send(ctx, group, PORT, Msg::new(0u64, size), expected, k);
+                    self.tp.anyk_send(ctx, group, PORT, msg(size), expected, k);
                 }
             }
         }
@@ -199,8 +203,9 @@ fn udp_datagram_delivery() {
     w.sim.run_until(Time::from_ms(5));
     let b = w.sim.app::<TestApp>(w.hosts[1]);
     assert_eq!(b.delivered.len(), 1);
+    assert_eq!(b.delivered[0].0, w.ips[0]);
     assert_eq!(b.delivered[0].1, 100);
-    assert_eq!(b.delivered[0].2, Carrier::Datagram);
+    assert_eq!(b.delivered[0].2, Some(100));
 }
 
 #[test]
@@ -222,7 +227,8 @@ fn rudp_small_message_roundtrip() {
     assert_eq!(a.sent[0].1, vec![w.ips[1]]);
     let b = w.sim.app::<TestApp>(w.hosts[1]);
     assert_eq!(b.delivered.len(), 1);
-    assert_eq!(b.delivered[0].2, Carrier::ReliableUdp);
+    assert_eq!(b.delivered[0].0, w.ips[0]);
+    assert_eq!(b.delivered[0].2, Some(500));
 }
 
 #[test]
@@ -272,7 +278,8 @@ fn tcp_handshake_then_data() {
     let b = w.sim.app::<TestApp>(w.hosts[1]);
     assert_eq!(b.delivered.len(), 2);
     assert_eq!(b.delivered.iter().map(|d| d.1).sum::<u32>(), 5000);
-    assert!(b.delivered.iter().all(|d| d.2 == Carrier::Tcp));
+    let intact = |d: &(Ipv4, u32, Option<u64>, Time)| d.2 == Some(u64::from(d.1));
+    assert!(b.delivered.iter().all(|d| d.0 == w.ips[0] && intact(d)));
     let a = w.sim.app::<TestApp>(w.hosts[0]);
     assert_eq!(a.sent.len(), 2);
     assert!(a.failed.is_empty());

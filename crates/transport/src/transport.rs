@@ -20,7 +20,7 @@ use std::rc::Rc;
 
 use node_rt::{Ipv4, NodeIo, Packet, Proto, HDR_TCP, HDR_UDP, MTU};
 
-use crate::msg::{Carrier, Msg, MsgToken, TpPayload, TransportEvent};
+use crate::msg::{Msg, MsgToken, TpPayload, TransportEvent};
 use crate::rudp::{num_chunks, RecvState, RudpCfg, SendOutcome, SendState};
 
 /// The timer token the transport reserves. Applications must forward this
@@ -305,26 +305,21 @@ impl Transport {
     // -----------------------------------------------------------------
 
     /// Feed a received packet through the stack. Packets not destined to
-    /// our port (or not transport-shaped) are ignored.
-    pub fn on_packet(&mut self, pkt: &Packet, ctx: &mut dyn NodeIo) -> Vec<TransportEvent> {
-        let mut events = Vec::new();
+    /// our port (or not transport-shaped) are ignored. A packet surfaces
+    /// at most one event: a datagram or a completing chunk `Delivered`,
+    /// an ack that completes a send `Sent`.
+    pub fn on_packet(&mut self, pkt: &Packet, ctx: &mut dyn NodeIo) -> Option<TransportEvent> {
         if pkt.dst_port != self.port {
-            return events;
+            return None;
         }
-        let Some(payload) = pkt.payload_as::<TpPayload>() else {
-            return events;
-        };
-        match payload {
-            TpPayload::Datagram { data, size } => {
-                events.push(TransportEvent::Delivered {
-                    from: (pkt.src, pkt.src_port),
-                    carrier: Carrier::Datagram,
-                    msg: Msg {
-                        data: Rc::clone(data),
-                        size: *size,
-                    },
-                });
-            }
+        match pkt.payload_as::<TpPayload>()? {
+            TpPayload::Datagram { data, size } => Some(TransportEvent::Delivered {
+                from: (pkt.src, pkt.src_port),
+                msg: Msg {
+                    data: Rc::clone(data),
+                    size: *size,
+                },
+            }),
             TpPayload::Chunk {
                 sender,
                 msg_id,
@@ -340,7 +335,7 @@ impl Transport {
                 // held to the count its reassembly was opened with
                 // (`RecvState::on_chunk`).
                 if *total != num_chunks(*msg_size) || *seq >= *total {
-                    return events;
+                    return None;
                 }
                 self.arm(ctx);
                 let key = (*sender, *msg_id);
@@ -362,38 +357,31 @@ impl Transport {
                         e.insert(st)
                     }
                 };
-                if let Some(ev) = st.on_chunk(&self.cfg, ctx, self.port, self.ticks, *seq) {
-                    events.push(ev);
-                }
+                let ev = st.on_chunk(&self.cfg, ctx, self.port, self.ticks, *seq);
                 if st.complete() {
                     self.incomplete.remove(&key);
                 } else {
                     self.incomplete.insert(key);
                 }
+                ev
             }
             TpPayload::Ack {
                 msg_id,
                 cum,
                 complete: _,
             } => {
-                if let Some(s) = self.senders.get_mut(msg_id) {
-                    match s.on_ack(&self.cfg, ctx, self.port, pkt.src, *cum) {
-                        SendOutcome::Sent(acked_by) => {
-                            let token = s.token;
-                            if s.fully_acked() {
-                                self.senders.remove(msg_id);
-                            }
-                            events.push(TransportEvent::Sent { token, acked_by });
-                        }
-                        // Failed is unreachable for acks (an ack never
-                        // expands the send window); treat it like Quiet
-                        // to keep the datapath panic-free.
-                        SendOutcome::Failed | SendOutcome::Quiet => {
-                            if s.fully_acked() {
-                                self.senders.remove(msg_id);
-                            }
-                        }
-                    }
+                let s = self.senders.get_mut(msg_id)?;
+                let outcome = s.on_ack(&self.cfg, ctx, self.port, pkt.src, *cum);
+                let token = s.token;
+                if s.fully_acked() {
+                    self.senders.remove(msg_id);
+                }
+                match outcome {
+                    SendOutcome::Sent(acked_by) => Some(TransportEvent::Sent { token, acked_by }),
+                    // Failed is unreachable for acks (an ack never
+                    // expands the send window); treat it like Quiet to
+                    // keep the datapath panic-free.
+                    SendOutcome::Failed | SendOutcome::Quiet => None,
                 }
             }
             TpPayload::Nack { msg_id, missing } => {
@@ -401,6 +389,7 @@ impl Transport {
                     self.stats.nacks_received += 1;
                     self.stats.repairs += s.on_nack(ctx, self.port, pkt.src, missing);
                 }
+                None
             }
             TpPayload::Syn => {
                 // Simultaneous open: if we were mid-handshake to this
@@ -427,6 +416,7 @@ impl Transport {
                         self.senders.insert(id, s);
                     }
                 }
+                None
             }
             TpPayload::SynAck => {
                 if let Some(Conn::SynSent { pending, .. }) = self.conns.get_mut(&pkt.src) {
@@ -450,9 +440,9 @@ impl Transport {
                         self.senders.insert(id, s);
                     }
                 }
+                None
             }
         }
-        events
     }
 
     /// Drive the stack's periodic work. Call from the app's `on_timer`
@@ -670,18 +660,18 @@ pub(crate) mod tests {
             chunk(0, u32::MAX, u32::MAX),
             chunk(1, 1, 10),
         ] {
-            assert!(tp.on_packet(&hostile, &mut io).is_empty());
+            assert!(tp.on_packet(&hostile, &mut io).is_none());
             assert!(tp.recvs.is_empty());
         }
         // Once open, a reassembly holds later chunks to its own count: a
         // self-consistent 6-chunk header cannot slip seq 5 into the last
         // bitmap word of this truthful 3-chunk message and complete it.
         let size = 2 * MTU + 1;
-        assert!(tp.on_packet(&chunk(0, 3, size), &mut io).is_empty());
-        assert!(tp.on_packet(&chunk(1, 3, size), &mut io).is_empty());
-        assert!(tp.on_packet(&chunk(5, 6, 6 * MTU), &mut io).is_empty());
+        assert!(tp.on_packet(&chunk(0, 3, size), &mut io).is_none());
+        assert!(tp.on_packet(&chunk(1, 3, size), &mut io).is_none());
+        assert!(tp.on_packet(&chunk(5, 6, 6 * MTU), &mut io).is_none());
         let evs = tp.on_packet(&chunk(2, 3, size), &mut io);
-        assert!(matches!(evs[..], [TransportEvent::Delivered { .. }]));
+        assert!(matches!(evs, Some(TransportEvent::Delivered { .. })));
     }
 
     #[test]
@@ -695,13 +685,13 @@ pub(crate) mod tests {
             }
         };
         let evs = tp.on_packet(&chunk(0, 1, 10), &mut io);
-        assert!(matches!(evs[..], [TransportEvent::Delivered { .. }]));
+        assert!(matches!(evs, Some(TransportEvent::Delivered { .. })));
         ticks(&mut tp, &mut io, linger - 1);
         assert_eq!(tp.held(), [(PEER, 7)]);
         // A duplicate in the last tick of the linger is acked again, not
         // delivered again, and restarts the linger.
         io.sent.clear();
-        assert!(tp.on_packet(&chunk(0, 1, 10), &mut io).is_empty());
+        assert!(tp.on_packet(&chunk(0, 1, 10), &mut io).is_none());
         assert!(matches!(
             io.sent[..],
             [ref ack] if matches!(ack.payload_as::<TpPayload>(), Some(TpPayload::Ack { complete: true, .. }))
@@ -712,6 +702,6 @@ pub(crate) mod tests {
         assert!(tp.held().is_empty());
         // The same message after expiry is new to this receiver.
         let evs = tp.on_packet(&chunk(0, 1, 10), &mut io);
-        assert!(matches!(evs[..], [TransportEvent::Delivered { .. }]));
+        assert!(matches!(evs, Some(TransportEvent::Delivered { .. })));
     }
 }

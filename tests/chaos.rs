@@ -404,9 +404,34 @@ fn chaos_sweep_full_matrix() {
     }
 }
 
+/// 64-bit FNV-1a: a stable digest of a replay trace.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Digests of the seed-5 and seed-6 replay traces. They pin replay
+/// across commits, not just within one: a change that claims to leave
+/// simulated behaviour alone must leave these alone. These cells inject
+/// loss and outages, so client retry timers really do come due. A
+/// behaviour-changing commit updates them and says why.
+const REPLAY_DIGESTS: [(Cell, u64, u64); 2] = [
+    (
+        Cell::NiceTwoPc,
+        0x6d0a_a052_4994_dd28,
+        0x5be8_db07_dc16_50b3,
+    ),
+    (
+        Cell::NoobTwoPc,
+        0x58a7_f508_0036_d320,
+        0x6ab9_10c4_9b24_5801,
+    ),
+];
+
 #[test]
 fn chaos_replay_is_byte_identical() {
-    for cell in [Cell::NiceTwoPc, Cell::NoobTwoPc] {
+    for (cell, digest5, digest6) in REPLAY_DIGESTS {
         let a = run_cell(cell, 5);
         let b = run_cell(cell, 5);
         assert_eq!(
@@ -418,6 +443,12 @@ fn chaos_replay_is_byte_identical() {
         assert_ne!(
             a.trace, c.trace,
             "{cell:?}: different seeds must actually differ"
+        );
+        let got = (fnv1a64(a.trace.as_bytes()), fnv1a64(c.trace.as_bytes()));
+        assert_eq!(
+            got,
+            (digest5, digest6),
+            "{cell:?}: the seed-5/6 replays differ from the pinned ones"
         );
     }
 }
