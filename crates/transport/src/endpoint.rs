@@ -13,7 +13,7 @@
 //! charges it: no app calls `cpu_work`/`cpu_defer` itself.
 
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use node_rt::{Ipv4, NodeIo, Packet, Time};
 
@@ -76,8 +76,9 @@ pub struct Endpoint<M, C> {
     /// The app's quote for processing one received message.
     cost: fn(&M) -> Time,
     /// Outstanding tokens: queued deliveries and deferred continuations
-    /// share one space, so a token names exactly one piece of work.
-    pending: BTreeMap<u64, Fired<M, C>>,
+    /// share one space, so a token names exactly one piece of work. Only
+    /// ever looked up by token.
+    pending: HashMap<u64, Fired<M, C>>,
     next_token: u64,
 }
 
@@ -88,7 +89,7 @@ impl<M: Any + Clone, C> Endpoint<M, C> {
         Endpoint {
             tp: Transport::new(port),
             cost,
-            pending: BTreeMap::new(),
+            pending: HashMap::new(),
             next_token: FIRST_TOKEN,
         }
     }

@@ -12,7 +12,8 @@ use std::rc::Rc;
 
 use nice_flow::{prio, Action, FlowMatch, FlowRule, FlowSwitch, FlowTable, GroupBucket, GroupId};
 use nice_sim::{
-    App, ChannelCfg, Ctx, HostCfg, Ipv4, Mac, Packet, Simulation, SwitchCfg, Time, XorShiftRng,
+    App, ChannelCfg, Ctx, HostCfg, Ipv4, Mac, Packet, Proto, Simulation, SwitchCfg, Time,
+    XorShiftRng, HDR_TCP, HDR_UDP,
 };
 
 use crate::transport::tests::{FakeIo, ME};
@@ -210,11 +211,13 @@ fn multicast_delivers_to_all_members() {
 
 type Key = (Ipv4, u64);
 
-/// The receive side's expiry and NACK pacing as a per-tick countdown: every
-/// tick walks every held state, counts its linger down by one and drops it
-/// at zero, after picking the one incomplete state (round robin in key
-/// order) whose NACK countdown runs. `Transport` keeps expiry ticks in a
-/// heap instead; this is the oracle it must agree with.
+/// The receive side's expiry, NACK pacing and acks as a per-tick countdown
+/// over full per-message states: every tick walks every held state, counts
+/// its linger down by one and drops it at zero, after picking the one
+/// incomplete state (round robin in key order) whose NACK countdown runs.
+/// Every state keeps all its chunks for its whole linger. `Transport`
+/// keeps expiry ticks in a heap and shrinks a delivered message to what
+/// acking a duplicate needs; this is the oracle it must agree with.
 struct CountdownModel {
     cfg: RudpCfg,
     states: BTreeMap<Key, ModelState>,
@@ -223,29 +226,60 @@ struct CountdownModel {
 
 struct ModelState {
     total: u32,
+    /// Where acks go and how they are framed: the opening chunk's source
+    /// port and protocol.
+    port: u16,
+    proto: Proto,
     have: BTreeSet<u32>,
     delivered: bool,
     nack_left: u32,
     linger_left: u32,
 }
 
+/// An ack as it leaves the receiver: destination, port, protocol, wire
+/// size, then the message id, `cum` and `complete`.
+type ModelAck = (Ipv4, u16, Proto, u32, u64, u32, bool);
+
 impl CountdownModel {
-    /// A chunk arrives; returns whether it completes an undelivered message.
-    fn chunk(&mut self, key: Key, seq: u32, total: u32) -> bool {
+    /// Chunk `seq` of a `total`-chunk message arrives from `port` over
+    /// `proto`; returns whether it completes an undelivered message, and
+    /// the ack it draws. A seq past the count the state was opened with
+    /// draws none and refreshes nothing.
+    fn chunk(
+        &mut self,
+        key: Key,
+        seq: u32,
+        total: u32,
+        port: u16,
+        proto: Proto,
+    ) -> (bool, Option<ModelAck>) {
         let cfg = self.cfg;
         let st = self.states.entry(key).or_insert_with(|| ModelState {
             total,
+            port,
+            proto,
             have: BTreeSet::new(),
             delivered: false,
             nack_left: cfg.nack_ticks,
             linger_left: cfg.linger_ticks,
         });
+        if seq >= st.total {
+            return (false, None);
+        }
         st.have.insert(seq);
         st.nack_left = cfg.nack_ticks;
         st.linger_left = cfg.linger_ticks;
-        let deliver = st.have.len() == st.total as usize && !st.delivered;
+        let complete = st.have.len() == st.total as usize;
+        let cum = (0..st.total).take_while(|s| st.have.contains(s)).count() as u32;
+        let hdr = if st.proto == Proto::Tcp {
+            HDR_TCP
+        } else {
+            HDR_UDP
+        };
+        let ack = (key.0, st.port, st.proto, hdr + 22, key.1, cum, complete);
+        let deliver = complete && !st.delivered;
         st.delivered |= deliver;
-        deliver
+        (deliver, Some(ack))
     }
 
     /// One tick; returns the key that sent a NACK, if one did.
@@ -282,8 +316,9 @@ impl CountdownModel {
     }
 }
 
-/// A reliable-UDP chunk of message `key` as the switch hands it to `ME`.
-fn chunk_from(key: Key, seq: u32, total: u32) -> Packet {
+/// Chunk `seq` of a `total`-chunk message `key`, sent from `port` over
+/// `proto`, as the switch hands it to `ME`.
+fn chunk_from(key: Key, seq: u32, total: u32, port: u16, proto: Proto) -> Packet {
     let payload = Rc::new(TpPayload::Chunk {
         sender: key.0,
         msg_id: key.1,
@@ -293,14 +328,40 @@ fn chunk_from(key: Key, seq: u32, total: u32) -> Packet {
         data: Rc::new(()),
         retx: seq % 2 == 1,
     });
-    Packet::udp(key.0, Mac(2), ME, PORT, PORT, 50, payload)
+    match proto {
+        Proto::Tcp => Packet::tcp(key.0, Mac(2), ME, port, PORT, 50, payload),
+        _ => Packet::udp(key.0, Mac(2), ME, port, PORT, 50, payload),
+    }
+}
+
+/// The acks among the packets `ME` sent, as the model writes them.
+fn acks(sent: &[Packet]) -> Vec<ModelAck> {
+    let ack = |p: &Packet| match p.payload_as::<TpPayload>() {
+        Some(TpPayload::Ack {
+            msg_id,
+            cum,
+            complete,
+        }) => Some((
+            p.dst,
+            p.dst_port,
+            p.proto,
+            p.wire_size,
+            *msg_id,
+            *cum,
+            *complete,
+        )),
+        _ => None,
+    };
+    sent.iter().filter_map(ack).collect()
 }
 
 /// Expiry by heap ≡ expiry by countdown: over random interleavings of
-/// first, duplicate and refreshing chunks, transfers left incomplete by
-/// lost chunks, ticks and crashes, the transport holds exactly the states
-/// the countdown holds, NACKs the same key on every tick, and delivers the
-/// same messages.
+/// first, duplicate and refreshing chunks, multi-chunk transfers completed
+/// out of order or left incomplete by lost chunks, duplicates of delivered
+/// messages inside and after their linger, seqs past a message's count,
+/// ticks and crashes, the transport holds exactly the states the countdown
+/// holds, NACKs the same key on every tick, delivers the same messages,
+/// and answers every chunk with the model's ack (or, like it, none).
 #[test]
 fn expiry_heap_matches_the_per_tick_countdown() {
     let cfg = RudpCfg::default();
@@ -319,6 +380,7 @@ fn expiry_heap_matches_the_per_tick_countdown() {
             nack_rr: 0,
         };
         let (mut ticks, mut nacks, mut expired) = (0u64, 0u32, 0u32);
+        let (mut dups, mut ignored) = (0u32, 0u32);
         for step in 0..30_000u32 {
             let held_before = model.states.len();
             let roll = rng.random_range(0u32..10_000);
@@ -339,11 +401,26 @@ fn expiry_heap_matches_the_per_tick_countdown() {
                     base + rng.random_range(0u64..8)
                 };
                 let key = (senders[rng.random_range(0usize..3)], msg_id);
-                let total = 1 + (msg_id % 4) as u32;
-                let seq = rng.random_range(0..total);
-                let evs = tp.on_packet(&chunk_from(key, seq, total), &mut io);
-                let delivered = model.chunk(key, seq, total);
+                let mut total = 1 + (msg_id % 4) as u32;
+                let mut seq = rng.random_range(0..total);
+                if rng.random_range(0u32..20) == 0 {
+                    // A self-consistent header for a longer message: a seq
+                    // past the count of any state already held.
+                    seq = total + rng.random_range(0..3);
+                    total = seq + 1;
+                }
+                // Acks follow the opening chunk's port and framing, not
+                // the latest chunk's.
+                let port = PORT + rng.random_range(0u32..3) as u16;
+                let proto = [Proto::Udp, Proto::Tcp][rng.random_range(0usize..2)];
+                io.sent.clear();
+                let evs = tp.on_packet(&chunk_from(key, seq, total, port, proto), &mut io);
+                let (delivered, ack) = model.chunk(key, seq, total, port, proto);
                 assert_eq!(evs.is_some(), delivered, "case {case} step {step}");
+                let want = Vec::from_iter(ack);
+                assert_eq!(acks(&io.sent), want, "case {case} step {step}");
+                dups += u32::from(!delivered && ack.is_some_and(|a| a.6));
+                ignored += u32::from(ack.is_none());
             } else {
                 ticks += 1;
                 io.sent.clear();
@@ -366,8 +443,9 @@ fn expiry_heap_matches_the_per_tick_countdown() {
         }
         // The schedule reached what the test is about.
         assert!(
-            nacks > 1000 && expired > 100,
-            "case {case}: {nacks} NACKs, {expired} expiries"
+            nacks > 1000 && expired > 100 && dups > 100 && ignored > 100,
+            "case {case}: {nacks} NACKs, {expired} expiries, {dups} duplicates of \
+             complete messages, {ignored} chunks past their count"
         );
     }
 }

@@ -13,7 +13,6 @@
 //! The same state machines carry unicast reliable UDP (`expected = 1`),
 //! switch-multicast UDP, and the data phase of the TCP-like streams.
 
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use node_rt::{Ipv4, NodeIo, Packet, Proto, Time, HDR_TCP, HDR_UDP, MTU};
@@ -104,7 +103,9 @@ pub struct SendState {
     /// Total receivers expected to exist (window pacing waits for the
     /// slowest of the top-k among these).
     expected: usize,
-    cums: BTreeMap<Ipv4, u32>,
+    /// Each receiver's highest cumulative ack, in the order the receivers
+    /// were first heard from; at most `expected` of them.
+    cums: Vec<(Ipv4, u32)>,
     completed: Vec<Ipv4>,
     next: u32,
     done: bool,
@@ -154,7 +155,7 @@ impl SendState {
             total,
             quorum,
             expected,
-            cums: BTreeMap::new(),
+            cums: Vec::with_capacity(expected),
             completed: Vec::new(),
             next: 0,
             done: false,
@@ -212,21 +213,23 @@ impl SendState {
     /// The window base: the `quorum`-th highest cumulative ack over the
     /// `expected` receivers (unknown receivers count as zero).
     fn window_base(&self) -> u32 {
-        if self.cums.len() < self.quorum {
-            // Not enough receivers heard from yet; if fewer receivers than
-            // expected have appeared, the missing ones pin the base to 0
-            // only when they are needed for the quorum.
-            return 0;
+        match self.cums[..] {
+            // A quorum of one, and one receiver heard from (unicast):
+            // its ack.
+            [(_, cum)] if self.quorum == 1 => cum,
+            // Fewer receivers heard from than the quorum: the silent ones
+            // pin the base to 0.
+            _ if self.cums.len() < self.quorum => 0,
+            _ => {
+                let mut cums: Vec<u32> = self.cums.iter().map(|&(_, c)| c).collect();
+                cums.sort_unstable_by(|a, b| b.cmp(a));
+                // quorum >= 1 and cums.len() >= quorum here; written
+                // panic-free anyway so the whole tick path stays total.
+                cums.get(self.quorum.saturating_sub(1))
+                    .copied()
+                    .unwrap_or(0)
+            }
         }
-        let mut cums: Vec<u32> = self.cums.values().copied().collect();
-        // Pad with zeros for expected-but-silent receivers.
-        cums.resize(self.expected.max(cums.len()), 0);
-        cums.sort_unstable_by(|a, b| b.cmp(a));
-        // quorum >= 1 and cums.len() >= quorum here (early return above);
-        // written panic-free anyway so the whole tick path stays total.
-        cums.get(self.quorum.saturating_sub(1))
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Transmit as many new chunks as the window allows.
@@ -251,9 +254,12 @@ impl SendState {
         from: Ipv4,
         cum: u32,
     ) -> SendOutcome {
-        let e = self.cums.entry(from).or_insert(0);
-        if cum > *e {
-            *e = cum;
+        // A receiver past the first `expected` (a stale group member, a
+        // forged source) moves no window.
+        if let Some((_, e)) = self.cums.iter_mut().find(|(ip, _)| *ip == from) {
+            *e = (*e).max(cum);
+        } else if self.cums.len() < self.expected {
+            self.cums.push((from, cum));
         }
         if cum >= self.total && !self.completed.contains(&from) {
             self.completed.push(from);
@@ -266,24 +272,31 @@ impl SendState {
         SendOutcome::Quiet
     }
 
-    /// Handle a NACK: repair the listed chunks over unicast to `from`.
+    /// Handle a NACK: repair the listed chunks over unicast to `from`,
+    /// each at most once and at most `nack_cap` of them. An honest
+    /// receiver lists at most that many distinct seqs; the decoder admits
+    /// thousands, so a forged NACK must not buy that many MTU chunks.
     /// Returns how many chunks were retransmitted (telemetry).
     pub fn on_nack(
         &mut self,
+        cfg: &RudpCfg,
         ctx: &mut dyn NodeIo,
         src_port: u16,
         from: Ipv4,
         missing: &[u32],
     ) -> u64 {
-        let mut repaired = 0;
+        let mut repaired: Vec<u32> = Vec::new();
         for &seq in missing {
-            if seq < self.total {
+            if repaired.len() >= cfg.nack_cap {
+                break;
+            }
+            if seq < self.total && !repaired.contains(&seq) {
                 let pkt = self.chunk_packet(seq, src_port, from, ctx, true);
                 ctx.send(pkt);
-                repaired += 1;
+                repaired.push(seq);
             }
         }
-        repaired
+        repaired.len() as u64
     }
 
     /// Everyone expected has completed: state can be dropped immediately.
@@ -310,7 +323,7 @@ impl SendState {
         }
         let progress = (
             self.completed.len(),
-            self.cums.values().map(|&c| c as u64).sum::<u64>(),
+            self.cums.iter().map(|&(_, c)| u64::from(c)).sum::<u64>(),
             self.next,
         );
         if progress != self.last_progress {
@@ -338,7 +351,8 @@ impl SendState {
     }
 }
 
-/// Reassembly state for one incoming reliable message.
+/// Reassembly state for one incoming reliable message, while chunks are
+/// missing.
 pub struct RecvState {
     /// The original sender's physical address.
     pub sender: Ipv4,
@@ -354,7 +368,6 @@ pub struct RecvState {
     have: u32,
     cum: u32,
     max_seen: u32,
-    delivered: bool,
     nack_left: u32,
     /// The transport tick at which this state is dropped: `linger_ticks`
     /// (at least one) after the tick its latest chunk arrived in.
@@ -388,7 +401,6 @@ impl RecvState {
             have: 0,
             cum: 0,
             max_seen: 0,
-            delivered: false,
             nack_left: cfg.nack_ticks,
             expires: expiry(cfg, tick),
         }
@@ -424,38 +436,8 @@ impl RecvState {
         self.have >= self.total
     }
 
-    fn send_ack(&self, ctx: &mut dyn NodeIo, my_port: u16) {
-        let payload = Rc::new(TpPayload::Ack {
-            msg_id: self.msg_id,
-            cum: self.cum,
-            complete: self.complete(),
-        });
-        let mut pkt = match self.proto {
-            Proto::Tcp => Packet::tcp(
-                ctx.ip(),
-                ctx.mac(),
-                self.sender,
-                my_port,
-                self.sender_port,
-                CTRL_BYTES,
-                payload,
-            ),
-            _ => Packet::udp(
-                ctx.ip(),
-                ctx.mac(),
-                self.sender,
-                my_port,
-                self.sender_port,
-                CTRL_BYTES,
-                payload,
-            ),
-        };
-        pkt.wire_size = wire(self.proto, CTRL_BYTES);
-        ctx.send(pkt);
-    }
-
     /// Handle one data chunk, arrived in transport tick `tick`; returns a
-    /// `Delivered` event on completion of an undelivered message.
+    /// `Delivered` event when this chunk completes the message.
     pub fn on_chunk(
         &mut self,
         cfg: &RudpCfg,
@@ -470,12 +452,16 @@ impl RecvState {
             return None;
         }
         self.max_seen = self.max_seen.max(seq);
-        self.mark(seq);
+        let new = self.mark(seq);
         self.nack_left = cfg.nack_ticks;
         self.expires = expiry(cfg, tick);
-        self.send_ack(ctx, my_port);
-        if self.complete() && !self.delivered {
-            self.delivered = true;
+        let ack = TpPayload::Ack {
+            msg_id: self.msg_id,
+            cum: self.cum,
+            complete: self.complete(),
+        };
+        send_ctl(ctx, self.proto, self.sender, self.sender_port, my_port, ack);
+        if new && self.complete() {
             return Some(TransportEvent::Delivered {
                 from: (self.sender, self.sender_port),
                 msg: Msg {
@@ -485,6 +471,18 @@ impl RecvState {
             });
         }
         None
+    }
+
+    /// What this state leaves behind once the message is complete.
+    fn done(&self) -> Done {
+        Done {
+            sender: self.sender,
+            sender_port: self.sender_port,
+            msg_id: self.msg_id,
+            total: self.total,
+            proto: self.proto,
+            expires: self.expires,
+        }
     }
 
     /// One tick of this incomplete state's NACK countdown: every
@@ -522,36 +520,117 @@ impl RecvState {
                 missing.push(frontier);
             }
             if !missing.is_empty() {
-                let payload = Rc::new(TpPayload::Nack {
+                let nack = TpPayload::Nack {
                     msg_id: self.msg_id,
                     missing,
-                });
-                let mut pkt = match self.proto {
-                    Proto::Tcp => Packet::tcp(
-                        ctx.ip(),
-                        ctx.mac(),
-                        self.sender,
-                        my_port,
-                        self.sender_port,
-                        CTRL_BYTES,
-                        payload,
-                    ),
-                    _ => Packet::udp(
-                        ctx.ip(),
-                        ctx.mac(),
-                        self.sender,
-                        my_port,
-                        self.sender_port,
-                        CTRL_BYTES,
-                        payload,
-                    ),
                 };
-                pkt.wire_size = wire(self.proto, CTRL_BYTES);
-                ctx.send(pkt);
+                send_ctl(
+                    ctx,
+                    self.proto,
+                    self.sender,
+                    self.sender_port,
+                    my_port,
+                    nack,
+                );
                 *nacks += 1;
             }
         }
     }
+}
+
+/// What a delivered message keeps for the rest of its linger: enough to
+/// answer a duplicate chunk (a sender that missed the final ack) with a
+/// complete ack. The payload and the chunk bitmap are gone.
+pub(crate) struct Done {
+    sender: Ipv4,
+    sender_port: u16,
+    msg_id: u64,
+    total: u32,
+    proto: Proto,
+    /// As [`RecvState::expires`].
+    pub(crate) expires: u64,
+}
+
+impl Done {
+    /// Handle a duplicate chunk exactly as a complete [`RecvState`] does:
+    /// a seq past the count is ignored, any other refreshes the linger
+    /// and is acked as complete. Never delivers.
+    fn on_chunk(&mut self, cfg: &RudpCfg, ctx: &mut dyn NodeIo, my_port: u16, tick: u64, seq: u32) {
+        if seq >= self.total {
+            return;
+        }
+        self.expires = expiry(cfg, tick);
+        let ack = TpPayload::Ack {
+            msg_id: self.msg_id,
+            cum: self.total,
+            complete: true,
+        };
+        send_ctl(ctx, self.proto, self.sender, self.sender_port, my_port, ack);
+    }
+}
+
+/// One received message's state: open while chunks are missing, done
+/// from delivery until its linger runs out.
+pub(crate) enum Recv {
+    /// Reassembling.
+    Open(Box<RecvState>),
+    /// Delivered.
+    Done(Done),
+}
+
+impl Recv {
+    /// Handle one data chunk of this message (see [`RecvState::on_chunk`]);
+    /// the chunk that completes the message frees its payload and bitmap.
+    pub(crate) fn on_chunk(
+        &mut self,
+        cfg: &RudpCfg,
+        ctx: &mut dyn NodeIo,
+        my_port: u16,
+        tick: u64,
+        seq: u32,
+    ) -> Option<TransportEvent> {
+        match self {
+            Recv::Open(st) => {
+                let ev = st.on_chunk(cfg, ctx, my_port, tick, seq);
+                if st.complete() {
+                    *self = Recv::Done(st.done());
+                }
+                ev
+            }
+            Recv::Done(done) => {
+                done.on_chunk(cfg, ctx, my_port, tick, seq);
+                None
+            }
+        }
+    }
+
+    /// The transport tick at which this state is dropped.
+    pub(crate) fn expires(&self) -> u64 {
+        match self {
+            Recv::Open(st) => st.expires,
+            Recv::Done(done) => done.expires,
+        }
+    }
+}
+
+/// Send a control message (ack or NACK) back to a message's sender,
+/// framed like the message's own chunks.
+fn send_ctl(
+    ctx: &mut dyn NodeIo,
+    proto: Proto,
+    sender: Ipv4,
+    sender_port: u16,
+    my_port: u16,
+    payload: TpPayload,
+) {
+    let payload = Rc::new(payload);
+    let (ip, mac) = (ctx.ip(), ctx.mac());
+    let mut pkt = match proto {
+        Proto::Tcp => Packet::tcp(ip, mac, sender, my_port, sender_port, CTRL_BYTES, payload),
+        _ => Packet::udp(ip, mac, sender, my_port, sender_port, CTRL_BYTES, payload),
+    };
+    pkt.wire_size = wire(proto, CTRL_BYTES);
+    ctx.send(pkt);
 }
 
 /// The tick at which reassembly state refreshed in tick `tick` expires.
@@ -561,7 +640,12 @@ fn expiry(cfg: &RudpCfg, tick: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use node_rt::XorShiftRng;
+
     use super::*;
+    use crate::transport::tests::{FakeIo, PORT};
 
     #[test]
     fn chunk_math() {
@@ -577,6 +661,58 @@ mod tests {
         for size in [0u32, 1, 1399, 1400, 1401, 1 << 20] {
             let sum: u32 = (0..num_chunks(size)).map(|s| chunk_bytes(size, s)).sum();
             assert_eq!(sum, size, "size={size}");
+        }
+    }
+
+    /// The window base as a sort over every receiver's ack in a map,
+    /// padded with zeros for the silent ones: the oracle for the `Vec`
+    /// of acks `window_base` reads.
+    fn sorted_base(cums: &BTreeMap<Ipv4, u32>, expected: usize, quorum: usize) -> u32 {
+        if cums.len() < quorum {
+            return 0;
+        }
+        let mut all: Vec<u32> = cums.values().copied().collect();
+        all.resize(expected.max(all.len()), 0);
+        all.sort_unstable_by(|a, b| b.cmp(a));
+        all[quorum - 1]
+    }
+
+    #[test]
+    fn window_base_matches_the_sorted_acks_of_every_receiver() {
+        let cfg = RudpCfg::default();
+        let mut rng = XorShiftRng::seed_from_u64(0x7261_0005);
+        let total = 4 * cfg.window;
+        for expected in 1..=5 {
+            for quorum in 1..=expected {
+                let mut io = FakeIo::new();
+                let msg = Msg::new((), total * MTU);
+                let (group, token) = (Ipv4::new(10, 11, 0, 1), MsgToken(1));
+                let mut s = SendState::start(
+                    &cfg,
+                    &mut io,
+                    1,
+                    token,
+                    group,
+                    PORT,
+                    PORT,
+                    Proto::Udp,
+                    msg,
+                    expected,
+                    quorum,
+                );
+                let mut cums = BTreeMap::new();
+                for step in 0..2 * total {
+                    // Acks creep up the message, some stale, some repeated.
+                    let from = Ipv4::new(10, 0, 0, 2 + rng.random_range(0..expected) as u8);
+                    let cum = rng.random_range(0..step.min(total) + 1);
+                    s.on_ack(&cfg, &mut io, PORT, from, cum);
+                    let e = cums.entry(from).or_insert(0);
+                    *e = cum.max(*e);
+                    let want = sorted_base(&cums, expected, quorum);
+                    assert_eq!(s.window_base(), want, "{expected}/{quorum} step {step}");
+                    io.sent.clear();
+                }
+            }
         }
     }
 }

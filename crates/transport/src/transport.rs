@@ -14,14 +14,14 @@
 //!   ([`Transport::tcp_send`]) — replies and inter-node traffic.
 
 use std::cmp::Reverse;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::rc::Rc;
 
 use node_rt::{Ipv4, NodeIo, Packet, Proto, HDR_TCP, HDR_UDP, MTU};
 
 use crate::msg::{Msg, MsgToken, TpPayload, TransportEvent};
-use crate::rudp::{num_chunks, RecvState, RudpCfg, SendOutcome, SendState};
+use crate::rudp::{num_chunks, Recv, RecvState, RudpCfg, SendOutcome, SendState};
 
 /// The timer token the transport reserves. Applications must forward this
 /// token from their `on_timer` hook to [`Transport::on_timer`] and must not
@@ -70,13 +70,12 @@ struct Pending {
     dst_port: u16,
 }
 
-enum Conn {
-    SynSent {
-        pending: Vec<Pending>,
-        retry_left: u32,
-        tries: u32,
-    },
-    Established,
+/// A stream connection waiting for its SYN-ACK, and the sends queued
+/// behind it.
+struct Handshake {
+    pending: Vec<Pending>,
+    retry_left: u32,
+    tries: u32,
 }
 
 /// Identifies a reassembly: the original sender and its message id.
@@ -88,16 +87,22 @@ pub struct Transport {
     port: u16,
     next_msg_id: u64,
     senders: BTreeMap<u64, SendState>,
-    recvs: BTreeMap<RecvKey, RecvState>,
-    /// The keys of `recvs` still missing chunks: the NACK round robin.
+    /// Every message received in the last linger, open or done. Only
+    /// ever looked up by key: the ordered walks go through `incomplete`
+    /// and `expiries`.
+    recvs: HashMap<RecvKey, Recv>,
+    /// The keys of `recvs` still open: the NACK round robin.
     incomplete: BTreeSet<RecvKey>,
     /// One `(tick, key)` per state in `recvs`, `tick` no later than the
     /// state's `expires`. A popped entry whose state was refreshed since
     /// goes back with the new tick, so a tick touches only what is due.
     expiries: BinaryHeap<Reverse<(u64, RecvKey)>>,
-    /// Transport ticks run so far: the clock of `RecvState::expires`.
+    /// Transport ticks run so far: the clock of `Recv::expires`.
     ticks: u64,
-    conns: BTreeMap<Ipv4, Conn>,
+    /// Peers with an established stream connection.
+    established: BTreeSet<Ipv4>,
+    /// Peers mid-handshake: the only connections a tick has work for.
+    handshakes: BTreeMap<Ipv4, Handshake>,
     tick_armed: bool,
     /// Round-robin cursor for NACK pacing across reassembly states.
     nack_rr: u64,
@@ -113,11 +118,12 @@ impl Transport {
             port,
             next_msg_id: 1,
             senders: BTreeMap::new(),
-            recvs: BTreeMap::new(),
+            recvs: HashMap::new(),
             incomplete: BTreeSet::new(),
             expiries: BinaryHeap::new(),
             ticks: 0,
-            conns: BTreeMap::new(),
+            established: BTreeSet::new(),
+            handshakes: BTreeMap::new(),
             tick_armed: false,
             nack_rr: 0,
             stats: TpStats::default(),
@@ -134,10 +140,12 @@ impl Transport {
         self.port
     }
 
-    /// The reassembly states held, by key.
+    /// The reassembly states held, by key, in key order.
     #[cfg(test)]
     pub(crate) fn held(&self) -> Vec<RecvKey> {
-        self.recvs.keys().copied().collect()
+        let mut keys: Vec<RecvKey> = self.recvs.keys().copied().collect();
+        keys.sort_unstable();
+        keys
     }
 
     fn arm(&mut self, ctx: &mut dyn NodeIo) {
@@ -221,48 +229,44 @@ impl Transport {
     ) -> MsgToken {
         self.arm(ctx);
         let token = MsgToken(self.next_id());
-        match self.conns.get_mut(&dst) {
-            Some(Conn::Established) => {
-                let id = token.0;
-                let s = SendState::start(
-                    &self.cfg,
-                    ctx,
-                    id,
-                    token,
-                    dst,
-                    dst_port,
-                    self.port,
-                    Proto::Tcp,
-                    msg,
-                    1,
-                    1,
-                );
-                self.senders.insert(id, s);
-            }
-            Some(Conn::SynSent { pending, .. }) => {
-                pending.push(Pending {
-                    token,
-                    msg,
-                    dst_port,
-                });
-            }
-            None => {
-                self.conns.insert(
-                    dst,
-                    Conn::SynSent {
-                        pending: vec![Pending {
-                            token,
-                            msg,
-                            dst_port,
-                        }],
-                        retry_left: SYN_RETRY_TICKS,
-                        tries: 1,
-                    },
-                );
-                self.send_ctl(ctx, dst, dst_port, TpPayload::Syn);
-            }
+        let p = Pending {
+            token,
+            msg,
+            dst_port,
+        };
+        if self.established.contains(&dst) {
+            self.start_stream(ctx, dst, p);
+        } else if let Some(h) = self.handshakes.get_mut(&dst) {
+            h.pending.push(p);
+        } else {
+            let h = Handshake {
+                pending: vec![p],
+                retry_left: SYN_RETRY_TICKS,
+                tries: 1,
+            };
+            self.handshakes.insert(dst, h);
+            self.send_ctl(ctx, dst, dst_port, TpPayload::Syn);
         }
         token
+    }
+
+    /// Start the data phase of stream send `p` to `dst`, connected.
+    fn start_stream(&mut self, ctx: &mut dyn NodeIo, dst: Ipv4, p: Pending) {
+        let id = p.token.0;
+        let s = SendState::start(
+            &self.cfg,
+            ctx,
+            id,
+            p.token,
+            dst,
+            p.dst_port,
+            self.port,
+            Proto::Tcp,
+            p.msg,
+            1,
+            1,
+        );
+        self.senders.insert(id, s);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -339,7 +343,7 @@ impl Transport {
                 }
                 self.arm(ctx);
                 let key = (*sender, *msg_id);
-                let st = match self.recvs.entry(key) {
+                let recv = match self.recvs.entry(key) {
                     Entry::Occupied(e) => e.into_mut(),
                     Entry::Vacant(e) => {
                         let st = RecvState::from_chunk(
@@ -354,15 +358,14 @@ impl Transport {
                             pkt.proto,
                         );
                         self.expiries.push(Reverse((st.expires, key)));
-                        e.insert(st)
+                        e.insert(Recv::Open(Box::new(st)))
                     }
                 };
-                let ev = st.on_chunk(&self.cfg, ctx, self.port, self.ticks, *seq);
-                if st.complete() {
-                    self.incomplete.remove(&key);
-                } else {
-                    self.incomplete.insert(key);
-                }
+                let ev = recv.on_chunk(&self.cfg, ctx, self.port, self.ticks, *seq);
+                match recv {
+                    Recv::Open(_) => self.incomplete.insert(key),
+                    Recv::Done(_) => self.incomplete.remove(&key),
+                };
                 ev
             }
             TpPayload::Ack {
@@ -387,7 +390,7 @@ impl Transport {
             TpPayload::Nack { msg_id, missing } => {
                 if let Some(s) = self.senders.get_mut(msg_id) {
                     self.stats.nacks_received += 1;
-                    self.stats.repairs += s.on_nack(ctx, self.port, pkt.src, missing);
+                    self.stats.repairs += s.on_nack(&self.cfg, ctx, self.port, pkt.src, missing);
                 }
                 None
             }
@@ -395,49 +398,19 @@ impl Transport {
                 // Simultaneous open: if we were mid-handshake to this
                 // peer, the connection is now established both ways —
                 // flush anything we had queued rather than dropping it.
-                let prior = self.conns.insert(pkt.src, Conn::Established);
+                self.established.insert(pkt.src);
+                let prior = self.handshakes.remove(&pkt.src);
                 self.send_ctl(ctx, pkt.src, pkt.src_port, TpPayload::SynAck);
-                if let Some(Conn::SynSent { pending, .. }) = prior {
-                    for p in pending {
-                        let id = p.token.0;
-                        let s = SendState::start(
-                            &self.cfg,
-                            ctx,
-                            id,
-                            p.token,
-                            pkt.src,
-                            p.dst_port,
-                            self.port,
-                            Proto::Tcp,
-                            p.msg,
-                            1,
-                            1,
-                        );
-                        self.senders.insert(id, s);
-                    }
+                for p in prior.map(|h| h.pending).unwrap_or_default() {
+                    self.start_stream(ctx, pkt.src, p);
                 }
                 None
             }
             TpPayload::SynAck => {
-                if let Some(Conn::SynSent { pending, .. }) = self.conns.get_mut(&pkt.src) {
-                    let pending = std::mem::take(pending);
-                    self.conns.insert(pkt.src, Conn::Established);
-                    for p in pending {
-                        let id = p.token.0;
-                        let s = SendState::start(
-                            &self.cfg,
-                            ctx,
-                            id,
-                            p.token,
-                            pkt.src,
-                            p.dst_port,
-                            self.port,
-                            Proto::Tcp,
-                            p.msg,
-                            1,
-                            1,
-                        );
-                        self.senders.insert(id, s);
+                if let Some(h) = self.handshakes.remove(&pkt.src) {
+                    self.established.insert(pkt.src);
+                    for p in h.pending {
+                        self.start_stream(ctx, pkt.src, p);
                     }
                 }
                 None
@@ -484,7 +457,7 @@ impl Transport {
         if len > 0 {
             let allowed = self.incomplete.iter().nth((self.nack_rr % len) as usize);
             self.nack_rr += 1;
-            if let Some(r) = allowed.and_then(|k| self.recvs.get_mut(k)) {
+            if let Some(Recv::Open(r)) = allowed.and_then(|k| self.recvs.get_mut(k)) {
                 if r.expires > self.ticks {
                     r.nack_tick(&self.cfg, ctx, self.port, &mut self.stats.nacks_sent);
                 }
@@ -498,7 +471,9 @@ impl Transport {
             }
             self.expiries.pop();
             match self.recvs.get(&key) {
-                Some(r) if r.expires > self.ticks => self.expiries.push(Reverse((r.expires, key))),
+                Some(r) if r.expires() > self.ticks => {
+                    self.expiries.push(Reverse((r.expires(), key)));
+                }
                 _ => {
                     self.recvs.remove(&key);
                     self.incomplete.remove(&key);
@@ -508,51 +483,38 @@ impl Transport {
 
         // Handshake retries.
         let mut failed_conns = Vec::new();
-        for (&dst, conn) in self.conns.iter_mut() {
-            if let Conn::SynSent {
-                pending,
-                retry_left,
-                tries,
-            } = conn
-            {
-                *retry_left = retry_left.saturating_sub(1);
-                if *retry_left == 0 {
-                    if *tries >= SYN_MAX_TRIES {
-                        for p in pending.drain(..) {
-                            events.push(TransportEvent::Failed { token: p.token });
-                        }
-                        failed_conns.push(dst);
-                    } else {
-                        *tries += 1;
-                        *retry_left = SYN_RETRY_TICKS;
-                        self.stats.syn_retries += 1;
-                        let dst_port = pending.first().map_or(self.port, |p| p.dst_port);
-                        let mut pkt = Packet::tcp(
-                            ctx.ip(),
-                            ctx.mac(),
-                            dst,
-                            self.port,
-                            dst_port,
-                            0,
-                            Rc::new(TpPayload::Syn),
-                        );
-                        pkt.wire_size = HDR_TCP;
-                        ctx.send(pkt);
+        for (&dst, h) in self.handshakes.iter_mut() {
+            h.retry_left = h.retry_left.saturating_sub(1);
+            if h.retry_left == 0 {
+                if h.tries >= SYN_MAX_TRIES {
+                    for p in h.pending.drain(..) {
+                        events.push(TransportEvent::Failed { token: p.token });
                     }
+                    failed_conns.push(dst);
+                } else {
+                    h.tries += 1;
+                    h.retry_left = SYN_RETRY_TICKS;
+                    self.stats.syn_retries += 1;
+                    let dst_port = h.pending.first().map_or(self.port, |p| p.dst_port);
+                    let mut pkt = Packet::tcp(
+                        ctx.ip(),
+                        ctx.mac(),
+                        dst,
+                        self.port,
+                        dst_port,
+                        0,
+                        Rc::new(TpPayload::Syn),
+                    );
+                    pkt.wire_size = HDR_TCP;
+                    ctx.send(pkt);
                 }
             }
         }
         for d in failed_conns {
-            self.conns.remove(&d);
+            self.handshakes.remove(&d);
         }
 
-        if !self.senders.is_empty()
-            || !self.recvs.is_empty()
-            || self
-                .conns
-                .values()
-                .any(|c| matches!(c, Conn::SynSent { .. }))
-        {
+        if !self.senders.is_empty() || !self.recvs.is_empty() || !self.handshakes.is_empty() {
             self.tick_armed = true;
             ctx.set_timer(self.cfg.tick, TRANSPORT_TICK);
         }
@@ -566,7 +528,8 @@ impl Transport {
         self.recvs.clear();
         self.incomplete.clear();
         self.expiries.clear();
-        self.conns.clear();
+        self.established.clear();
+        self.handshakes.clear();
         self.tick_armed = false;
     }
 
@@ -637,16 +600,108 @@ pub(crate) mod tests {
     }
 
     fn chunk(seq: u32, total: u32, msg_size: u32) -> Packet {
+        chunk_carrying(&Rc::new(0u32), seq, total, msg_size)
+    }
+
+    /// Chunk `seq` of message 7 from `PEER`, carrying `data`.
+    fn chunk_carrying(data: &Rc<u32>, seq: u32, total: u32, msg_size: u32) -> Packet {
         let payload = Rc::new(TpPayload::Chunk {
             sender: PEER,
             msg_id: 7,
             seq,
             total,
             msg_size,
-            data: Rc::new(0u32),
+            data: Rc::clone(data) as Rc<dyn std::any::Any>,
             retx: false,
         });
         Packet::udp(PEER, Mac(2), ME, PORT, PORT, 50, payload)
+    }
+
+    #[test]
+    fn a_delivered_message_leaves_no_reference_to_its_payload() {
+        for order in [&[0][..], &[2, 0, 1]] {
+            let mut tp = Transport::new(PORT);
+            let mut io = FakeIo::new();
+            let data = Rc::new(5u32);
+            let total = order.len() as u32;
+            let (last, first) = order.split_last().unwrap();
+            for &seq in first {
+                assert!(tp
+                    .on_packet(&chunk_carrying(&data, seq, total, total * MTU), &mut io)
+                    .is_none());
+            }
+            // An open reassembly holds the payload until it completes.
+            let open = usize::from(!first.is_empty());
+            assert_eq!(Rc::strong_count(&data), 1 + open, "order {order:?}");
+            let ev = tp.on_packet(&chunk_carrying(&data, *last, total, total * MTU), &mut io);
+            assert!(matches!(ev, Some(TransportEvent::Delivered { .. })));
+            drop(ev);
+            assert_eq!(Rc::strong_count(&data), 1, "order {order:?}");
+            // Done: a duplicate is acked as complete and holds nothing.
+            io.sent.clear();
+            assert!(tp
+                .on_packet(&chunk_carrying(&data, 0, total, total * MTU), &mut io)
+                .is_none());
+            assert_eq!(Rc::strong_count(&data), 1, "order {order:?}");
+            let ack = match io.sent[..] {
+                [ref p] => p.payload_as::<TpPayload>(),
+                _ => None,
+            };
+            let Some(&TpPayload::Ack {
+                msg_id,
+                cum,
+                complete,
+            }) = ack
+            else {
+                panic!("one ack expected, got {:?}", io.sent);
+            };
+            assert_eq!((msg_id, cum, complete), (7, total, true), "order {order:?}");
+            assert_eq!(tp.held(), [(PEER, 7)]);
+        }
+    }
+
+    /// A NACK from `PEER` for message `msg_id` listing `missing`.
+    fn nack(msg_id: u64, missing: Vec<u32>) -> Packet {
+        let payload = Rc::new(TpPayload::Nack { msg_id, missing });
+        Packet::udp(PEER, Mac(2), ME, PORT, PORT, 22, payload)
+    }
+
+    #[test]
+    fn a_nack_repairs_each_listed_chunk_once_and_at_most_nack_cap() {
+        let cap = RudpCfg::default().nack_cap as u64;
+        let mut tp = Transport::new(PORT);
+        let mut io = FakeIo::new();
+        let MsgToken(id) = tp.rudp_send(&mut io, PEER, PORT, Msg::new((), 40 * MTU));
+        let repairs = |tp: &mut Transport, io: &mut FakeIo, missing: Vec<u32>| {
+            let before = tp.stats().repairs;
+            io.sent.clear();
+            assert!(tp.on_packet(&nack(id, missing), io).is_none());
+            let seqs: Vec<u32> = io
+                .sent
+                .iter()
+                .map(|p| match p.payload_as::<TpPayload>() {
+                    Some(TpPayload::Chunk {
+                        seq, retx: true, ..
+                    }) if p.dst == PEER => *seq,
+                    other => panic!("not a repair to the NACKer: {other:?}"),
+                })
+                .collect();
+            assert_eq!(tp.stats().repairs - before, seqs.len() as u64);
+            seqs
+        };
+        // The decoder admits 4096 entries: one datagram naming seq 0 that
+        // often buys one chunk, not 4096.
+        assert_eq!(repairs(&mut tp, &mut io, vec![0; 4096]), [0]);
+        // Distinct seqs past the cap: the first `nack_cap`, in NACK order.
+        let want: Vec<u32> = (0..cap as u32).collect();
+        assert_eq!(repairs(&mut tp, &mut io, (0..40).collect()), want);
+        // Repeats and seqs past the message take no share of the cap.
+        let hostile = vec![39, 40, 39, u32::MAX, 3, 3, 39];
+        assert_eq!(repairs(&mut tp, &mut io, hostile), [39, 3]);
+        // An honest NACK (at most `nack_cap` distinct ascending seqs) is
+        // served in full, as before.
+        let honest: Vec<u32> = (20..20 + cap as u32).collect();
+        assert_eq!(repairs(&mut tp, &mut io, honest.clone()), honest);
     }
 
     #[test]
