@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use nice_sim::{ArpOp, Ctx, Ipv4, Mac, Packet, Port, Proto, SwitchId, Time};
+use nice_sim::{ArpOp, Ctx, Ipv4, Mac, NodeIo, Packet, Port, Proto, SwitchId, CTRL_LATENCY};
 
 use crate::rule::{Action, FlowMatch, FlowRule};
 use crate::table::FlowTable;
@@ -56,7 +56,6 @@ pub enum LearnEvent {
 /// Per-switch state the learner manages.
 struct SwitchState {
     table: Rc<RefCell<FlowTable>>,
-    ctrl_latency: Time,
     bindings: BTreeMap<Ipv4, (Mac, Port)>,
     pending: BTreeMap<Ipv4, Vec<Packet>>,
 }
@@ -80,12 +79,11 @@ impl L3Learner {
     }
 
     /// Register a switch this controller manages.
-    pub fn add_switch(&mut self, sw: SwitchId, table: Rc<RefCell<FlowTable>>, ctrl_latency: Time) {
+    pub fn add_switch(&mut self, sw: SwitchId, table: Rc<RefCell<FlowTable>>) {
         self.switches.insert(
             sw,
             SwitchState {
                 table,
-                ctrl_latency,
                 bindings: BTreeMap::new(),
                 pending: BTreeMap::new(),
             },
@@ -125,7 +123,7 @@ impl L3Learner {
                         vec![Action::SetMacDst(pkt.src_mac), Action::Output(in_port)],
                     )
                     .cookie(LEARNER_COOKIE),
-                    now + st.ctrl_latency,
+                    now + CTRL_LATENCY,
                 );
                 events.push(LearnEvent::NewBinding {
                     sw,

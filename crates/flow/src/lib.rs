@@ -37,8 +37,7 @@ mod integration_tests {
 
     use super::*;
     use nice_sim::{
-        App, ChannelCfg, Ctx, HostCfg, Ipv4, Mac, Packet, Port, Simulation, SwitchCfg, SwitchId,
-        Time,
+        App, ChannelCfg, Ctx, HostCfg, Ipv4, Mac, NodeIo, Packet, Port, Simulation, SwitchId, Time,
     };
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -97,11 +96,10 @@ mod integration_tests {
     fn learning_path_end_to_end() {
         let mut sim = Simulation::new(11);
         let table = Rc::new(RefCell::new(FlowTable::new()));
-        let sw_cfg = SwitchCfg::default();
-        let sw = sim.add_switch(Box::new(FlowSwitch::new(Rc::clone(&table))), sw_cfg);
+        let sw = sim.add_switch(Box::new(FlowSwitch::new(Rc::clone(&table))));
 
         let mut learner = L3Learner::new();
-        learner.add_switch(sw, Rc::clone(&table), sw_cfg.ctrl_latency);
+        learner.add_switch(sw, Rc::clone(&table));
         let ctrl = sim.add_host(
             Box::new(Controller {
                 learner,
@@ -149,10 +147,9 @@ mod integration_tests {
         // it must still be delivered (buffered then flushed).
         let mut sim = Simulation::new(12);
         let table = Rc::new(RefCell::new(FlowTable::new()));
-        let sw_cfg = SwitchCfg::default();
-        let sw = sim.add_switch(Box::new(FlowSwitch::new(Rc::clone(&table))), sw_cfg);
+        let sw = sim.add_switch(Box::new(FlowSwitch::new(Rc::clone(&table))));
         let mut learner = L3Learner::new();
-        learner.add_switch(sw, Rc::clone(&table), sw_cfg.ctrl_latency);
+        learner.add_switch(sw, Rc::clone(&table));
         let ctrl = sim.add_host(
             Box::new(Controller {
                 learner,
@@ -192,7 +189,7 @@ mod multi_switch_tests {
 
     use super::*;
     use nice_sim::{
-        App, ChannelCfg, Ctx, HostCfg, Ipv4, Mac, Packet, Port, Simulation, SwitchCfg, Time,
+        App, ChannelCfg, Ctx, HostCfg, Ipv4, Mac, NodeIo, Packet, Port, Simulation, Time,
     };
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -221,14 +218,8 @@ mod multi_switch_tests {
         let mut sim = Simulation::new(5);
         let t1 = Rc::new(RefCell::new(FlowTable::new()));
         let t2 = Rc::new(RefCell::new(FlowTable::new()));
-        let sw1 = sim.add_switch(
-            Box::new(FlowSwitch::new(Rc::clone(&t1))),
-            SwitchCfg::default(),
-        );
-        let sw2 = sim.add_switch(
-            Box::new(FlowSwitch::new(Rc::clone(&t2))),
-            SwitchCfg::default(),
-        );
+        let sw1 = sim.add_switch(Box::new(FlowSwitch::new(Rc::clone(&t1))));
+        let sw2 = sim.add_switch(Box::new(FlowSwitch::new(Rc::clone(&t2))));
 
         // client on sw1 (port 0), server on sw2 (port 0), trunk between.
         let client_ip = Ipv4::new(10, 0, 0, 1);

@@ -4,7 +4,7 @@
 //! `Rc<RefCell<FlowTable>>` (the simulation is single-threaded). To model
 //! the control-channel delay honestly, every mutation takes an *activation
 //! time*: a rule installed "now" by the controller only starts matching at
-//! `now + ctrl_latency`, which is how the paper's failure-hiding window
+//! `now + CTRL_LATENCY`, which is how the paper's failure-hiding window
 //! (the <2 s unavailability of Figure 11) arises.
 
 use std::collections::{BTreeMap, HashMap};

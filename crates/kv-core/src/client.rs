@@ -28,6 +28,10 @@ const IDLE_POLL: Time = Time::from_ms(10);
 /// Retry timers carry the op sequence in the low 32 bits.
 const TOK_RETRY_BASE: u64 = 1 << 32;
 const SEQ_MASK: u64 = 0xFFFF_FFFF;
+/// The client retry period: "the client will retry after waiting for 2
+/// seconds" (§6.6). Every client starts on this fixed schedule;
+/// `ClusterSpec::retry` is the one override.
+pub const RETRY_PERIOD: Time = Time::from_secs(2);
 /// Backoff before re-asking for a key that was not found (only with
 /// [`ClientCore::retry_not_found`]).
 const NOT_FOUND_BACKOFF: Time = Time::from_ms(5);
@@ -194,9 +198,8 @@ pub struct ClientCore {
     inflight: Option<InFlight>,
     next_seq: u64,
     max_attempts: u32,
-    /// Retry schedule armed per attempt (fixed period by default — "the
-    /// client will retry after waiting for 2 seconds", §6.6 — or
-    /// exponential backoff with seeded jitter).
+    /// Retry schedule armed per attempt ([`RETRY_PERIOD`] fixed by
+    /// default, or exponential backoff with seeded jitter).
     pub retry: RetryPolicy,
     /// When the client starts issuing.
     pub start_at: Time,
@@ -214,23 +217,21 @@ pub struct ClientCore {
     pub records: Vec<OpRecord>,
     /// Set once the queue drains.
     pub done_at: Option<Time>,
-    /// Telemetry bundle: end-to-end and retry-wait histograms. Shaped
-    /// by [`TelemetryCfg`](crate::TelemetryCfg) through the cluster
-    /// spec; defaults to enabled.
+    /// Telemetry bundle: end-to-end and retry-wait histograms.
     pub tel: Telemetry,
 }
 
 impl ClientCore {
     /// A core that runs `ops` once, starting at `start_at`, re-attempting
-    /// every `retry` (swap in a different [`RetryPolicy`] via the public
-    /// `retry` field for backoff/jitter).
-    pub fn new(ops: Vec<ClientOp>, retry: Time, start_at: Time) -> ClientCore {
+    /// every [`RETRY_PERIOD`] until [`ClientCore::configure`] says
+    /// otherwise.
+    pub fn new(ops: Vec<ClientOp>, start_at: Time) -> ClientCore {
         ClientCore {
             ops: ops.into(),
             inflight: None,
             next_seq: 1,
             max_attempts: 25,
-            retry: RetryPolicy::fixed(retry),
+            retry: RetryPolicy::fixed(RETRY_PERIOD),
             start_at,
             retry_not_found: false,
             op_deadline: None,
@@ -241,16 +242,15 @@ impl ClientCore {
     }
 
     /// Take the client half of `spec`: its retry schedule (`None` keeps
-    /// the one this core has), the not-found retry, the per-op deadline
-    /// and the telemetry shape. Every cluster builder configures its
-    /// clients through this one call.
+    /// [`RETRY_PERIOD`]), the not-found retry and the per-op deadline.
+    /// Every cluster builder configures its clients through this one
+    /// call.
     pub fn configure(&mut self, spec: &ClusterSpec) {
         if let Some(retry) = spec.retry {
             self.retry = retry;
         }
         self.retry_not_found = spec.retry_not_found;
         self.op_deadline = spec.op_deadline;
-        self.tel = Telemetry::new(&spec.telemetry);
     }
 
     /// The metrics snapshot: the end-to-end/retry histograms plus
@@ -619,7 +619,7 @@ mod tests {
     }
 
     fn core(ops: Vec<ClientOp>) -> ClientCore {
-        ClientCore::new(ops, Time::from_secs(2), Time::ZERO)
+        ClientCore::new(ops, Time::ZERO)
     }
 
     fn put(key: &str, n: u32) -> ClientOp {
@@ -675,7 +675,7 @@ mod tests {
 
     #[test]
     fn an_attempt_is_sent_before_its_retry_timer() {
-        let mut c = ClientCore::new(vec![put("a", 10)], Time::from_secs(2), Time::from_ms(3));
+        let mut c = ClientCore::new(vec![put("a", 10)], Time::from_ms(3));
         let mut io = FakeIo::new();
         c.on_start(io.at(Time::from_ms(1)));
         assert_eq!(io.asked, [("set_timer", Time::from_ms(2), TOK_START)]);

@@ -21,7 +21,7 @@ use node_rt::{Ipv4, Time};
 
 use crate::error::KvError;
 use crate::store::{ObjectStore, StorageCfg};
-use crate::telemetry::{MetricsRegistry, Telemetry, TelemetryCfg};
+use crate::telemetry::{MetricsRegistry, Telemetry};
 use crate::types::{NodeIdx, OpId, Timestamp, Value};
 
 /// Unified protocol tallies for both systems' storage nodes: plain
@@ -78,9 +78,6 @@ pub struct EngineCfg {
     /// §4.4 lock resolution. The NOOB baseline keeps tentative values in
     /// memory only.
     pub durable_pending: bool,
-    /// Telemetry shape for this engine's [`Telemetry`] bundle
-    /// (histograms of 2PC phase timings and WAL-sync cost).
-    pub telemetry: TelemetryCfg,
     /// Break a conflicting lock whose holder has been silent this long.
     /// NICE runs `None`: its deadline + failure-detector machinery (§4.4)
     /// cleans up orphaned locks. The NOOB baseline has neither, so a lock
@@ -332,7 +329,7 @@ impl TwoPcEngine {
             client_floors: BTreeMap::new(),
             counters: Counters::default(),
             last_internal_error: None,
-            tel: Telemetry::new(&cfg.telemetry),
+            tel: Telemetry::default(),
             started: BTreeMap::new(),
             clock: Time::ZERO,
         };
@@ -1204,7 +1201,6 @@ mod tests {
             op_timeout: Some(Time::from_ms(500)),
             inline_commit: false,
             durable_pending: true,
-            telemetry: TelemetryCfg::default(),
             stale_lock_ttl: None,
         }
     }
@@ -1215,7 +1211,6 @@ mod tests {
             op_timeout: None,
             inline_commit: true,
             durable_pending: false,
-            telemetry: TelemetryCfg::default(),
             stale_lock_ttl: Some(Time::from_secs(3)),
         }
     }

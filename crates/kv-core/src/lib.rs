@@ -43,7 +43,7 @@ mod types;
 mod wal;
 
 pub use chaos::{AdminEvent, ChaosPlan, ChaosSpec, IsolationEvent};
-pub use client::{Attempt, ClientCore, ClientOp, KvClient, OpRecord, RetryPolicy};
+pub use client::{Attempt, ClientCore, ClientOp, KvClient, OpRecord, RetryPolicy, RETRY_PERIOD};
 pub use engine::{Counters, Effect, EngineCfg, EngineRole, Group, LockResolution, TwoPcEngine};
 pub use error::KvError;
 pub use explore::{

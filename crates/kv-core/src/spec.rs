@@ -5,13 +5,12 @@
 //!
 //! 1. [`ClusterSpec`] (this module): what the *cluster* is, independent
 //!    of system and host — node counts, replication, partitioning, the
-//!    storage device model, client retry/deadline behaviour, and the
-//!    [`TelemetryCfg`] threaded into every engine and client.
-//! 2. A host config owned by the host crate: `SimHostCfg` (links,
-//!    switch, fault plan, client start time) for the simulator,
+//!    storage device model, and client retry/deadline behaviour.
+//! 2. A host config owned by the host crate: `SimHostCfg` (client start
+//!    time, fault plan) for the simulator,
 //!    `UdpHostCfg` (WAL root, socket nemesis) for the threaded runtime.
 //! 3. A system config owned by the system crate: NICE's `KvConfig`
-//!    (vrings, timers, put mode), NOOB's access/mode knobs.
+//!    (vrings, server timers, put mode), NOOB's access/mode knobs.
 //!
 //! The split keeps A/B experiments honest: handing the *same*
 //! `ClusterSpec` to both systems guarantees they differ only in the
@@ -41,9 +40,8 @@ pub struct ClusterSpec {
     pub partitions: Option<u32>,
     /// Storage device model (write bandwidth, op latency).
     pub storage: StorageCfg,
-    /// Client retry schedule override. `None` keeps the system default
-    /// (NICE: the `KvConfig` policy; NOOB: fixed 2 s simulated, 500 ms
-    /// on the real runtime).
+    /// Client retry schedule override, the one retry knob of every
+    /// deployment. `None` keeps the fixed [`crate::RETRY_PERIOD`] (§6.6).
     pub retry: Option<RetryPolicy>,
     /// Clients retry `NotFound` gets with a short backoff.
     pub retry_not_found: bool,
@@ -51,7 +49,7 @@ pub struct ClusterSpec {
     /// fails the op with `Timeout` instead of burning the whole attempt
     /// budget. `None` = attempts only.
     pub op_deadline: Option<Time>,
-    /// Telemetry configuration threaded into every engine and client.
+    /// Telemetry configuration (it has no settings).
     pub telemetry: TelemetryCfg,
 }
 
@@ -69,7 +67,7 @@ impl ClusterSpec {
             retry: None,
             retry_not_found: false,
             op_deadline: None,
-            telemetry: TelemetryCfg::default(),
+            telemetry: TelemetryCfg,
         }
     }
 
@@ -103,6 +101,5 @@ mod tests {
         assert!(s.retry.is_none());
         assert!(s.op_deadline.is_none());
         assert!(!s.retry_not_found);
-        assert!(s.telemetry.enabled);
     }
 }

@@ -272,64 +272,35 @@ impl MetricsRegistry {
 }
 
 /// Telemetry configuration — a sibling of [`crate::EngineCfg`] in the
-/// layered cluster config ([`crate::ClusterSpec`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryCfg {
-    /// Record metrics at all. Off turns every instrumentation point
-    /// into a no-op (the DPOR explorer runs with telemetry on; it is
-    /// cheap because empty structures clone for free).
-    pub enabled: bool,
-}
+/// layered cluster config ([`crate::ClusterSpec`]). It has no settings:
+/// every component always records.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TelemetryCfg;
 
-impl Default for TelemetryCfg {
-    fn default() -> TelemetryCfg {
-        TelemetryCfg { enabled: true }
-    }
-}
-
-/// One component's telemetry: a metrics registry behind an on/off gate.
+/// One component's telemetry: a metrics registry.
 ///
 /// [`crate::ClientCore`] and [`crate::TwoPcEngine`] each embed one;
 /// cluster-level `metrics()` accessors merge the registries.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Telemetry {
-    enabled: bool,
     /// The named metrics.
     pub reg: MetricsRegistry,
 }
 
-impl Default for Telemetry {
-    fn default() -> Telemetry {
-        Telemetry::new(&TelemetryCfg::default())
-    }
-}
-
 impl Telemetry {
-    /// Telemetry shaped by `cfg`.
-    pub fn new(cfg: &TelemetryCfg) -> Telemetry {
-        Telemetry {
-            enabled: cfg.enabled,
-            reg: MetricsRegistry::new(),
-        }
+    /// Empty telemetry for a component deployed with `cfg`.
+    pub fn new(_cfg: &TelemetryCfg) -> Telemetry {
+        Telemetry::default()
     }
 
-    /// Is recording on?
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Record a duration sample (no-op when disabled).
+    /// Record a duration sample.
     pub fn record(&mut self, name: &str, d: Time) {
-        if self.enabled {
-            self.reg.record(name, d);
-        }
+        self.reg.record(name, d);
     }
 
-    /// Bump a counter (no-op when disabled).
+    /// Bump a counter.
     pub fn add(&mut self, name: &str, n: u64) {
-        if self.enabled {
-            self.reg.add(name, n);
-        }
+        self.reg.add(name, n);
     }
 }
 
@@ -472,13 +443,5 @@ mod tests {
         let h = a.hist("lat").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), Time::from_us(500));
-    }
-
-    #[test]
-    fn disabled_telemetry_records_nothing() {
-        let mut tel = Telemetry::new(&TelemetryCfg { enabled: false });
-        tel.add("ops", 1);
-        tel.record("lat", Time::from_us(1));
-        assert!(tel.reg.is_empty());
     }
 }

@@ -26,7 +26,6 @@ fn engine() -> TwoPcEngine {
         op_timeout: Some(Time::from_ms(500)),
         inline_commit: false,
         durable_pending: true,
-        telemetry: kv_core::TelemetryCfg::default(),
         stale_lock_ttl: None,
     })
 }

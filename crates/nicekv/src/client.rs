@@ -18,7 +18,7 @@ use kv_core::{Attempt, ClientCore, KvClient, CTRL_MSG_BYTES};
 use nice_transport::{Msg, MsgToken, Transport, TransportEvent, TRANSPORT_TICK};
 use node_rt::{NodeApp, NodeIo, Packet, Time};
 
-use crate::config::{KvConfig, PutMode};
+use crate::config::{KvConfig, PutMode, PORT};
 use crate::msg::KvMsg;
 
 pub use kv_core::{ClientOp, OpRecord};
@@ -61,11 +61,9 @@ impl KvClient for ClientApp {
 impl ClientApp {
     /// A client that runs `ops` once, starting at `start_at`.
     pub fn new(cfg: KvConfig, ops: Vec<ClientOp>, start_at: Time) -> ClientApp {
-        let mut core = ClientCore::new(ops, cfg.client_retry, start_at);
-        core.retry = cfg.retry_policy();
         ClientApp {
-            tp: Transport::new(cfg.port),
-            core,
+            tp: Transport::new(PORT),
+            core: ClientCore::new(ops, start_at),
             cfg,
             quorum_token: None,
         }
@@ -87,19 +85,13 @@ impl ClientApp {
                 let r = self.cfg.replication;
                 match self.cfg.put_mode {
                     PutMode::Quorum { k } => {
-                        let tok = self.tp.anyk_send(
-                            ctx,
-                            group,
-                            self.cfg.port,
-                            Msg::new(msg, size),
-                            r,
-                            k.min(r),
-                        );
+                        let tok =
+                            self.tp
+                                .anyk_send(ctx, group, PORT, Msg::new(msg, size), r, k.min(r));
                         self.quorum_token = Some(tok);
                     }
                     PutMode::TwoPc => {
-                        self.tp
-                            .mcast_send(ctx, group, self.cfg.port, Msg::new(msg, size), r);
+                        self.tp.mcast_send(ctx, group, PORT, Msg::new(msg, size), r);
                     }
                 }
             }
@@ -111,8 +103,7 @@ impl ClientApp {
                     op: at.id,
                 };
                 let size = key.len() as u32 + CTRL_MSG_BYTES;
-                self.tp
-                    .rudp_send(ctx, vnode, self.cfg.port, Msg::new(msg, size));
+                self.tp.rudp_send(ctx, vnode, PORT, Msg::new(msg, size));
             }
         }
         self.core.sent(&at, ctx);

@@ -12,26 +12,24 @@ use std::rc::Rc;
 use nice_flow::{prio, Action, FlowMatch, FlowRule, FlowSwitch, FlowTable, L3Learner};
 use nice_ring::{NodeIdx, PartitionId, PhysicalRing};
 use nice_sim::{
-    App, ChannelCfg, FaultPlan, HostCfg, HostId, Ipv4, Mac, NodeApp, Port, Simulation, SwitchCfg,
-    SwitchId, Time,
+    App, ChannelCfg, FaultPlan, HostCfg, HostId, Ipv4, Mac, NodeApp, Port, Simulation, SwitchId,
+    Time,
 };
 
 use crate::client::{ClientApp, ClientOp};
-use crate::config::KvConfig;
+use crate::config::{KvConfig, CLIENT_SPACE};
 use crate::metadata::{MetadataApp, SwitchHandle};
 use crate::server::ServerApp;
 use kv_core::{ClusterSpec, KvClient, MetricsRegistry, ObjectStore};
 
 /// Simulator host-layer configuration — the `SimHostCfg` half of the
 /// layered cluster config ([`ClusterSpec`] + host config + system
-/// config). Shared by the NICE and NOOB simulated deployments; the real
-/// UDP runtime's counterpart is `node_rt::UdpHostCfg`.
+/// config): when clients start and what faults the run injects. Shared
+/// by the NICE and NOOB simulated deployments; the real UDP runtime's
+/// counterpart is `node_rt::UdpHostCfg`. The testbed itself is fixed:
+/// every host on a [`ChannelCfg::gigabit`] link to one switch.
 #[derive(Clone)]
 pub struct SimHostCfg {
-    /// Link configuration (rate applies to every host).
-    pub link: ChannelCfg,
-    /// Switch parameters.
-    pub switch: SwitchCfg,
     /// When clients start issuing operations (rules must be in place).
     pub client_start: Time,
     /// Deterministic fault plan, applied at the simulator's packet
@@ -42,8 +40,6 @@ pub struct SimHostCfg {
 impl Default for SimHostCfg {
     fn default() -> SimHostCfg {
         SimHostCfg {
-            link: ChannelCfg::gigabit(),
-            switch: SwitchCfg::default(),
             client_start: Time::from_ms(50),
             fault_plan: None,
         }
@@ -80,7 +76,7 @@ pub struct ClusterCfg {
     /// System-agnostic deployment shape (nodes, replication, storage,
     /// retry/deadline behaviour, telemetry).
     pub spec: ClusterSpec,
-    /// Simulator host layer (links, switch, fault plan, client start).
+    /// Simulator host layer (client start, fault plan).
     pub host: SimHostCfg,
     /// Deploy a hot-standby metadata replica (§4.1): it shadows the
     /// active service's state and takes over if it fails.
@@ -156,7 +152,7 @@ impl Star {
     fn new(seed: u64, host: SimHostCfg) -> Star {
         let mut sim = Simulation::new(seed);
         let table = Rc::new(RefCell::new(FlowTable::new()));
-        let switch = sim.add_switch(Box::new(FlowSwitch::new(Rc::clone(&table))), host.switch);
+        let switch = sim.add_switch(Box::new(FlowSwitch::new(Rc::clone(&table))));
         Star {
             sim,
             switch,
@@ -186,7 +182,7 @@ impl Star {
 
     /// Link `h` to the switch and route `ip` to it.
     fn wire(&mut self, h: HostId, ip: Ipv4, mac: Mac) -> HostId {
-        let link = self.host.link;
+        let link = ChannelCfg::gigabit();
         let port = self
             .sim
             .connect_asym(h, self.switch, link.host_uplink(), link);
@@ -347,7 +343,6 @@ impl Deployment for NiceSys {
         kv.replication = spec.replication;
         kv.unicast = nice_ring::VRing::unicast(parts);
         kv.multicast = nice_ring::VRing::multicast(parts);
-        kv.telemetry = spec.telemetry;
 
         let meta_ip = Ipv4::new(10, 0, 0, 1);
         let meta_mac = Mac(0x100);
@@ -358,16 +353,15 @@ impl Deployment for NiceSys {
             star.add_server(Box::new(app));
         }
 
-        // Clients: addresses inside kv.client_space, spread so that
+        // Clients: addresses inside CLIENT_SPACE, spread so that
         // consecutive clients land in *different* LB divisions (§4.5) —
         // client j sits in division j mod D.
         let divisions = (spec.replication as u32).next_power_of_two().min(16);
-        let space_size = 1u32 << (32 - kv.client_space.1);
+        let space_size = 1u32 << (32 - CLIENT_SPACE.1);
         let stride = space_size / divisions;
         for (j, ops) in cfg.client_ops.into_iter().enumerate() {
             let j32 = j as u32;
-            let ip =
-                Ipv4(kv.client_space.0 .0 + (j32 % divisions) * stride + (j32 / divisions) + 1);
+            let ip = Ipv4(CLIENT_SPACE.0 .0 + (j32 % divisions) * stride + (j32 / divisions) + 1);
             let mut app = ClientApp::new(kv, ops, star.client_start(j));
             app.configure(&spec);
             star.add_client(Box::new(app), ip);
@@ -389,7 +383,6 @@ impl Deployment for NiceSys {
         let handle = SwitchHandle {
             id: star.switch,
             table: Rc::clone(&star.table),
-            ctrl_latency: star.host.switch.ctrl_latency,
             ports: star.ports.clone(),
         };
         let meta_app = || {
@@ -504,7 +497,7 @@ mod tests {
         assert_eq!(c.sys.ring.replication(), 3);
         // client IPs sit inside the LB client space
         for ip in &c.client_ips {
-            assert!(ip.in_prefix(c.sys.cfg.client_space.0, c.sys.cfg.client_space.1));
+            assert!(ip.in_prefix(CLIENT_SPACE.0, CLIENT_SPACE.1));
         }
     }
 

@@ -36,7 +36,7 @@ pub use client::{ClientApp, ClientOp, OpRecord};
 pub use cluster::{
     server_ip, ClusterCfg, Deployment, NiceCluster, NiceSys, SimCluster, SimHostCfg,
 };
-pub use config::{KvConfig, PutMode, RetryBackoff};
+pub use config::{KvConfig, PutMode};
 pub use kv_core::ClusterSpec;
 pub use kv_core::{KvClient, KvError, MetricsRegistry, ObjectStore, StorageCfg};
 pub use metadata::{AdminOp, MetaEvent, MetaRole, MetadataApp, SwitchHandle};

@@ -18,10 +18,10 @@ use std::rc::Rc;
 
 use nice_flow::{prio, Action, FlowMatch, FlowRule, FlowTable, GroupBucket, GroupId, L3Learner};
 use nice_ring::{ClientDivisions, NodeIdx, PartitionId, PhysicalRing};
-use nice_sim::{App, Ctx, Ipv4, Mac, Packet, Port, SwitchId, Time};
+use nice_sim::{App, Ctx, Ipv4, Mac, NodeIo, Packet, Port, SwitchId, Time, CTRL_LATENCY};
 use nice_transport::{Msg, Transport, TransportEvent, TRANSPORT_TICK};
 
-use crate::config::KvConfig;
+use crate::config::{KvConfig, CLIENT_SPACE, PORT};
 use crate::msg::{HandoffRecord, KvMsg, LoadStats, PartitionView};
 use kv_core::{KvError, CTRL_MSG_BYTES};
 
@@ -41,8 +41,6 @@ pub struct SwitchHandle {
     pub id: SwitchId,
     /// Its (shared) flow table.
     pub table: Rc<RefCell<FlowTable>>,
-    /// Control-channel latency: mutations activate this far in the future.
-    pub ctrl_latency: Time,
     /// Which port each known endpoint hangs off.
     pub ports: BTreeMap<Ipv4, Port>,
 }
@@ -183,7 +181,7 @@ impl MetadataApp {
         assert!(node_addrs.len() >= ring.nodes().len());
         for sw in &mut switches {
             // Ensure the learner knows about our switches too.
-            learner.add_switch(sw.id, Rc::clone(&sw.table), sw.ctrl_latency);
+            learner.add_switch(sw.id, Rc::clone(&sw.table));
         }
         let nodes = node_addrs
             .into_iter()
@@ -195,7 +193,7 @@ impl MetadataApp {
             })
             .collect();
         MetadataApp {
-            tp: Transport::new(cfg.port),
+            tp: Transport::new(PORT),
             cfg,
             ring,
             nodes,
@@ -336,15 +334,15 @@ impl MetadataApp {
         let (m_net, m_len) = self.cfg.multicast.subgroup_prefix(p);
         let lb = if self.cfg.load_balancing && get_targets.len() > 1 {
             Some(ClientDivisions::new(
-                self.cfg.client_space.0,
-                self.cfg.client_space.1,
+                CLIENT_SPACE.0,
+                CLIENT_SPACE.1,
                 get_targets.len() as u32,
             ))
         } else {
             None
         };
         for sw in &self.switches {
-            let at = now + sw.ctrl_latency;
+            let at = now + CTRL_LATENCY;
             let mut t = sw.table.borrow_mut();
             // Multicast group: one bucket per member (the put path).
             let buckets: Vec<GroupBucket> = view
@@ -458,7 +456,7 @@ impl MetadataApp {
                 views: vec![view.clone()],
             };
             self.tp
-                .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES + 64));
+                .tcp_send(ctx, dst, PORT, Msg::new(msg, CTRL_MSG_BYTES + 64));
         }
     }
 
@@ -482,7 +480,7 @@ impl MetadataApp {
             let dst = self.addr(np);
             let msg = KvMsg::BecomePrimary { partition: p };
             self.tp
-                .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES));
+                .tcp_send(ctx, dst, PORT, Msg::new(msg, CTRL_MSG_BYTES));
         }
     }
 
@@ -499,7 +497,7 @@ impl MetadataApp {
         let dst = self.addr(n);
         let msg = KvMsg::RejoinPlan { sources };
         self.tp
-            .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES + 64));
+            .tcp_send(ctx, dst, PORT, Msg::new(msg, CTRL_MSG_BYTES + 64));
     }
 
     /// Tell every node whose state `to` accepts that this instance is now
@@ -514,7 +512,7 @@ impl MetadataApp {
         for dst in dsts {
             let msg = KvMsg::MetaFailover { new_meta: ctx.ip() };
             self.tp
-                .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES));
+                .tcp_send(ctx, dst, PORT, Msg::new(msg, CTRL_MSG_BYTES));
         }
     }
 
@@ -986,8 +984,7 @@ impl MetadataApp {
                 ring_nodes: self.ring.nodes().to_vec(),
             };
             let size = CTRL_MSG_BYTES + 48 * self.views.len() as u32;
-            self.tp
-                .tcp_send(ctx, standby, self.cfg.port, Msg::new(msg, size));
+            self.tp.tcp_send(ctx, standby, PORT, Msg::new(msg, size));
         }
         ctx.set_timer(self.cfg.hb_interval, TOK_HBCHECK);
     }
@@ -1032,11 +1029,7 @@ impl MetadataApp {
             if targets.len() < 2 {
                 continue;
             }
-            let div = ClientDivisions::new(
-                self.cfg.client_space.0,
-                self.cfg.client_space.1,
-                targets.len() as u32,
-            );
+            let div = ClientDivisions::new(CLIENT_SPACE.0, CLIENT_SPACE.1, targets.len() as u32);
             // Per-division observed load: sum the /26 buckets inside each
             // division prefix.
             let loads: Vec<u64> = div
@@ -1197,8 +1190,7 @@ impl App for MetadataApp {
             let dst = self.addr(n);
             let size = CTRL_MSG_BYTES + 64 * views.len() as u32;
             let msg = KvMsg::Membership { views };
-            self.tp
-                .tcp_send(ctx, dst, self.cfg.port, Msg::new(msg, size));
+            self.tp.tcp_send(ctx, dst, PORT, Msg::new(msg, size));
         }
         ctx.set_timer(self.cfg.hb_interval, TOK_HBCHECK);
     }

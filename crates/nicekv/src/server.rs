@@ -33,7 +33,7 @@ use nice_transport::endpoint::{charge_send, CTRL_COST, REQ_COST};
 use nice_transport::{Endpoint, Fired, Msg};
 use node_rt::{Ipv4, NodeApp, NodeIo, Packet, Time};
 
-use crate::config::{KvConfig, PutMode};
+use crate::config::{KvConfig, PutMode, PORT};
 use crate::msg::{KvMsg, LoadStats, OpId, PartitionView, Role, Timestamp, Value};
 
 const TOK_HEARTBEAT: u64 = 1;
@@ -82,7 +82,7 @@ impl ServerApp {
     /// A storage node `node` reporting to the metadata service at `meta`.
     pub fn new(cfg: KvConfig, node: NodeIdx, meta: Ipv4, storage: StorageCfg) -> ServerApp {
         ServerApp {
-            ep: Endpoint::new(cfg.port, msg_cost),
+            ep: Endpoint::new(PORT, msg_cost),
             engine: TwoPcEngine::new(EngineCfg {
                 storage,
                 // NICE runs the coordinator deadlines of §4.4, commits on
@@ -91,7 +91,6 @@ impl ServerApp {
                 op_timeout: Some(cfg.op_timeout),
                 inline_commit: false,
                 durable_pending: true,
-                telemetry: cfg.telemetry,
                 // No TTL: the §4.4 deadline machinery plus the stale-lock
                 // sweep clean up orphaned locks.
                 stale_lock_ttl: None,
@@ -237,7 +236,7 @@ impl ServerApp {
                         self.ep.transport().mcast_send(
                             ctx,
                             group,
-                            self.cfg.port,
+                            PORT,
                             Msg::new(msg, CTRL_MSG_BYTES),
                             members,
                         );
@@ -252,7 +251,7 @@ impl ServerApp {
                         self.ep.transport().mcast_send(
                             ctx,
                             group,
-                            self.cfg.port,
+                            PORT,
                             Msg::new(msg, CTRL_MSG_BYTES),
                             n,
                         );
@@ -785,7 +784,7 @@ impl ServerApp {
             self.ep.transport().mcast_send(
                 ctx,
                 group,
-                self.cfg.port,
+                PORT,
                 Msg::new(msg, CTRL_MSG_BYTES),
                 members,
             );
@@ -803,7 +802,7 @@ impl ServerApp {
         };
         self.ep
             .transport()
-            .udp_send(ctx, self.meta, self.cfg.port, Msg::new(msg, CTRL_MSG_BYTES));
+            .udp_send(ctx, self.meta, PORT, Msg::new(msg, CTRL_MSG_BYTES));
         ctx.set_timer(self.cfg.hb_interval, TOK_HEARTBEAT);
     }
 

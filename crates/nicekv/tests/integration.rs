@@ -2,6 +2,7 @@
 //! load balancing, failure handling, and recovery — the mechanisms of
 //! §3–§4 exercised through the full simulated fabric.
 
+use kv_core::RetryPolicy;
 use nice_kv::{ClientOp, ClusterCfg, MetaEvent, NiceCluster, NodeState, OpRecord, PutMode, Value};
 use nice_ring::{NodeIdx, PartitionId};
 use nice_sim::Time;
@@ -273,7 +274,7 @@ fn secondary_failure_handoff_and_recovery() {
     let mut cfg = ClusterCfg::new(8, 3, vec![ops]);
     cfg.kv.hb_interval = Time::from_ms(100); // speed the test up
     cfg.kv.op_timeout = Time::from_ms(100);
-    cfg.kv.client_retry = Time::from_ms(400);
+    cfg.spec.retry = Some(RetryPolicy::fixed(Time::from_ms(400)));
     cfg.host.client_start = Time::from_ms(100);
     let mut c = NiceCluster::build(cfg);
 
@@ -337,7 +338,7 @@ fn handoff_forwards_gets_for_objects_it_lacks() {
     let mut cfg = ClusterCfg::new(8, 3, vec![writer]);
     cfg.kv.hb_interval = Time::from_ms(100);
     cfg.kv.op_timeout = Time::from_ms(100);
-    cfg.kv.client_retry = Time::from_ms(400);
+    cfg.spec.retry = Some(RetryPolicy::fixed(Time::from_ms(400)));
     cfg.kv.load_balancing = true;
     let mut c = NiceCluster::build(cfg);
     assert!(c.run_until_done(Time::from_secs(10)));
@@ -405,7 +406,7 @@ fn primary_failure_promotes_secondary_and_work_continues() {
     let mut cfg = ClusterCfg::new(8, 3, vec![ops]);
     cfg.kv.hb_interval = Time::from_ms(100);
     cfg.kv.op_timeout = Time::from_ms(100);
-    cfg.kv.client_retry = Time::from_ms(400);
+    cfg.spec.retry = Some(RetryPolicy::fixed(Time::from_ms(400)));
     cfg.host.client_start = Time::from_ms(100);
     let mut c = NiceCluster::build(cfg);
 
@@ -447,7 +448,7 @@ fn writes_during_failure_reach_rejoined_node() {
     let mut cfg = ClusterCfg::new(8, 3, vec![ops]);
     cfg.kv.hb_interval = Time::from_ms(100);
     cfg.kv.op_timeout = Time::from_ms(100);
-    cfg.kv.client_retry = Time::from_ms(300);
+    cfg.spec.retry = Some(RetryPolicy::fixed(Time::from_ms(300)));
     cfg.host.client_start = Time::from_secs(2); // after failure handling settles
     let mut c = NiceCluster::build(cfg);
     c.sim

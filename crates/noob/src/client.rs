@@ -88,7 +88,7 @@ impl NoobClientApp {
             route,
             cache: HashMap::new(),
             cache_stats: (0, 0),
-            core: ClientCore::new(ops, Time::from_secs(2), start_at),
+            core: ClientCore::new(ops, start_at),
         }
     }
 

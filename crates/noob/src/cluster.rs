@@ -19,15 +19,15 @@ use crate::server::{NoobRing, NoobServerApp};
 /// shape: the system-agnostic [`ClusterSpec`], the simulator's
 /// [`SimHostCfg`], and NOOB's own access/consistency knobs.
 ///
-/// `spec.retry = None` keeps NOOB's default fixed 2 s retry schedule
-/// (like NICE's §6.6 clients); the chaos harness installs backoff +
-/// jitter through the spec.
+/// `spec.retry = None` keeps the fixed [`kv_core::RETRY_PERIOD`]
+/// schedule (NICE's §6.6 clients use the same); the chaos harness
+/// installs backoff + jitter through the spec.
 #[derive(Clone)]
 pub struct NoobClusterCfg {
     /// System-agnostic deployment shape (nodes, replication, storage,
     /// retry/deadline behaviour, telemetry).
     pub spec: ClusterSpec,
-    /// Simulator host layer (links, switch, fault plan, client start).
+    /// Simulator host layer (client start, fault plan).
     pub host: SimHostCfg,
     /// Replication/consistency mode.
     pub mode: NoobMode,
@@ -77,16 +77,12 @@ impl NoobClusterCfg {
     }
 
     /// Derive a NOOB deployment from a finished NICE
-    /// [`nice_kv::ClusterCfg`]: spec, host layer, and clients carry over
-    /// unchanged (including NICE's effective retry schedule), so an A/B
-    /// experiment differs only in the access mechanism and consistency
-    /// mode chosen here.
+    /// [`nice_kv::ClusterCfg`]: spec (retry schedule included), host
+    /// layer, and clients carry over unchanged, so an A/B experiment
+    /// differs only in the access mechanism and consistency mode chosen
+    /// here.
     pub fn from_nice(nice: &nice_kv::ClusterCfg, access: Access, mode: NoobMode) -> NoobClusterCfg {
-        let mut spec = nice.spec;
-        if spec.retry.is_none() {
-            spec.retry = Some(nice.kv.retry_policy());
-        }
-        let mut cfg = NoobClusterCfg::from_spec(spec, access, mode, nice.client_ops.clone());
+        let mut cfg = NoobClusterCfg::from_spec(nice.spec, access, mode, nice.client_ops.clone());
         cfg.host = nice.host.clone();
         cfg
     }
@@ -163,13 +159,7 @@ impl Deployment for NoobSys {
 
         // Storage nodes.
         for i in 0..spec.nodes {
-            let app = NoobServerApp::new(
-                ring.clone(),
-                NodeIdx(i as u32),
-                cfg.mode,
-                spec.storage,
-                spec.telemetry,
-            );
+            let app = NoobServerApp::new(ring.clone(), NodeIdx(i as u32), cfg.mode, spec.storage);
             star.add_server(Box::new(app));
         }
 
@@ -223,7 +213,10 @@ mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
+    use kv_core::{KvClient, RetryPolicy};
     use nice_kv::cluster::MAX_SERVERS;
+    use nice_kv::{ClusterCfg, NiceCluster};
+    use nice_sim::Time;
 
     #[test]
     fn address_plan_is_injective_and_disjoint() {
@@ -244,6 +237,34 @@ mod tests {
         }
         assert_eq!(gateway_ip(0), GATEWAY_IP);
         assert_eq!(servers[MAX_SERVERS - 1], Ipv4::new(10, 0, 0, 255));
+    }
+
+    /// `ClusterSpec::retry` is the one retry knob: unset, every client
+    /// of both systems retries every 2 s (§6.6); set, every client of
+    /// both systems runs the given policy.
+    #[test]
+    fn the_retry_schedule_reaches_both_systems_from_the_spec() {
+        let backoff = RetryPolicy {
+            base: Time::from_ms(400),
+            cap: Time::from_secs(8),
+            exponential: true,
+            jitter_pct: 30,
+            seed: 5,
+        };
+        let cases = [
+            (None, RetryPolicy::fixed(Time::from_secs(2))),
+            (Some(backoff), backoff),
+        ];
+        for (retry, want) in cases {
+            let mut cfg = ClusterCfg::new(3, 3, vec![Vec::new(); 4]);
+            cfg.spec.retry = retry;
+            let noob = NoobClusterCfg::from_nice(&cfg, Access::Rac, NoobMode::TwoPc);
+            let (nice, noob) = (NiceCluster::build(cfg), NoobCluster::build(noob));
+            for i in 0..4 {
+                assert_eq!(nice.client(i).core().retry, want, "NICE client {i}");
+                assert_eq!(noob.client(i).core().retry, want, "NOOB client {i}");
+            }
+        }
     }
 
     #[test]

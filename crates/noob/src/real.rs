@@ -63,8 +63,9 @@ impl RealOp {
 /// config shape: the system-agnostic [`ClusterSpec`], the real runtime's
 /// [`UdpHostCfg`] (WAL root, socket nemesis), and NOOB's routing knobs.
 ///
-/// `spec.retry = None` keeps the real runtime's default fixed 500 ms
-/// schedule — wall-clock now, keep it short in tests. With
+/// [`RealNoobCfg::new`] sets a fixed 500 ms retry schedule: time is
+/// wall-clock here, so tests keep it short (`spec.retry = None` falls
+/// back to [`kv_core::RETRY_PERIOD`], like every client). With
 /// `host.wal_root` set, every server gets a file WAL under
 /// `<wal_root>/node-<i>.wal`: acks become fsync-gated, and
 /// [`RealNoobCluster::restart_server`] recovers from the surviving file;
@@ -125,7 +126,7 @@ impl RealNoobCluster {
     /// Bind sockets, spawn every node thread, and start serving. Clients
     /// begin issuing immediately.
     pub fn build(cfg: RealNoobCfg) -> RealNoobCluster {
-        let mut spec = cfg.spec;
+        let spec = cfg.spec;
         let server_ips: Vec<Ipv4> = (0..spec.nodes).map(server_ip).collect();
         let ring = NoobRing {
             ring: PhysicalRing::new(
@@ -161,7 +162,6 @@ impl RealNoobCluster {
                     NodeIdx(i as u32),
                     mode,
                     storage,
-                    telemetry,
                 )),
             }));
         }
@@ -177,7 +177,6 @@ impl RealNoobCluster {
                 lb_gets: cfg.lb_gets,
             },
         };
-        spec.retry = spec.retry.or(Some(RetryPolicy::fixed(Time::from_ms(500))));
         let mut client_ips = Vec::new();
         for (j, ops) in cfg.client_ops.iter().cloned().enumerate() {
             let ip = client_ip(j);

@@ -110,7 +110,7 @@ pub struct NoobServerApp {
 }
 
 impl NoobServerApp {
-    fn engine_cfg(storage: StorageCfg, telemetry: TelemetryCfg) -> EngineCfg {
+    fn engine_cfg(storage: StorageCfg) -> EngineCfg {
         EngineCfg {
             storage,
             // The baseline runs no coordinator deadlines, commits
@@ -123,7 +123,6 @@ impl NoobServerApp {
             op_timeout: None,
             inline_commit: true,
             durable_pending: false,
-            telemetry,
             stale_lock_ttl: Some(Time::from_secs(3)),
         }
     }
@@ -153,9 +152,8 @@ impl NoobServerApp {
         node: NodeIdx,
         mode: NoobMode,
         storage: StorageCfg,
-        telemetry: TelemetryCfg,
     ) -> NoobServerApp {
-        let engine = TwoPcEngine::new(Self::engine_cfg(storage, telemetry));
+        let engine = TwoPcEngine::new(Self::engine_cfg(storage));
         Self::from_engine(ring, node, mode, engine, 0)
     }
 
@@ -165,17 +163,18 @@ impl NoobServerApp {
     /// persistent-log entries, and in-doubt locks.
     ///
     /// If the WAL cannot be opened (I/O error) the node degrades to the
-    /// memory-only model rather than refusing to serve.
+    /// memory-only model rather than refusing to serve. `_telemetry` has
+    /// no settings (see [`TelemetryCfg`]).
     pub fn with_wal(
         ring: NoobRing,
         node: NodeIdx,
         mode: NoobMode,
         storage: StorageCfg,
-        telemetry: TelemetryCfg,
+        _telemetry: TelemetryCfg,
         wal_dir: &Path,
     ) -> NoobServerApp {
         let path = wal_dir.join(format!("node-{}.wal", node.0));
-        let (engine, recovered) = TwoPcEngine::recover(Self::engine_cfg(storage, telemetry), &path);
+        let (engine, recovered) = TwoPcEngine::recover(Self::engine_cfg(storage), &path);
         Self::from_engine(ring, node, mode, engine, recovered)
     }
 

@@ -21,7 +21,7 @@ pub mod physical;
 pub mod vring;
 
 pub use hash::{hash_key, hash_str};
-pub use physical::{NodeIdx, PartitionId, PhysicalRing};
+pub use physical::{partition_of_hash, NodeIdx, PartitionId, PhysicalRing};
 pub use vring::{ClientDivisions, VRing};
 
 // Randomized property tests, driven by the in-tree seeded PRNG so they

@@ -17,6 +17,15 @@ use crate::hash::hash_key;
 
 pub use kv_core::{NodeIdx, PartitionId};
 
+/// The partition hash `h` falls in when the object space is split into
+/// `partitions` (a power of two) equal partitions: the top
+/// log2(`partitions`) bits of `h`. Every key → partition mapping goes
+/// through here.
+#[inline]
+pub fn partition_of_hash(h: u64, partitions: u32) -> PartitionId {
+    PartitionId((h >> (64 - partitions.trailing_zeros())) as u32)
+}
+
 /// The static placement: partitions, nodes, and replica sets.
 #[derive(Debug, Clone)]
 pub struct PhysicalRing {
@@ -101,10 +110,10 @@ impl PhysicalRing {
         &self.nodes
     }
 
-    /// Map a hash to its partition (the top `bits` of the hash).
+    /// Map a hash to its partition: [`partition_of_hash`] over this ring's partitions.
     #[inline]
     pub fn partition_of_hash(&self, h: u64) -> PartitionId {
-        PartitionId((h >> (64 - self.bits)) as u32)
+        partition_of_hash(h, self.num_partitions())
     }
 
     /// Map a key to its partition.

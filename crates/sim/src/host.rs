@@ -5,40 +5,26 @@
 //! primary replica that must process `2(R-1)` acknowledgment messages per
 //! put visibly slower than a NICE primary (Figure 9a of the paper).
 //! Applications can charge additional explicit work via
-//! [`Ctx::cpu_work`] (e.g. a storage write or a gateway forwarding step).
+//! [`NodeIo::cpu_work`] (e.g. a storage write or a gateway forwarding step).
 
 use std::any::Any;
 
 use nice_workload::XorShiftRng;
+use node_rt::NodeIo;
 
 use crate::ids::{HostId, Port, SwitchId};
 use crate::net::{Ipv4, Mac, Packet};
 use crate::time::Time;
 
-/// CPU cost model for a host.
-#[derive(Debug, Clone, Copy)]
-pub struct CpuCfg {
-    /// Fixed cost charged per received packet (kernel + interrupt path).
-    pub per_packet: Time,
-    /// Additional cost per KiB of received wire bytes (copy cost).
-    pub per_kib: Time,
-}
+/// Fixed receive cost charged per packet (kernel + interrupt path).
+const RX_PER_PACKET: Time = Time::from_ns(1_500);
+/// Additional receive cost per KiB of wire bytes (copy cost).
+const RX_PER_KIB: Time = Time::from_ns(300);
 
-impl Default for CpuCfg {
-    fn default() -> CpuCfg {
-        CpuCfg {
-            per_packet: Time::from_ns(1_500),
-            per_kib: Time::from_ns(300),
-        }
-    }
-}
-
-impl CpuCfg {
-    /// Receive cost of a packet of `wire_size` bytes.
-    #[inline]
-    pub fn rx_cost(&self, wire_size: u32) -> Time {
-        self.per_packet + Time((self.per_kib.0 * wire_size as u64) / 1024)
-    }
+/// Receive cost of a packet of `wire_size` bytes.
+#[inline]
+pub(crate) fn rx_cost(wire_size: u32) -> Time {
+    RX_PER_PACKET + Time((RX_PER_KIB.0 * wire_size as u64) / 1024)
 }
 
 /// Static host configuration.
@@ -48,8 +34,6 @@ pub struct HostCfg {
     pub ip: Ipv4,
     /// The host's MAC address.
     pub mac: Mac,
-    /// CPU cost model.
-    pub cpu: CpuCfg,
     /// If true, the host kernel announces itself with a gratuitous ARP on
     /// boot and on every restart, which is how the learning controller
     /// discovers `(ip, mac, port)` bindings (§5 "Mapping Service").
@@ -57,12 +41,11 @@ pub struct HostCfg {
 }
 
 impl HostCfg {
-    /// A host with the default CPU model that announces on boot.
+    /// A host that announces on boot.
     pub fn new(ip: Ipv4, mac: Mac) -> HostCfg {
         HostCfg {
             ip,
             mac,
-            cpu: CpuCfg::default(),
             announce_on_boot: true,
         }
     }
@@ -109,58 +92,10 @@ pub struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    /// Current simulated time.
-    #[inline]
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
     /// This host's id.
     #[inline]
     pub fn host(&self) -> HostId {
         self.host
-    }
-
-    /// This host's IPv4 address.
-    #[inline]
-    pub fn ip(&self) -> Ipv4 {
-        self.ip
-    }
-
-    /// This host's MAC address.
-    #[inline]
-    pub fn mac(&self) -> Mac {
-        self.mac
-    }
-
-    /// Transmit a packet out of this host's NIC.
-    #[inline]
-    pub fn send(&mut self, pkt: Packet) {
-        self.effects.push(Effect::Send(pkt));
-    }
-
-    /// Arm a one-shot timer that fires [`crate::App::on_timer`] with
-    /// `token` after `delay`. Timers do not survive a crash.
-    #[inline]
-    pub fn set_timer(&mut self, delay: Time, token: u64) {
-        self.effects.push(Effect::Timer { delay, token });
-    }
-
-    /// Charge `amount` of serial CPU work to this host, delaying the
-    /// delivery of subsequently received packets.
-    #[inline]
-    pub fn cpu_work(&mut self, amount: Time) {
-        self.effects.push(Effect::CpuWork(amount));
-    }
-
-    /// Enqueue `amount` of work on this host's serial CPU and fire
-    /// `on_timer(token)` when it completes — i.e. at
-    /// `max(now, cpu_busy) + amount`. This is how request *processing
-    /// time* becomes part of the response latency: handle the arrival by
-    /// deferring, then reply from the timer callback.
-    #[inline]
-    pub fn cpu_defer(&mut self, amount: Time, token: u64) {
-        self.effects.push(Effect::CpuDefer { amount, token });
     }
 
     /// SDN packet-out: have switch `sw` transmit `pkt` out of `port` after
@@ -176,12 +111,6 @@ impl Ctx<'_> {
     pub fn packet_out_flood(&mut self, sw: SwitchId, except: Option<Port>, pkt: Packet) {
         self.effects.push(Effect::SwitchFlood { sw, except, pkt });
     }
-
-    /// This host's deterministic random-number generator.
-    #[inline]
-    pub fn rng(&mut self) -> &mut XorShiftRng {
-        self.rng
-    }
 }
 
 /// The simulator's side of the host-runtime boundary: a `&mut Ctx`
@@ -189,35 +118,57 @@ impl Ctx<'_> {
 /// `node-rt` run unmodified on simulated hosts. The SDN-only surface
 /// ([`Ctx::packet_out`], [`Ctx::host`]) stays off the trait — apps that
 /// need it are sim-only by design.
-impl node_rt::NodeIo for Ctx<'_> {
+impl NodeIo for Ctx<'_> {
+    /// Current simulated time.
+    #[inline]
     fn now(&self) -> Time {
-        Ctx::now(self)
+        self.now
     }
 
+    /// This host's IPv4 address.
+    #[inline]
     fn ip(&self) -> Ipv4 {
-        Ctx::ip(self)
+        self.ip
     }
 
+    /// This host's MAC address.
+    #[inline]
     fn mac(&self) -> Mac {
-        Ctx::mac(self)
+        self.mac
     }
 
+    /// Transmit a packet out of this host's NIC.
+    #[inline]
     fn send(&mut self, pkt: Packet) {
-        Ctx::send(self, pkt);
+        self.effects.push(Effect::Send(pkt));
     }
 
+    /// Arm a one-shot timer that fires [`App::on_timer`] with `token`
+    /// after `delay`. Timers do not survive a crash.
+    #[inline]
     fn set_timer(&mut self, delay: Time, token: u64) {
-        Ctx::set_timer(self, delay, token);
+        self.effects.push(Effect::Timer { delay, token });
     }
 
+    /// Charge `amount` of serial CPU work to this host, delaying the
+    /// delivery of subsequently received packets.
+    #[inline]
     fn cpu_work(&mut self, amount: Time) {
-        Ctx::cpu_work(self, amount);
+        self.effects.push(Effect::CpuWork(amount));
     }
 
+    /// Enqueue `amount` of work on this host's serial CPU and fire
+    /// `on_timer(token)` when it completes — i.e. at
+    /// `max(now, cpu_busy) + amount`. This is how request *processing
+    /// time* becomes part of the response latency: handle the arrival by
+    /// deferring, then reply from the timer callback.
+    #[inline]
     fn cpu_defer(&mut self, amount: Time, token: u64) {
-        Ctx::cpu_defer(self, amount, token);
+        self.effects.push(Effect::CpuDefer { amount, token });
     }
 
+    /// This host's deterministic random-number generator.
+    #[inline]
     fn rng(&mut self) -> &mut XorShiftRng {
         self.rng
     }
@@ -271,7 +222,7 @@ pub trait App: Any {
         let _ = (pkt, ctx);
     }
 
-    /// A timer armed with [`Ctx::set_timer`] fired.
+    /// A timer armed with [`NodeIo::set_timer`] fired.
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
         let _ = (token, ctx);
     }
@@ -299,22 +250,20 @@ mod tests {
 
     #[test]
     fn rx_cost_scales_with_size() {
-        let cpu = CpuCfg {
-            per_packet: Time::from_us(1),
-            per_kib: Time::from_us(1),
-        };
-        assert_eq!(cpu.rx_cost(0), Time::from_us(1));
-        assert_eq!(cpu.rx_cost(1024), Time::from_us(2));
-        assert_eq!(cpu.rx_cost(2048), Time::from_us(3));
+        let sizes = [0u32, 64, 1024, 1442, 2048, 9000];
+        for w in sizes.windows(2) {
+            assert!(rx_cost(w[0]) < rx_cost(w[1]), "{} vs {}", w[0], w[1]);
+        }
+        assert_eq!(rx_cost(0), RX_PER_PACKET);
+        assert_eq!(rx_cost(1024), RX_PER_PACKET + RX_PER_KIB);
     }
 
     #[test]
     fn default_cost_is_modest() {
-        let cpu = CpuCfg::default();
         // An MTU packet should cost on the order of a couple microseconds,
         // well under its 11.2us serialization time at 1 Gbps: the network,
         // not the CPU, must bound bulk transfers.
-        let c = cpu.rx_cost(1442);
+        let c = rx_cost(1442);
         assert!(c < Time::from_us(3), "{c}");
         assert!(c > Time::from_us(1), "{c}");
     }

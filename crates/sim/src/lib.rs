@@ -18,7 +18,7 @@
 //! ## Example
 //!
 //! ```
-//! use nice_sim::{App, ChannelCfg, Ctx, HostCfg, Ipv4, Mac, Packet, Simulation, SwitchCfg, Time};
+//! use nice_sim::{App, ChannelCfg, Ctx, HostCfg, Ipv4, Mac, NodeIo, Packet, Simulation, Time};
 //! use nice_sim::switch::HubLogic;
 //! use std::rc::Rc;
 //!
@@ -36,7 +36,7 @@
 //! }
 //!
 //! let mut sim = Simulation::new(7);
-//! let sw = sim.add_switch(Box::new(HubLogic), SwitchCfg::default());
+//! let sw = sim.add_switch(Box::new(HubLogic));
 //! let b_ip = Ipv4::new(10, 0, 0, 2);
 //! let a = sim.add_host(Box::new(Sender { peer: b_ip }), HostCfg::new(Ipv4::new(10, 0, 0, 1), Mac(1)));
 //! let b = sim.add_host(Box::new(Receiver::default()), HostCfg::new(b_ip, Mac(2)));
@@ -58,12 +58,12 @@ pub mod switch;
 pub mod time;
 
 pub use fault::{FaultPlan, FaultRecord, FaultStats};
-pub use host::{App, CpuCfg, Ctx, HostCfg};
+pub use host::{App, Ctx, HostCfg};
 pub use ids::{ChannelId, Endpoint, HostId, Port, SwitchId};
 pub use link::{Channel, ChannelCfg, ChannelStats};
 pub use net::{ArpOp, Ipv4, Mac, Packet, Payload, Proto, HDR_TCP, HDR_UDP, MTU};
 pub use nice_workload::XorShiftRng;
 pub use node_rt::{NodeApp, NodeIo};
 pub use sim::{HostStats, Simulation};
-pub use switch::{SwitchAction, SwitchCfg, SwitchLogic, SwitchView};
+pub use switch::{SwitchAction, SwitchLogic, SwitchView, CTRL_LATENCY};
 pub use time::Time;

@@ -12,11 +12,11 @@ use nice_workload::XorShiftRng;
 use node_rt::Scheduler;
 
 use crate::fault::{FaultPlan, FaultState, FaultStats};
-use crate::host::{App, Ctx, Effect, HostCfg};
+use crate::host::{rx_cost, App, Ctx, Effect, HostCfg};
 use crate::ids::{ChannelId, Endpoint, HostId, Port, SwitchId};
 use crate::link::{Channel, ChannelCfg, Enqueue};
 use crate::net::{ArpOp, Packet, Proto};
-use crate::switch::{SwitchAction, SwitchCfg, SwitchLogic, SwitchView};
+use crate::switch::{SwitchAction, SwitchLogic, SwitchView, CTRL_LATENCY, FWD_LATENCY};
 use crate::time::Time;
 
 /// Per-host NIC-level traffic counters (what Figure 7's "load ratio" is
@@ -51,7 +51,6 @@ struct HostNode {
 
 struct SwitchNode {
     logic: Option<Box<dyn SwitchLogic>>,
-    cfg: SwitchCfg,
     /// Egress channel per port.
     ports: Vec<ChannelId>,
     controller: Option<HostId>,
@@ -159,11 +158,10 @@ impl Simulation {
     // ---------------------------------------------------------------
 
     /// Add a switch with the given forwarding logic.
-    pub fn add_switch(&mut self, logic: Box<dyn SwitchLogic>, cfg: SwitchCfg) -> SwitchId {
+    pub fn add_switch(&mut self, logic: Box<dyn SwitchLogic>) -> SwitchId {
         let id = SwitchId(self.switches.len() as u32);
         self.switches.push(SwitchNode {
             logic: Some(logic),
-            cfg,
             ports: Vec::new(),
             controller: None,
         });
@@ -359,11 +357,6 @@ impl Simulation {
             return inner.downcast_mut::<T>().expect("app type mismatch");
         }
         any.downcast_mut::<T>().expect("app type mismatch")
-    }
-
-    /// Host configuration (ip, mac, cpu model).
-    pub fn host_cfg(&self, host: HostId) -> &HostCfg {
-        &self.hosts[host.0 as usize].cfg
     }
 
     /// NIC-level counters for `host`.
@@ -565,24 +558,20 @@ impl Simulation {
                     let (at, gen) = (h.cpu_busy, h.gen);
                     self.push(at, Ev::Timer { host, gen, token });
                 }
-                Effect::SwitchInject { sw, port, pkt } => {
-                    let Some(lat) = self.switch_ctrl_latency(sw) else {
-                        continue;
-                    };
-                    self.push(now + lat, Ev::Inject { sw, port, pkt });
+                // A packet-out to a switch that does not exist vanishes.
+                Effect::SwitchInject { sw, port, pkt } if self.has_switch(sw) => {
+                    self.push(now + CTRL_LATENCY, Ev::Inject { sw, port, pkt });
                 }
-                Effect::SwitchFlood { sw, except, pkt } => {
-                    let Some(lat) = self.switch_ctrl_latency(sw) else {
-                        continue;
-                    };
-                    self.push(now + lat, Ev::InjectFlood { sw, except, pkt });
+                Effect::SwitchFlood { sw, except, pkt } if self.has_switch(sw) => {
+                    self.push(now + CTRL_LATENCY, Ev::InjectFlood { sw, except, pkt });
                 }
+                Effect::SwitchInject { .. } | Effect::SwitchFlood { .. } => {}
             }
         }
     }
 
-    fn switch_ctrl_latency(&self, sw: SwitchId) -> Option<Time> {
-        self.switches.get(sw.0 as usize).map(|s| s.cfg.ctrl_latency)
+    fn has_switch(&self, sw: SwitchId) -> bool {
+        (sw.0 as usize) < self.switches.len()
     }
 
     fn host_send(&mut self, host: HostId, pkt: Packet) {
@@ -677,7 +666,7 @@ impl Simulation {
                 return;
             }
         }
-        let cost = h.cfg.cpu.rx_cost(pkt.wire_size);
+        let cost = rx_cost(pkt.wire_size);
         let done = h.cpu_busy.max(self.now) + cost;
         h.cpu_busy = done;
         let gen = h.gen;
@@ -700,8 +689,8 @@ impl Simulation {
         };
         let actions = logic.handle(view, port, pkt, now);
         node.logic = Some(logic);
-        let egress_at = now + node.cfg.fwd_latency;
-        let ctrl_at = now + node.cfg.ctrl_latency;
+        let egress_at = now + FWD_LATENCY;
+        let ctrl_at = now + CTRL_LATENCY;
         let controller = node.controller;
         for act in actions {
             match act {
@@ -764,6 +753,7 @@ mod tests {
     use crate::net::Ipv4;
     use crate::net::Mac;
     use crate::switch::HubLogic;
+    use node_rt::NodeIo;
     use std::rc::Rc;
 
     /// Echoes every received u32 payload back to the sender, incremented.
@@ -814,7 +804,7 @@ mod tests {
 
     fn two_hosts() -> (Simulation, HostId, HostId) {
         let mut sim = Simulation::new(42);
-        let sw = sim.add_switch(Box::new(HubLogic), SwitchCfg::default());
+        let sw = sim.add_switch(Box::new(HubLogic));
         let a_ip = Ipv4::new(10, 0, 0, 1);
         let b_ip = Ipv4::new(10, 0, 0, 2);
         let a = sim.add_host(
@@ -1040,7 +1030,7 @@ mod tests {
             }
         }
         let mut sim = Simulation::new(7);
-        let sw = sim.add_switch(Box::new(HubLogic), SwitchCfg::default());
+        let sw = sim.add_switch(Box::new(HubLogic));
         let b_ip = Ipv4::new(10, 0, 0, 2);
         let a = sim.add_host(
             Box::new(Blast { peer: b_ip }),
@@ -1052,13 +1042,12 @@ mod tests {
         sim.run_until(Time::from_ms(1));
         let at = &sim.app::<Record>(b).at;
         assert_eq!(at.len(), 2);
-        let cpu = sim.host_cfg(b).cpu;
         let gap = at[1] - at[0];
         // Packets serialize on the 1G link 11.5us apart; rx cost ~1.9us, so
         // the gap equals the link serialization (the CPU is not the
         // bottleneck here), and both must have cleared the CPU.
         assert!(
-            gap >= cpu.rx_cost(1442).saturating_sub(Time::from_ns(1)),
+            gap >= rx_cost(1442).saturating_sub(Time::from_ns(1)),
             "{gap}"
         );
     }

@@ -12,24 +12,12 @@ use crate::ids::{HostId, Port};
 use crate::net::Packet;
 use crate::time::Time;
 
-/// Static switch parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct SwitchCfg {
-    /// Per-packet forwarding latency (lookup + crossbar).
-    pub fwd_latency: Time,
-    /// One-way latency of the out-of-band control channel to the SDN
-    /// controller (packet-ins and rule installations both pay this).
-    pub ctrl_latency: Time,
-}
+/// Per-packet forwarding latency (lookup + crossbar).
+pub(crate) const FWD_LATENCY: Time = Time::from_us(3);
 
-impl Default for SwitchCfg {
-    fn default() -> SwitchCfg {
-        SwitchCfg {
-            fwd_latency: Time::from_us(3),
-            ctrl_latency: Time::from_us(50),
-        }
-    }
-}
+/// One-way latency of the out-of-band control channel to the SDN
+/// controller (packet-ins and rule installations both pay this).
+pub const CTRL_LATENCY: Time = Time::from_us(50);
 
 /// What a switch decides to do with one received packet. A single input
 /// packet may produce many outputs (multicast groups).

@@ -22,7 +22,7 @@ pub mod wire;
 
 pub use endpoint::{Endpoint, Fired};
 pub use msg::{Msg, MsgToken, TpPayload, TransportEvent};
-pub use rudp::{chunk_bytes, num_chunks, RudpCfg};
+pub use rudp::{chunk_bytes, num_chunks};
 pub use transport::{TpStats, Transport, TRANSPORT_TICK};
 pub use wire::TpCodec;
 

@@ -12,14 +12,13 @@ use std::rc::Rc;
 
 use nice_flow::{prio, Action, FlowMatch, FlowRule, FlowSwitch, FlowTable, GroupBucket, GroupId};
 use nice_sim::{
-    App, ChannelCfg, Ctx, HostCfg, Ipv4, Mac, Packet, Proto, Simulation, SwitchCfg, Time,
-    XorShiftRng, HDR_TCP, HDR_UDP,
+    App, ChannelCfg, Ctx, HostCfg, Ipv4, Mac, Packet, Proto, Simulation, Time, XorShiftRng,
+    HDR_TCP, HDR_UDP,
 };
 
+use crate::rudp::{LINGER_TICKS, NACK_TICKS};
 use crate::transport::tests::{FakeIo, ME};
-use crate::{
-    chunk_bytes, num_chunks, Msg, RudpCfg, TpPayload, Transport, TransportEvent, TRANSPORT_TICK,
-};
+use crate::{chunk_bytes, num_chunks, Msg, TpPayload, Transport, TransportEvent, TRANSPORT_TICK};
 
 const PORT: u16 = 9100;
 
@@ -81,10 +80,7 @@ impl App for Node {
 fn world(n_hosts: usize, group: &[usize]) -> (Simulation, Vec<nice_sim::HostId>, Vec<Ipv4>) {
     let mut sim = Simulation::new(1234);
     let table = Rc::new(RefCell::new(FlowTable::new()));
-    let sw = sim.add_switch(
-        Box::new(FlowSwitch::new(Rc::clone(&table))),
-        SwitchCfg::default(),
-    );
+    let sw = sim.add_switch(Box::new(FlowSwitch::new(Rc::clone(&table))));
     let mut hosts = Vec::new();
     let mut ips = Vec::new();
     for i in 0..n_hosts {
@@ -219,7 +215,6 @@ type Key = (Ipv4, u64);
 /// keeps expiry ticks in a heap and shrinks a delivered message to what
 /// acking a duplicate needs; this is the oracle it must agree with.
 struct CountdownModel {
-    cfg: RudpCfg,
     states: BTreeMap<Key, ModelState>,
     nack_rr: u64,
 }
@@ -253,22 +248,21 @@ impl CountdownModel {
         port: u16,
         proto: Proto,
     ) -> (bool, Option<ModelAck>) {
-        let cfg = self.cfg;
         let st = self.states.entry(key).or_insert_with(|| ModelState {
             total,
             port,
             proto,
             have: BTreeSet::new(),
             delivered: false,
-            nack_left: cfg.nack_ticks,
-            linger_left: cfg.linger_ticks,
+            nack_left: NACK_TICKS,
+            linger_left: LINGER_TICKS,
         });
         if seq >= st.total {
             return (false, None);
         }
         st.have.insert(seq);
-        st.nack_left = cfg.nack_ticks;
-        st.linger_left = cfg.linger_ticks;
+        st.nack_left = NACK_TICKS;
+        st.linger_left = LINGER_TICKS;
         let complete = st.have.len() == st.total as usize;
         let cum = (0..st.total).take_while(|s| st.have.contains(s)).count() as u32;
         let hdr = if st.proto == Proto::Tcp {
@@ -296,7 +290,6 @@ impl CountdownModel {
         if allowed.is_some() {
             self.nack_rr += 1;
         }
-        let nack_ticks = self.cfg.nack_ticks;
         let mut nacked = None;
         self.states.retain(|&key, s| {
             s.linger_left = s.linger_left.saturating_sub(1);
@@ -306,7 +299,7 @@ impl CountdownModel {
             if allowed == Some(key) {
                 s.nack_left -= 1;
                 if s.nack_left == 0 {
-                    s.nack_left = nack_ticks;
+                    s.nack_left = NACK_TICKS;
                     nacked = Some(key);
                 }
             }
@@ -364,7 +357,6 @@ fn acks(sent: &[Packet]) -> Vec<ModelAck> {
 /// and answers every chunk with the model's ack (or, like it, none).
 #[test]
 fn expiry_heap_matches_the_per_tick_countdown() {
-    let cfg = RudpCfg::default();
     let senders = [
         Ipv4::new(10, 0, 0, 2),
         Ipv4::new(10, 0, 0, 3),
@@ -375,7 +367,6 @@ fn expiry_heap_matches_the_per_tick_countdown() {
         let mut tp = Transport::new(PORT);
         let mut io = FakeIo::new();
         let mut model = CountdownModel {
-            cfg,
             states: BTreeMap::new(),
             nack_rr: 0,
         };

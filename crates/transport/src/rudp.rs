@@ -19,45 +19,28 @@ use node_rt::{Ipv4, NodeIo, Packet, Proto, Time, HDR_TCP, HDR_UDP, MTU};
 
 use crate::msg::{Msg, MsgToken, TpPayload, TransportEvent};
 
-/// Tuning knobs for the reliable engine. Defaults are calibrated for the
-/// simulated 1 Gbps / ~30 µs RTT fabric.
-#[derive(Debug, Clone, Copy)]
-pub struct RudpCfg {
-    /// Sender window, in chunks.
-    pub window: u32,
-    /// Engine tick period (drives stall detection and NACK scans).
-    pub tick: Time,
-    /// Receiver NACK period, in ticks: an incomplete message older than
-    /// this re-requests its missing chunks.
-    pub nack_ticks: u32,
-    /// Max missing chunks listed per NACK.
-    pub nack_cap: usize,
-    /// Sender stall threshold, in ticks, before a probe retransmission.
-    pub stall_ticks: u32,
-    /// Consecutive stalls before the send fails.
-    pub max_stalls: u32,
-    /// How long completed state lingers (serving late NACKs / stragglers),
-    /// in ticks.
-    pub linger_ticks: u32,
-}
+// The reliable engine's calibration, for the simulated 1 Gbps / ~30 µs
+// RTT fabric.
 
-impl Default for RudpCfg {
-    fn default() -> RudpCfg {
-        RudpCfg {
-            window: 64,
-            tick: Time::from_ms(1),
-            nack_ticks: 4,
-            // Repair pacing: each NACK asks for at most this many chunks,
-            // bounding repair injection to ~nack_cap*MTU per nack period
-            // (~46 Mbps at the defaults) so straggler repair cannot
-            // starve the fast path (Figure 8's any-k experiment).
-            nack_cap: 16,
-            stall_ticks: 30,
-            max_stalls: 40,
-            linger_ticks: 4000,
-        }
-    }
-}
+/// Sender window, in chunks.
+pub(crate) const WINDOW: u32 = 64;
+/// Engine tick period (drives stall detection and NACK scans).
+pub(crate) const TICK: Time = Time::from_ms(1);
+/// Receiver NACK period, in ticks: an incomplete message older than this
+/// re-requests its missing chunks.
+pub(crate) const NACK_TICKS: u32 = 4;
+/// Max missing chunks listed per NACK. Repair pacing: each NACK asks for
+/// at most this many chunks, bounding repair injection to
+/// ~`NACK_CAP`*MTU per NACK period (~46 Mbps) so straggler repair cannot
+/// starve the fast path (Figure 8's any-k experiment).
+pub(crate) const NACK_CAP: usize = 16;
+/// Sender stall threshold, in ticks, before a probe retransmission.
+const STALL_TICKS: u32 = 30;
+/// Consecutive stalls before the send fails.
+const MAX_STALLS: u32 = 40;
+/// How long completed state lingers (serving late NACKs / stragglers), in
+/// ticks.
+pub(crate) const LINGER_TICKS: u32 = 4000;
 
 /// Number of chunks for a message of `size` bytes (at least one).
 #[inline]
@@ -131,7 +114,6 @@ impl SendState {
     /// Start a reliable send and transmit the initial window.
     #[allow(clippy::too_many_arguments)]
     pub fn start(
-        cfg: &RudpCfg,
         ctx: &mut dyn NodeIo,
         msg_id: u64,
         token: MsgToken,
@@ -159,12 +141,12 @@ impl SendState {
             completed: Vec::new(),
             next: 0,
             done: false,
-            linger_left: cfg.linger_ticks,
-            stall_left: cfg.stall_ticks,
+            linger_left: LINGER_TICKS,
+            stall_left: STALL_TICKS,
             stalls: 0,
             last_progress: (0, 0, 0),
         };
-        s.pump(cfg, ctx, src_port);
+        s.pump(ctx, src_port);
         s
     }
 
@@ -233,11 +215,8 @@ impl SendState {
     }
 
     /// Transmit as many new chunks as the window allows.
-    fn pump(&mut self, cfg: &RudpCfg, ctx: &mut dyn NodeIo, src_port: u16) {
-        let limit = self
-            .window_base()
-            .saturating_add(cfg.window)
-            .min(self.total);
+    fn pump(&mut self, ctx: &mut dyn NodeIo, src_port: u16) {
+        let limit = self.window_base().saturating_add(WINDOW).min(self.total);
         while self.next < limit {
             let pkt = self.chunk_packet(self.next, src_port, self.dst, ctx, false);
             ctx.send(pkt);
@@ -248,7 +227,6 @@ impl SendState {
     /// Handle a cumulative ack from `from`.
     pub fn on_ack(
         &mut self,
-        cfg: &RudpCfg,
         ctx: &mut dyn NodeIo,
         src_port: u16,
         from: Ipv4,
@@ -264,7 +242,7 @@ impl SendState {
         if cum >= self.total && !self.completed.contains(&from) {
             self.completed.push(from);
         }
-        self.pump(cfg, ctx, src_port);
+        self.pump(ctx, src_port);
         if !self.done && self.completed.len() >= self.quorum {
             self.done = true;
             return SendOutcome::Sent(self.completed.clone());
@@ -273,13 +251,12 @@ impl SendState {
     }
 
     /// Handle a NACK: repair the listed chunks over unicast to `from`,
-    /// each at most once and at most `nack_cap` of them. An honest
+    /// each at most once and at most `NACK_CAP` of them. An honest
     /// receiver lists at most that many distinct seqs; the decoder admits
     /// thousands, so a forged NACK must not buy that many MTU chunks.
     /// Returns how many chunks were retransmitted (telemetry).
     pub fn on_nack(
         &mut self,
-        cfg: &RudpCfg,
         ctx: &mut dyn NodeIo,
         src_port: u16,
         from: Ipv4,
@@ -287,7 +264,7 @@ impl SendState {
     ) -> u64 {
         let mut repaired: Vec<u32> = Vec::new();
         for &seq in missing {
-            if repaired.len() >= cfg.nack_cap {
+            if repaired.len() >= NACK_CAP {
                 break;
             }
             if seq < self.total && !repaired.contains(&seq) {
@@ -309,7 +286,6 @@ impl SendState {
     /// bumps `probes` when a stall probe is retransmitted (telemetry).
     pub fn on_tick(
         &mut self,
-        cfg: &RudpCfg,
         ctx: &mut dyn NodeIo,
         src_port: u16,
         probes: &mut u64,
@@ -329,16 +305,16 @@ impl SendState {
         if progress != self.last_progress {
             self.last_progress = progress;
             self.stalls = 0;
-            self.stall_left = cfg.stall_ticks;
+            self.stall_left = STALL_TICKS;
             return (SendOutcome::Quiet, false);
         }
         self.stall_left = self.stall_left.saturating_sub(1);
         if self.stall_left > 0 {
             return (SendOutcome::Quiet, false);
         }
-        self.stall_left = cfg.stall_ticks;
+        self.stall_left = STALL_TICKS;
         self.stalls += 1;
-        if self.stalls > cfg.max_stalls {
+        if self.stalls > MAX_STALLS {
             return (SendOutcome::Failed, true);
         }
         // Probe: retransmit the chunk at the window base to the group so
@@ -369,8 +345,8 @@ pub struct RecvState {
     cum: u32,
     max_seen: u32,
     nack_left: u32,
-    /// The transport tick at which this state is dropped: `linger_ticks`
-    /// (at least one) after the tick its latest chunk arrived in.
+    /// The transport tick at which this state is dropped: `LINGER_TICKS`
+    /// after the tick its latest chunk arrived in.
     pub(crate) expires: u64,
 }
 
@@ -379,7 +355,6 @@ impl RecvState {
     /// transport tick `tick`.
     #[allow(clippy::too_many_arguments)]
     pub fn from_chunk(
-        cfg: &RudpCfg,
         tick: u64,
         sender: Ipv4,
         sender_port: u16,
@@ -401,8 +376,8 @@ impl RecvState {
             have: 0,
             cum: 0,
             max_seen: 0,
-            nack_left: cfg.nack_ticks,
-            expires: expiry(cfg, tick),
+            nack_left: NACK_TICKS,
+            expires: expiry(tick),
         }
     }
 
@@ -440,7 +415,6 @@ impl RecvState {
     /// `Delivered` event when this chunk completes the message.
     pub fn on_chunk(
         &mut self,
-        cfg: &RudpCfg,
         ctx: &mut dyn NodeIo,
         my_port: u16,
         tick: u64,
@@ -453,8 +427,8 @@ impl RecvState {
         }
         self.max_seen = self.max_seen.max(seq);
         let new = self.mark(seq);
-        self.nack_left = cfg.nack_ticks;
-        self.expires = expiry(cfg, tick);
+        self.nack_left = NACK_TICKS;
+        self.expires = expiry(tick);
         let ack = TpPayload::Ack {
             msg_id: self.msg_id,
             cum: self.cum,
@@ -486,20 +460,14 @@ impl RecvState {
     }
 
     /// One tick of this incomplete state's NACK countdown: every
-    /// `nack_ticks` of its turns it re-requests its missing chunks. The
+    /// `NACK_TICKS` of its turns it re-requests its missing chunks. The
     /// owning [`crate::Transport`] gives one reassembly state a turn per
     /// tick, bounding repair injection per receiver regardless of how many
     /// transfers lag. Bumps `nacks` when a NACK goes out (telemetry).
-    pub fn nack_tick(
-        &mut self,
-        cfg: &RudpCfg,
-        ctx: &mut dyn NodeIo,
-        my_port: u16,
-        nacks: &mut u64,
-    ) {
+    pub fn nack_tick(&mut self, ctx: &mut dyn NodeIo, my_port: u16, nacks: &mut u64) {
         self.nack_left = self.nack_left.saturating_sub(1);
         if self.nack_left == 0 {
-            self.nack_left = cfg.nack_ticks;
+            self.nack_left = NACK_TICKS;
             // Request everything missing below the frontier we know about.
             let frontier = if self.max_seen + 1 >= self.total {
                 self.total
@@ -510,7 +478,7 @@ impl RecvState {
             for seq in self.cum..frontier {
                 if !self.has(seq) {
                     missing.push(seq);
-                    if missing.len() >= cfg.nack_cap {
+                    if missing.len() >= NACK_CAP {
                         break;
                     }
                 }
@@ -555,11 +523,11 @@ impl Done {
     /// Handle a duplicate chunk exactly as a complete [`RecvState`] does:
     /// a seq past the count is ignored, any other refreshes the linger
     /// and is acked as complete. Never delivers.
-    fn on_chunk(&mut self, cfg: &RudpCfg, ctx: &mut dyn NodeIo, my_port: u16, tick: u64, seq: u32) {
+    fn on_chunk(&mut self, ctx: &mut dyn NodeIo, my_port: u16, tick: u64, seq: u32) {
         if seq >= self.total {
             return;
         }
-        self.expires = expiry(cfg, tick);
+        self.expires = expiry(tick);
         let ack = TpPayload::Ack {
             msg_id: self.msg_id,
             cum: self.total,
@@ -583,7 +551,6 @@ impl Recv {
     /// the chunk that completes the message frees its payload and bitmap.
     pub(crate) fn on_chunk(
         &mut self,
-        cfg: &RudpCfg,
         ctx: &mut dyn NodeIo,
         my_port: u16,
         tick: u64,
@@ -591,14 +558,14 @@ impl Recv {
     ) -> Option<TransportEvent> {
         match self {
             Recv::Open(st) => {
-                let ev = st.on_chunk(cfg, ctx, my_port, tick, seq);
+                let ev = st.on_chunk(ctx, my_port, tick, seq);
                 if st.complete() {
                     *self = Recv::Done(st.done());
                 }
                 ev
             }
             Recv::Done(done) => {
-                done.on_chunk(cfg, ctx, my_port, tick, seq);
+                done.on_chunk(ctx, my_port, tick, seq);
                 None
             }
         }
@@ -634,8 +601,8 @@ fn send_ctl(
 }
 
 /// The tick at which reassembly state refreshed in tick `tick` expires.
-fn expiry(cfg: &RudpCfg, tick: u64) -> u64 {
-    tick + u64::from(cfg.linger_ticks.max(1))
+fn expiry(tick: u64) -> u64 {
+    tick + u64::from(LINGER_TICKS)
 }
 
 #[cfg(test)]
@@ -679,16 +646,14 @@ mod tests {
 
     #[test]
     fn window_base_matches_the_sorted_acks_of_every_receiver() {
-        let cfg = RudpCfg::default();
         let mut rng = XorShiftRng::seed_from_u64(0x7261_0005);
-        let total = 4 * cfg.window;
+        let total = 4 * WINDOW;
         for expected in 1..=5 {
             for quorum in 1..=expected {
                 let mut io = FakeIo::new();
                 let msg = Msg::new((), total * MTU);
                 let (group, token) = (Ipv4::new(10, 11, 0, 1), MsgToken(1));
                 let mut s = SendState::start(
-                    &cfg,
                     &mut io,
                     1,
                     token,
@@ -705,7 +670,7 @@ mod tests {
                     // Acks creep up the message, some stale, some repeated.
                     let from = Ipv4::new(10, 0, 0, 2 + rng.random_range(0..expected) as u8);
                     let cum = rng.random_range(0..step.min(total) + 1);
-                    s.on_ack(&cfg, &mut io, PORT, from, cum);
+                    s.on_ack(&mut io, PORT, from, cum);
                     let e = cums.entry(from).or_insert(0);
                     *e = cum.max(*e);
                     let want = sorted_base(&cums, expected, quorum);

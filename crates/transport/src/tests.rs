@@ -3,7 +3,7 @@
 use crate::*;
 use nice_flow::{prio, Action, FlowMatch, FlowRule, FlowSwitch, FlowTable, GroupBucket, GroupId};
 use nice_sim::{
-    App, ChannelCfg, Ctx, HostCfg, HostId, Ipv4, Mac, Packet, Simulation, SwitchCfg, Time,
+    App, ChannelCfg, Ctx, HostCfg, HostId, Ipv4, Mac, NodeIo, Packet, Simulation, Time,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -136,10 +136,7 @@ const GROUP_ADDR: Ipv4 = Ipv4::new(10, 11, 0, 1);
 fn build(plans: Vec<Vec<Plan>>, group_members: &[usize], link_overrides: &[(usize, u64)]) -> World {
     let mut sim = Simulation::new(99);
     let table = Rc::new(RefCell::new(FlowTable::new()));
-    let sw = sim.add_switch(
-        Box::new(FlowSwitch::new(Rc::clone(&table))),
-        SwitchCfg::default(),
-    );
+    let sw = sim.add_switch(Box::new(FlowSwitch::new(Rc::clone(&table))));
     let mut hosts = vec![];
     let mut ips = vec![];
     for (i, plan) in plans.into_iter().enumerate() {
@@ -386,10 +383,7 @@ fn drops_are_repaired_by_nacks() {
     let size = 512 * 1024;
     let mut sim = Simulation::new(7);
     let table = Rc::new(RefCell::new(FlowTable::new()));
-    let sw = sim.add_switch(
-        Box::new(FlowSwitch::new(Rc::clone(&table))),
-        SwitchCfg::default(),
-    );
+    let sw = sim.add_switch(Box::new(FlowSwitch::new(Rc::clone(&table))));
     let add = |sim: &mut Simulation, i: usize, plan: Vec<Plan>, down_q: u64| {
         let ip = Ipv4::new(10, 0, 0, 1 + i as u8);
         let mac = Mac(1 + i as u64);

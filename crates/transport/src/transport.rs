@@ -21,7 +21,7 @@ use std::rc::Rc;
 use node_rt::{Ipv4, NodeIo, Packet, Proto, HDR_TCP, HDR_UDP, MTU};
 
 use crate::msg::{Msg, MsgToken, TpPayload, TransportEvent};
-use crate::rudp::{num_chunks, Recv, RecvState, RudpCfg, SendOutcome, SendState};
+use crate::rudp::{num_chunks, Recv, RecvState, SendOutcome, SendState, TICK};
 
 /// The timer token the transport reserves. Applications must forward this
 /// token from their `on_timer` hook to [`Transport::on_timer`] and must not
@@ -83,7 +83,6 @@ type RecvKey = (Ipv4, u64);
 
 /// The transport stack. See module docs.
 pub struct Transport {
-    cfg: RudpCfg,
     port: u16,
     next_msg_id: u64,
     senders: BTreeMap<u64, SendState>,
@@ -111,10 +110,9 @@ pub struct Transport {
 }
 
 impl Transport {
-    /// A stack bound to `port` with default tuning.
+    /// A stack bound to `port`.
     pub fn new(port: u16) -> Transport {
         Transport {
-            cfg: RudpCfg::default(),
             port,
             next_msg_id: 1,
             senders: BTreeMap::new(),
@@ -151,7 +149,7 @@ impl Transport {
     fn arm(&mut self, ctx: &mut dyn NodeIo) {
         if !self.tick_armed {
             self.tick_armed = true;
-            ctx.set_timer(self.cfg.tick, TRANSPORT_TICK);
+            ctx.set_timer(TICK, TRANSPORT_TICK);
         }
     }
 
@@ -254,7 +252,6 @@ impl Transport {
     fn start_stream(&mut self, ctx: &mut dyn NodeIo, dst: Ipv4, p: Pending) {
         let id = p.token.0;
         let s = SendState::start(
-            &self.cfg,
             ctx,
             id,
             p.token,
@@ -284,7 +281,7 @@ impl Transport {
         let id = self.next_id();
         let token = MsgToken(id);
         let s = SendState::start(
-            &self.cfg, ctx, id, token, dst, dst_port, self.port, proto, msg, expected, quorum,
+            ctx, id, token, dst, dst_port, self.port, proto, msg, expected, quorum,
         );
         self.senders.insert(id, s);
         token
@@ -347,7 +344,6 @@ impl Transport {
                     Entry::Occupied(e) => e.into_mut(),
                     Entry::Vacant(e) => {
                         let st = RecvState::from_chunk(
-                            &self.cfg,
                             self.ticks,
                             *sender,
                             pkt.src_port,
@@ -361,7 +357,7 @@ impl Transport {
                         e.insert(Recv::Open(Box::new(st)))
                     }
                 };
-                let ev = recv.on_chunk(&self.cfg, ctx, self.port, self.ticks, *seq);
+                let ev = recv.on_chunk(ctx, self.port, self.ticks, *seq);
                 match recv {
                     Recv::Open(_) => self.incomplete.insert(key),
                     Recv::Done(_) => self.incomplete.remove(&key),
@@ -374,7 +370,7 @@ impl Transport {
                 complete: _,
             } => {
                 let s = self.senders.get_mut(msg_id)?;
-                let outcome = s.on_ack(&self.cfg, ctx, self.port, pkt.src, *cum);
+                let outcome = s.on_ack(ctx, self.port, pkt.src, *cum);
                 let token = s.token;
                 if s.fully_acked() {
                     self.senders.remove(msg_id);
@@ -390,7 +386,7 @@ impl Transport {
             TpPayload::Nack { msg_id, missing } => {
                 if let Some(s) = self.senders.get_mut(msg_id) {
                     self.stats.nacks_received += 1;
-                    self.stats.repairs += s.on_nack(&self.cfg, ctx, self.port, pkt.src, missing);
+                    self.stats.repairs += s.on_nack(ctx, self.port, pkt.src, missing);
                 }
                 None
             }
@@ -430,7 +426,7 @@ impl Transport {
         // Sender ticks.
         let mut drop_ids = Vec::new();
         for (&id, s) in self.senders.iter_mut() {
-            let (outcome, drop) = s.on_tick(&self.cfg, ctx, self.port, &mut self.stats.probes);
+            let (outcome, drop) = s.on_tick(ctx, self.port, &mut self.stats.probes);
             match outcome {
                 SendOutcome::Sent(acked_by) => events.push(TransportEvent::Sent {
                     token: s.token,
@@ -459,7 +455,7 @@ impl Transport {
             self.nack_rr += 1;
             if let Some(Recv::Open(r)) = allowed.and_then(|k| self.recvs.get_mut(k)) {
                 if r.expires > self.ticks {
-                    r.nack_tick(&self.cfg, ctx, self.port, &mut self.stats.nacks_sent);
+                    r.nack_tick(ctx, self.port, &mut self.stats.nacks_sent);
                 }
             }
         }
@@ -516,7 +512,7 @@ impl Transport {
 
         if !self.senders.is_empty() || !self.recvs.is_empty() || !self.handshakes.is_empty() {
             self.tick_armed = true;
-            ctx.set_timer(self.cfg.tick, TRANSPORT_TICK);
+            ctx.set_timer(TICK, TRANSPORT_TICK);
         }
         events
     }
@@ -548,6 +544,7 @@ pub(crate) mod tests {
     use node_rt::{Mac, Time, XorShiftRng};
 
     use super::*;
+    use crate::rudp::{LINGER_TICKS, NACK_CAP};
 
     pub(crate) const PORT: u16 = 9000;
     pub(crate) const ME: Ipv4 = Ipv4::new(10, 0, 0, 1);
@@ -668,7 +665,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_nack_repairs_each_listed_chunk_once_and_at_most_nack_cap() {
-        let cap = RudpCfg::default().nack_cap as u64;
+        let cap = NACK_CAP as u64;
         let mut tp = Transport::new(PORT);
         let mut io = FakeIo::new();
         let MsgToken(id) = tp.rudp_send(&mut io, PEER, PORT, Msg::new((), 40 * MTU));
@@ -692,13 +689,13 @@ pub(crate) mod tests {
         // The decoder admits 4096 entries: one datagram naming seq 0 that
         // often buys one chunk, not 4096.
         assert_eq!(repairs(&mut tp, &mut io, vec![0; 4096]), [0]);
-        // Distinct seqs past the cap: the first `nack_cap`, in NACK order.
+        // Distinct seqs past the cap: the first `NACK_CAP`, in NACK order.
         let want: Vec<u32> = (0..cap as u32).collect();
         assert_eq!(repairs(&mut tp, &mut io, (0..40).collect()), want);
         // Repeats and seqs past the message take no share of the cap.
         let hostile = vec![39, 40, 39, u32::MAX, 3, 3, 39];
         assert_eq!(repairs(&mut tp, &mut io, hostile), [39, 3]);
-        // An honest NACK (at most `nack_cap` distinct ascending seqs) is
+        // An honest NACK (at most `NACK_CAP` distinct ascending seqs) is
         // served in full, as before.
         let honest: Vec<u32> = (20..20 + cap as u32).collect();
         assert_eq!(repairs(&mut tp, &mut io, honest.clone()), honest);
@@ -731,7 +728,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_chunk_refreshes_its_linger_and_a_chunk_after_expiry_opens_a_fresh_state() {
-        let linger = RudpCfg::default().linger_ticks;
+        let linger = LINGER_TICKS;
         let mut tp = Transport::new(PORT);
         let mut io = FakeIo::new();
         let ticks = |tp: &mut Transport, io: &mut FakeIo, n: u32| {

@@ -9,6 +9,7 @@
 //! Run with: `cargo run --example fault_tolerance`
 
 use nice::kv::{ClientOp, ClusterCfg, MetaEvent, NiceCluster, Value};
+use nice::kv_core::RetryPolicy;
 use nice::ring::PartitionId;
 use nice::sim::Time;
 
@@ -33,7 +34,7 @@ fn main() {
     let mut cfg = ClusterCfg::new(8, 3, vec![ops]);
     cfg.kv.hb_interval = Time::from_ms(200);
     cfg.kv.op_timeout = Time::from_ms(200);
-    cfg.kv.client_retry = Time::from_ms(500);
+    cfg.spec.retry = Some(RetryPolicy::fixed(Time::from_ms(500)));
     cfg.host.client_start = Time::from_ms(100);
     let mut cluster = NiceCluster::build(cfg);
 

@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use nice::flow::{prio, Action, FlowMatch, FlowRule, FlowSwitch, FlowTable, GroupBucket, GroupId};
-use nice::sim::{App, ChannelCfg, Ctx, HostCfg, Ipv4, Mac, Packet, Simulation, SwitchCfg, Time};
+use nice::sim::{App, ChannelCfg, Ctx, HostCfg, Ipv4, Mac, NodeIo, Packet, Simulation, Time};
 
 /// Counts what it receives.
 #[derive(Default)]
@@ -45,10 +45,7 @@ impl App for Talker {
 fn main() {
     let mut sim = Simulation::new(1);
     let table = Rc::new(RefCell::new(FlowTable::new()));
-    let sw = sim.add_switch(
-        Box::new(FlowSwitch::new(Rc::clone(&table))),
-        SwitchCfg::default(),
-    );
+    let sw = sim.add_switch(Box::new(FlowSwitch::new(Rc::clone(&table))));
 
     // Three servers and one client.
     let mut hosts = Vec::new();

@@ -12,10 +12,8 @@ ARGS="$@"
 ./scripts/check.sh --release
 
 mkdir -p bench_results
-for fig in fig04_routing fig05_replication fig06_network_load fig07_load_ratio \
-           fig08_quorum fig09_consistency fig10_load_balancing \
-           fig11_fault_tolerance fig12_ycsb fault_sweep switch_scalability \
-           membership_scalability ablation_replication ablation_lb; do
+# Every figure binary: each bench bin except the `report` scorecard.
+for fig in $(basename -s .rs crates/bench/src/bin/*.rs | grep -vx report); do
   echo "=== $fig ==="
   cargo run --release -p nice-bench --bin $fig -- $ARGS 2>&1 | tee bench_results/$fig.log
 done

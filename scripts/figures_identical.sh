@@ -35,10 +35,8 @@ fi
 REF=$1
 ROOT=$PWD
 OUT=$ROOT/target/figures_identical
-FIGS="fig04_routing fig05_replication fig06_network_load fig07_load_ratio \
-      fig08_quorum fig09_consistency fig10_load_balancing \
-      fig11_fault_tolerance fig12_ycsb fault_sweep switch_scalability \
-      membership_scalability ablation_replication ablation_lb"
+# Every figure binary: each bench bin except the `report` scorecard.
+FIGS=$(basename -s .rs crates/bench/src/bin/*.rs | grep -vx report)
 
 rm -rf "$OUT/then-src" "$OUT/then" "$OUT/now"
 mkdir -p "$OUT/then-src" "$OUT/then" "$OUT/now"

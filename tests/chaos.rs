@@ -18,9 +18,11 @@
 
 use nice::kv::{
     server_ip, AdminOp, ClientApp, ClientOp, ClusterCfg, Deployment, KvClient, MetaRole,
-    MetadataApp, NiceCluster, NiceSys, PutMode, RetryBackoff, SimCluster, Value,
+    MetadataApp, NiceCluster, NiceSys, PutMode, SimCluster, Value,
 };
-use nice::kv_core::{AdminEvent, ChaosPlan, ChaosSpec, History, Violation, ViolationKind};
+use nice::kv_core::{
+    AdminEvent, ChaosPlan, ChaosSpec, History, RetryPolicy, Violation, ViolationKind,
+};
 use nice::noob::{Access, NoobCluster, NoobClusterCfg, NoobMode, NoobSys};
 use nice::ring::{NodeIdx, PartitionId};
 use nice::sim::{FaultPlan, Ipv4, Time};
@@ -216,14 +218,15 @@ fn storage_ips(total: usize) -> Vec<Ipv4> {
     (0..total).map(server_ip).collect()
 }
 
-fn fast_timers(kv: &mut nice::kv::KvConfig, seed: u64) {
-    kv.hb_interval = Time::from_ms(100);
-    kv.op_timeout = Time::from_ms(100);
-    kv.client_retry = Time::from_ms(400);
-    // The backoff satellite, exercised under chaos: doubling delays
-    // capped at 1.6 s with 30% deterministic jitter.
-    kv.retry_backoff = Some(RetryBackoff {
+fn fast_timers(cfg: &mut ClusterCfg, seed: u64) {
+    cfg.kv.hb_interval = Time::from_ms(100);
+    cfg.kv.op_timeout = Time::from_ms(100);
+    // Retry backoff, exercised under chaos: doubling delays from 400 ms,
+    // capped at 1.6 s, with 30% deterministic jitter.
+    cfg.spec.retry = Some(RetryPolicy {
+        base: Time::from_ms(400),
         cap: Time::from_ms(1600),
+        exponential: true,
         jitter_pct: 30,
         seed,
     });
@@ -236,7 +239,7 @@ fn chaos_cfg(seed: u64, plan: &ChaosPlan) -> ClusterCfg {
     cfg.spec.seed = seed;
     cfg.host.client_start = Time::from_ms(400);
     cfg.host.fault_plan = Some(plan.fault_plan(&storage_ips(NODES)));
-    fast_timers(&mut cfg.kv, seed);
+    fast_timers(&mut cfg, seed);
     cfg
 }
 
@@ -502,7 +505,7 @@ fn ring_hiding_violations(break_hiding: bool) -> Vec<Violation> {
     cfg.host.fault_plan = Some(plan);
     cfg.kv.hb_interval = Time::from_ms(100);
     cfg.kv.op_timeout = Time::from_ms(100);
-    cfg.kv.client_retry = Time::from_ms(400);
+    cfg.spec.retry = Some(RetryPolicy::fixed(Time::from_ms(400)));
     cfg.kv.break_rejoin_get_hiding = break_hiding;
     let mut c = NiceCluster::build(cfg);
     assert!(c.run_until_done(Time::from_secs(30)), "puts drain");
@@ -587,7 +590,7 @@ fn metadata_failover_mid_put_storm_linearizes() {
     cfg.spec.seed = 23;
     cfg.metadata_standby = true;
     cfg.host.client_start = Time::from_ms(400);
-    fast_timers(&mut cfg.kv, 23);
+    fast_timers(&mut cfg, 23);
     let mut c = NiceCluster::build(cfg);
     let standby = c.sys.meta_standby.expect("standby deployed");
     // Meta dies early in the storm; a storage secondary dies after the
@@ -652,7 +655,7 @@ fn same_seed_chaos_runs_yield_byte_identical_telemetry() {
     cfg.spec.seed = 0x7E1E;
     cfg.spec.retry_not_found = true;
     cfg.host.fault_plan = Some(FaultPlan::new(0x7E1E).loss(0.01).duplication(0.005));
-    fast_timers(&mut cfg.kv, 0x7E1E);
+    fast_timers(&mut cfg, 0x7E1E);
     let noob = NoobClusterCfg::from_nice(&cfg, Access::Rac, NoobMode::TwoPc);
     let a = telemetry_of::<NiceSys>(cfg.clone());
     let b = telemetry_of::<NiceSys>(cfg);

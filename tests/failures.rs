@@ -3,6 +3,7 @@
 //! visibility rules of §3.3/§4.4.
 
 use nice::kv::{ClientOp, ClusterCfg, MetaEvent, NiceCluster, NodeState, OpRecord, Value};
+use nice::kv_core::RetryPolicy;
 use nice::ring::{NodeIdx, PartitionId};
 use nice::sim::{FaultPlan, Ipv4, Time};
 
@@ -12,7 +13,7 @@ fn fast(nodes: usize, r: usize, ops: Vec<Vec<ClientOp>>) -> ClusterCfg {
     let mut cfg = ClusterCfg::new(nodes, r, ops);
     cfg.kv.hb_interval = Time::from_ms(100);
     cfg.kv.op_timeout = Time::from_ms(100);
-    cfg.kv.client_retry = Time::from_ms(400);
+    cfg.spec.retry = Some(RetryPolicy::fixed(Time::from_ms(400)));
     cfg
 }
 
