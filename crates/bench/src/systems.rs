@@ -8,7 +8,7 @@ use nice_kv::{
     ClientOp, ClusterCfg, Deployment, KvClient, MetricsRegistry, NiceCluster, PutMode, SimCluster,
 };
 use nice_noob::{Access, NoobCluster, NoobClusterCfg, NoobMode};
-use nice_sim::{FaultPlan, FaultStats, HostStats, Time};
+use nice_sim::{FaultPlan, FaultStats, Time};
 
 /// Which system (and configuration) an experiment runs on. Labels match
 /// the paper's legends.
@@ -127,10 +127,6 @@ pub struct ExpResult {
     pub failures: usize,
     /// Total wire bytes over all links.
     pub total_link_bytes: u64,
-    /// Per-server NIC stats (index = node index).
-    pub server_stats: Vec<HostStats>,
-    /// Per-server gets served from the local store.
-    pub server_gets: Vec<u64>,
     /// When the first client started issuing ops.
     pub start: Time,
     /// When the last client finished.
@@ -231,10 +227,6 @@ fn run_cluster<D: Deployment>(mut c: SimCluster<D>, spec: &RunSpec) -> ExpResult
         get_lat,
         failures,
         total_link_bytes: c.sim.total_link_bytes(),
-        server_stats: c.servers.iter().map(|&h| c.sim.host_stats(h)).collect(),
-        server_gets: (0..c.servers.len())
-            .map(|i| D::server_metrics(c.server(i)).counter("engine.gets_served"))
-            .collect(),
         start: if start == Time::MAX {
             Time::ZERO
         } else {

@@ -55,7 +55,6 @@ mod tests {
     fn view() -> SwitchView {
         SwitchView {
             switch: 0,
-            num_ports: 4,
             controller: None,
         }
     }

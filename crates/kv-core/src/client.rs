@@ -8,12 +8,21 @@
 //! owns the loop and every timer it arms; the client adapters own the
 //! wire. Each entry point takes the host and hands back the [`Attempt`]
 //! to put on the wire, if any; the adapter sends it and then calls
-//! [`ClientCore::sent`], which arms its retry timer — so a send always
-//! precedes its timer, the order the simulator's event queue replays.
+//! [`ClientCore::sent`], which sets the op's retry deadline — so a send
+//! always precedes any timer it arms, the order the simulator's event
+//! queue replays.
+//!
+//! A client arms at most the retry timers it needs. Every retry timer
+//! carries one token; the core remembers the deadlines of those armed and
+//! not yet fired, and arms a new one only when none of them fires at or
+//! before the new deadline. A firing retries the in-flight op if it is
+//! due and otherwise re-arms for its deadline, so an op answered before
+//! its deadline leaves no dead timer behind it and every retry still
+//! happens at `send + delay`.
 
 use std::collections::VecDeque;
 
-use node_rt::{NodeIo, Time};
+use node_rt::{splitmix64, NodeIo, Time};
 
 use crate::error::KvError;
 use crate::spec::ClusterSpec;
@@ -25,9 +34,8 @@ const TOK_START: u64 = 1;
 /// Idle poll period: a drained client re-checks its queue at this rate so
 /// harnesses can push more work mid-run.
 const IDLE_POLL: Time = Time::from_ms(10);
-/// Retry timers carry the op sequence in the low 32 bits.
-const TOK_RETRY_BASE: u64 = 1 << 32;
-const SEQ_MASK: u64 = 0xFFFF_FFFF;
+/// Timer token of every retry timer.
+const TOK_RETRY: u64 = 2;
 /// The client retry period: "the client will retry after waiting for 2
 /// seconds" (§6.6). Every client starts on this fixed schedule;
 /// `ClusterSpec::retry` is the one override.
@@ -173,21 +181,13 @@ impl RetryPolicy {
     }
 }
 
-/// SplitMix64 finalizer: a stateless avalanche hash, good enough to
-/// decorrelate jitter across (client, op, attempt) without carrying RNG
-/// state.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 struct InFlight {
     op: ClientOp,
     id: OpId,
     start: Time,
     attempts: u32,
+    /// When the op is retried if no reply completes it first.
+    retry_at: Time,
 }
 
 /// The shared closed-loop client state machine and its timers. The NICE
@@ -196,6 +196,9 @@ struct InFlight {
 pub struct ClientCore {
     ops: VecDeque<ClientOp>,
     inflight: Option<InFlight>,
+    /// Deadlines of the retry timers armed on the host and not yet fired.
+    /// Each is armed only below all the others, so there are few.
+    armed: Vec<Time>,
     next_seq: u64,
     max_attempts: u32,
     /// Retry schedule armed per attempt ([`RETRY_PERIOD`] fixed by
@@ -229,6 +232,7 @@ impl ClientCore {
         ClientCore {
             ops: ops.into(),
             inflight: None,
+            armed: Vec::new(),
             next_seq: 1,
             max_attempts: 25,
             retry: RetryPolicy::fixed(RETRY_PERIOD),
@@ -309,22 +313,36 @@ impl ClientCore {
     }
 
     /// A timer fired. The start/idle poll issues the next op; a retry
-    /// timer re-sends its op or, with the budget spent, fails it and
-    /// issues the next. A token this core did not arm is ignored.
+    /// timer re-sends the in-flight op if it is due or, with the budget
+    /// spent, fails it and issues the next. A token this core did not arm
+    /// is ignored.
     pub fn on_timer(&mut self, token: u64, ctx: &mut dyn NodeIo) -> Option<Attempt> {
-        if token == TOK_START {
-            self.issue_next(ctx)
-        } else if token & !SEQ_MASK == TOK_RETRY_BASE {
-            self.retry(token & SEQ_MASK, ctx)
-        } else {
-            None
+        match token {
+            TOK_START => self.issue_next(ctx),
+            TOK_RETRY => self.retry(ctx),
+            _ => None,
         }
     }
 
-    /// The adapter just put `at` on the wire: arm its retry timer.
-    pub fn sent(&self, at: &Attempt, ctx: &mut dyn NodeIo) {
-        let delay = self.retry.delay(at.id, at.attempts);
-        ctx.set_timer(delay, TOK_RETRY_BASE | at.id.client_seq);
+    /// The adapter just put `at` on the wire: it is retried one policy
+    /// delay from now.
+    pub fn sent(&mut self, at: &Attempt, ctx: &mut dyn NodeIo) {
+        let due = ctx.now() + self.retry.delay(at.id, at.attempts);
+        self.arm(due, ctx);
+    }
+
+    /// Retry the in-flight op at `due`. A host timer is armed only when
+    /// no armed one fires at or before `due`; that one re-arms when it
+    /// fires early.
+    fn arm(&mut self, due: Time, ctx: &mut dyn NodeIo) {
+        let Some(inf) = self.inflight.as_mut() else {
+            return;
+        };
+        inf.retry_at = due;
+        if self.armed.iter().all(|&t| t > due) {
+            self.armed.push(due);
+            ctx.set_timer(due.saturating_sub(ctx.now()), TOK_RETRY);
+        }
     }
 
     /// A put reply arrived. A failure inside the attempt budget waits for
@@ -361,7 +379,7 @@ impl ClientCore {
         let result = match value {
             Some(_) => Ok(()),
             None if self.retry_not_found && inf.attempts < self.max_attempts => {
-                ctx.set_timer(NOT_FOUND_BACKOFF, TOK_RETRY_BASE | op.client_seq);
+                self.arm(ctx.now() + NOT_FOUND_BACKOFF, ctx);
                 return None;
             }
             None => Err(KvError::NotFound {
@@ -404,6 +422,8 @@ impl ClientCore {
             id,
             start: now,
             attempts: 1,
+            // `sent` sets the real deadline before any timer can fire.
+            retry_at: now,
         });
         Some(Attempt {
             op,
@@ -412,14 +432,17 @@ impl ClientCore {
         })
     }
 
-    /// The retry timer of op sequence `seq` fired.
-    fn retry(&mut self, seq: u64, ctx: &mut dyn NodeIo) -> Option<Attempt> {
+    /// A retry timer fired: retry the in-flight op if it is due, else
+    /// make sure a timer fires at its deadline.
+    fn retry(&mut self, ctx: &mut dyn NodeIo) -> Option<Attempt> {
         let now = ctx.now();
-        // A timer for an already-completed op is stale.
-        let inf = self
-            .inflight
-            .as_mut()
-            .filter(|inf| inf.id.client_seq == seq)?;
+        self.armed.retain(|&t| t > now);
+        let inf = self.inflight.as_mut()?;
+        if inf.retry_at > now {
+            let due = inf.retry_at;
+            self.arm(due, ctx);
+            return None;
+        }
         let past_deadline = self
             .op_deadline
             .is_some_and(|d| now.saturating_sub(inf.start) >= d);
@@ -489,10 +512,11 @@ impl ClientCore {
         });
     }
 
-    /// Crash: the in-flight op (and its pending timers' meaning) dies
-    /// with the process.
+    /// Crash: the in-flight op dies with the process, and so do the
+    /// host's timers, so none counts as armed any more.
     pub fn on_crash(&mut self) {
         self.inflight = None;
+        self.armed.clear();
     }
 }
 
@@ -567,10 +591,14 @@ mod tests {
     /// sees among its own.
     const TICK: u64 = 1 << 63;
 
-    /// A host at `ME` that only writes down, in order, what it was asked.
+    /// A host at `ME` that writes down, in order, what it was asked, and
+    /// keeps the timers armed on it for [`fire_next`].
     struct FakeIo {
         now: Time,
         asked: Vec<(&'static str, Time, u64)>,
+        /// `(deadline, token)` of every timer armed and not yet fired, in
+        /// arming order.
+        timers: Vec<(Time, u64)>,
         rng: XorShiftRng,
     }
 
@@ -579,8 +607,16 @@ mod tests {
             FakeIo {
                 now: Time::ZERO,
                 asked: Vec::new(),
+                timers: Vec::new(),
                 rng: XorShiftRng::seed_from_u64(1),
             }
+        }
+
+        /// Deadlines of the armed retry timers (every timer but the
+        /// start/idle poll).
+        fn retry_timers(&self) -> Vec<Time> {
+            let retry = self.timers.iter().filter(|t| t.1 != TOK_START);
+            retry.map(|t| t.0).collect()
         }
 
         /// Move the clock to `now` and forget what was asked so far.
@@ -606,6 +642,7 @@ mod tests {
         }
         fn set_timer(&mut self, delay: Time, token: u64) {
             self.asked.push(("set_timer", delay, token));
+            self.timers.push((self.now + delay, token));
         }
         fn cpu_work(&mut self, amount: Time) {
             self.asked.push(("cpu_work", amount, 0));
@@ -635,23 +672,36 @@ mod tests {
         }
     }
 
-    fn retry_tok(seq: u64) -> u64 {
-        TOK_RETRY_BASE | seq
-    }
-
     /// What an adapter does with an attempt: put it on the wire (logged
     /// as a send carrying the op sequence), then tell the core.
-    fn wire(c: &ClientCore, at: Attempt, io: &mut FakeIo) -> Attempt {
+    fn wire(c: &mut ClientCore, at: Attempt, io: &mut FakeIo) -> Attempt {
         io.asked.push(("send", Time::ZERO, at.id.client_seq));
         c.sent(&at, io);
         at
     }
 
+    /// What the host does with its timers: fire the earliest (arming
+    /// order among equal deadlines) at its deadline and wire any attempt
+    /// the core hands back. `None` once no timer is armed.
+    fn fire_next(c: &mut ClientCore, io: &mut FakeIo) -> Option<(Time, Option<Attempt>)> {
+        let i = (0..io.timers.len()).min_by_key(|&i| (io.timers[i].0, i))?;
+        let (at, token) = io.timers.remove(i);
+        io.now = at;
+        let sent = c.on_timer(token, io).map(|a| wire(c, a, io));
+        Some((at, sent))
+    }
+
+    /// [`fire_next`], naming only when it fired and which attempt it sent.
+    fn fire(c: &mut ClientCore, io: &mut FakeIo) -> (Time, Option<u32>) {
+        let (at, sent) = fire_next(c, io).expect("a timer is armed");
+        (at, sent.map(|a| a.attempts))
+    }
+
     /// Boot `c` and send the attempt its start timer issues.
     fn first(c: &mut ClientCore, io: &mut FakeIo) -> Attempt {
         c.on_start(io);
-        let at = c.on_timer(TOK_START, io).expect("an op is queued");
-        wire(c, at, io)
+        let (_, at) = fire_next(c, io).expect("the start timer");
+        at.expect("an op is queued")
     }
 
     #[test]
@@ -681,8 +731,8 @@ mod tests {
         assert_eq!(io.asked, [("set_timer", Time::from_ms(2), TOK_START)]);
         let at = c.on_timer(TOK_START, io.at(Time::from_ms(3)));
         assert!(io.asked.is_empty(), "nothing is armed before the send");
-        wire(&c, at.expect("the put"), &mut io);
-        let armed = ("set_timer", Time::from_secs(2), retry_tok(1));
+        wire(&mut c, at.expect("the put"), &mut io);
+        let armed = ("set_timer", Time::from_secs(2), TOK_RETRY);
         assert_eq!(io.asked, [("send", Time::ZERO, 1), armed]);
         // A resend goes the same way, armed with its own attempt's delay.
         c.retry = RetryPolicy {
@@ -692,10 +742,10 @@ mod tests {
             jitter_pct: 0,
             seed: 0,
         };
-        let r = c.on_timer(retry_tok(1), io.at(Time::from_secs(2)));
+        let r = c.on_timer(TOK_RETRY, io.at(Time::from_ms(2003)));
         assert!(io.asked.is_empty(), "nothing is armed before the resend");
-        wire(&c, r.expect("a resend"), &mut io);
-        let armed = ("set_timer", Time::from_ms(200), retry_tok(1));
+        wire(&mut c, r.expect("a resend"), &mut io);
+        let armed = ("set_timer", Time::from_ms(200), TOK_RETRY);
         assert_eq!(io.asked, [("send", Time::ZERO, 1), armed]);
     }
 
@@ -728,23 +778,27 @@ mod tests {
             "mid-budget failure does not complete the op"
         );
         assert!(io.asked.is_empty(), "the armed retry timer re-attempts");
-        let r = c.on_timer(retry_tok(1), io.at(Time::from_secs(2)));
-        assert_eq!(r.expect("a resend").attempts, 2);
-        assert!(c.on_timer(retry_tok(999), &mut io).is_none());
+        assert_eq!(fire(&mut c, &mut io), (Time::from_secs(2), Some(2)));
+        // A retry timer that fires before the resend is due does not
+        // resend; the timer the resend armed is still there.
+        assert!(c.on_timer(TOK_RETRY, io.at(Time::from_secs(3))).is_none());
+        assert!(io.asked.is_empty());
+        assert_eq!(fire(&mut c, &mut io), (Time::from_secs(4), Some(3)));
     }
 
     #[test]
-    fn stale_retry_and_tick_tokens_are_no_ops() {
+    fn stale_retry_and_tick_tokens_resend_nothing() {
         let mut io = FakeIo::new();
         let mut c = core(vec![put("a", 10), put("b", 10)]);
         let a = first(&mut c, &mut io);
         let b = c.on_put_reply(a.id, true, io.at(Time::from_ms(1)));
-        wire(&c, b.expect("b is issued next"), &mut io);
-        // `a`'s retry timer outlives it; the tick is the transport's.
-        for tok in [retry_tok(1), TICK] {
-            assert!(c.on_timer(tok, io.at(Time::from_secs(2))).is_none());
-            assert!(io.asked.is_empty(), "{tok:#x} armed nothing");
-        }
+        wire(&mut c, b.expect("b is issued next"), &mut io);
+        // The tick is the transport's: the core ignores it.
+        assert!(c.on_timer(TICK, io.at(Time::from_secs(1))).is_none());
+        assert!(io.asked.is_empty(), "the tick armed nothing");
+        // `a`'s retry timer outlives it: it re-arms for b's deadline.
+        assert!(c.on_timer(TOK_RETRY, io.at(Time::from_secs(2))).is_none());
+        assert_eq!(io.asked, [("set_timer", Time::from_ms(1), TOK_RETRY)]);
         assert_eq!(c.completed(), 1);
         let b = c
             .inflight_detail()
@@ -763,9 +817,7 @@ mod tests {
         assert!(c
             .on_put_reply(a.id, true, io.at(Time::from_ms(1)))
             .is_none());
-        assert!(c
-            .on_timer(retry_tok(1), io.at(Time::from_secs(2)))
-            .is_none());
+        assert!(c.on_timer(TOK_RETRY, io.at(Time::from_secs(2))).is_none());
         assert!(io.asked.is_empty() && c.records.is_empty());
         let b = c.on_timer(TOK_START, &mut io).expect("the queue survives");
         assert_eq!((b.op.key(), b.id.client_seq), ("b", 2));
@@ -779,11 +831,11 @@ mod tests {
         let mut now = Time::ZERO;
         loop {
             now += Time::from_secs(2);
-            let Some(r) = c.on_timer(retry_tok(1), io.at(now)) else {
+            let Some(r) = c.on_timer(TOK_RETRY, io.at(now)) else {
                 break;
             };
             assert!(r.attempts <= 25);
-            wire(&c, r, &mut io);
+            wire(&mut c, r, &mut io);
         }
         assert_eq!(io.asked, [("set_timer", IDLE_POLL, TOK_START)], "drained");
         let r = &c.records[0];
@@ -802,17 +854,11 @@ mod tests {
         c.op_deadline = Some(Time::from_secs(5));
         first(&mut c, &mut io);
         // First two retry firings are inside the deadline: resends.
-        assert!(c
-            .on_timer(retry_tok(1), io.at(Time::from_secs(2)))
-            .is_some());
-        assert!(c
-            .on_timer(retry_tok(1), io.at(Time::from_secs(4)))
-            .is_some());
+        assert!(c.on_timer(TOK_RETRY, io.at(Time::from_secs(2))).is_some());
+        assert!(c.on_timer(TOK_RETRY, io.at(Time::from_secs(4))).is_some());
         // The next firing is past the total budget: typed timeout, well
         // before the 25-attempt budget would have.
-        assert!(c
-            .on_timer(retry_tok(1), io.at(Time::from_secs(6)))
-            .is_none());
+        assert!(c.on_timer(TOK_RETRY, io.at(Time::from_secs(6))).is_none());
         let r = &c.records[0];
         assert_eq!(r.attempts, 3);
         assert!(matches!(r.err(), Some(KvError::Timeout { .. })));
@@ -907,7 +953,7 @@ mod tests {
         assert!(c
             .on_get_reply(a.id, None, io.at(Time::from_ms(1)))
             .is_none());
-        assert_eq!(io.asked, [("set_timer", NOT_FOUND_BACKOFF, retry_tok(1))]);
+        assert_eq!(io.asked, [("set_timer", NOT_FOUND_BACKOFF, TOK_RETRY)]);
         assert!(c.inflight_detail().is_some());
         let other = OpId {
             client: ME,
@@ -917,7 +963,100 @@ mod tests {
         let next = c.on_get_reply(other, Some(&found), io.at(Time::from_ms(2)));
         assert!(next.is_none() && io.asked.is_empty() && c.records.is_empty());
         // The backoff fires: ask again.
-        let r = c.on_timer(retry_tok(1), io.at(Time::from_ms(6)));
+        let r = c.on_timer(TOK_RETRY, io.at(Time::from_ms(6)));
         assert_eq!(r.expect("a resend").attempts, 2);
+    }
+
+    #[test]
+    fn ops_answered_before_their_deadlines_arm_one_retry_timer_in_total() {
+        let mut io = FakeIo::new();
+        let mut c = core((0..5).map(|i| put(&format!("k{i}"), 10)).collect());
+        let mut at = first(&mut c, &mut io);
+        for ms in 1..5 {
+            let next = c.on_put_reply(at.id, true, io.at(Time::from_ms(ms)));
+            at = wire(&mut c, next.expect("the next put"), &mut io);
+        }
+        assert!(c
+            .on_put_reply(at.id, true, io.at(Time::from_ms(5)))
+            .is_none());
+        assert_eq!(c.completed(), 5);
+        assert_eq!(io.retry_timers(), [Time::from_secs(2)], "the first op's");
+    }
+
+    /// Op `a` is answered halfway to its deadline and `b` is sent then,
+    /// under `a`'s armed timer. That timer fires first, stale, and b is
+    /// still retried exactly one delay after each of its sends.
+    fn stale_timer_then_retry_at_send_plus_delay(policy: RetryPolicy) {
+        let mut io = FakeIo::new();
+        let mut c = core(vec![put("a", 10), put("b", 10)]);
+        c.retry = policy;
+        let a = first(&mut c, &mut io);
+        let a_due = policy.delay(a.id, 1);
+        let sent = Time(a_due.as_ns() / 2);
+        let b = c.on_put_reply(a.id, true, io.at(sent)).expect("b");
+        let b = wire(&mut c, b, &mut io);
+        assert_eq!(io.asked, [("send", Time::ZERO, 2)], "b arms no timer");
+        let b_due = sent + policy.delay(b.id, 1);
+        assert!(b_due > a_due, "a's timer fires first");
+        assert_eq!(fire(&mut c, &mut io), (a_due, None));
+        assert_eq!(fire(&mut c, &mut io), (b_due, Some(2)));
+        let again = b_due + policy.delay(b.id, 2);
+        assert_eq!(fire(&mut c, &mut io), (again, Some(3)));
+    }
+
+    #[test]
+    fn a_stale_timer_leaves_the_fixed_retry_at_send_plus_delay() {
+        stale_timer_then_retry_at_send_plus_delay(RetryPolicy::fixed(RETRY_PERIOD));
+    }
+
+    #[test]
+    fn a_stale_timer_leaves_the_jittered_retry_at_send_plus_delay() {
+        stale_timer_then_retry_at_send_plus_delay(RetryPolicy {
+            base: Time::from_ms(100),
+            cap: Time::from_ms(1600),
+            exponential: true,
+            jitter_pct: 30,
+            seed: 7,
+        });
+    }
+
+    #[test]
+    fn a_not_found_backoff_under_an_armed_timer_arms_its_own() {
+        let mut io = FakeIo::new();
+        let mut c = core(vec![get("a")]);
+        c.retry_not_found = true;
+        let a = first(&mut c, &mut io);
+        assert!(c
+            .on_get_reply(a.id, None, io.at(Time::from_ms(1)))
+            .is_none());
+        let backoff = Time::from_ms(1) + NOT_FOUND_BACKOFF;
+        assert_eq!(io.retry_timers(), [RETRY_PERIOD, backoff]);
+        assert_eq!(fire(&mut c, &mut io), (backoff, Some(2)));
+        // The resend goes unanswered: it is retried one period after it
+        // was sent, not when the first attempt's timer fires.
+        assert_eq!(fire(&mut c, &mut io), (RETRY_PERIOD, None));
+        assert_eq!(fire(&mut c, &mut io), (backoff + RETRY_PERIOD, Some(3)));
+    }
+
+    #[test]
+    fn after_a_crash_the_next_attempt_arms_a_timer() {
+        let mut io = FakeIo::new();
+        let mut c = core(vec![put("a", 10), put("b", 10), put("c", 10)]);
+        first(&mut c, &mut io);
+        c.on_crash();
+        io.timers.clear(); // the host's timers die with it
+        c.on_start(io.at(Time::from_ms(1)));
+        let (_, b) = fire_next(&mut c, &mut io).expect("the start timer");
+        let b = b.expect("b is issued");
+        let b_due = Time::from_ms(1) + RETRY_PERIOD;
+        assert_eq!(io.retry_timers(), [b_due]);
+        // c goes out under b's timer: nothing more is armed, and c is
+        // still retried at its own deadline.
+        let next = c.on_put_reply(b.id, true, io.at(Time::from_ms(3)));
+        wire(&mut c, next.expect("c is issued"), &mut io);
+        assert_eq!(io.retry_timers(), [b_due]);
+        assert_eq!(fire(&mut c, &mut io), (b_due, None));
+        let c_due = Time::from_ms(3) + RETRY_PERIOD;
+        assert_eq!(fire(&mut c, &mut io), (c_due, Some(2)));
     }
 }

@@ -52,7 +52,7 @@ pub use explore::{
 };
 pub use history::{History, HistoryOp, Outcome, Violation, ViolationKind, MAX_OPS_PER_KEY};
 pub use spec::ClusterSpec;
-pub use store::{Committed, LogEntry, ObjectStore, Pending, StorageCfg};
+pub use store::{Committed, ObjectStore, Pending, StorageCfg};
 pub use telemetry::{LatencyHistogram, MetricsRegistry, Telemetry, TelemetryCfg};
 pub use types::{NodeIdx, OpId, PartitionId, Timestamp, Value, CTRL_MSG_BYTES};
 pub use wal::{crc32, DurableLog, FileWal, MemLog, WalRecord};

@@ -50,19 +50,6 @@ pub struct Committed {
     pub ts: Timestamp,
 }
 
-/// A persistent log record (+L of Figure 3). Entries are removed on
-/// commit/abort (-L); entries still present after a full-cluster crash
-/// identify the in-doubt puts (§4.4 "In case of a complete cluster
-/// failure, the persistent logs on the nodes will identify the latest put
-/// operations").
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogEntry {
-    /// The key being put.
-    pub key: String,
-    /// The attempt.
-    pub op: OpId,
-}
-
 /// The object store.
 ///
 /// `Clone` is part of the exploration API: the DPOR explorer forks the
@@ -73,9 +60,9 @@ pub struct ObjectStore {
     cfg: StorageCfg,
     /// Committed objects (persistent).
     committed: BTreeMap<String, Committed>,
-    /// The persistent operation log.
-    log: Vec<LogEntry>,
-    /// Pending puts holding in-memory locks (volatile).
+    /// Pending puts holding in-memory locks. Each one's +L record is in
+    /// the persistent log (the WAL); the written ones survive a crash as
+    /// in-doubt entries.
     pending: BTreeMap<String, Pending>,
     /// Device queue.
     busy_until: Time,
@@ -92,7 +79,6 @@ impl Default for ObjectStore {
         ObjectStore {
             cfg: StorageCfg::default(),
             committed: BTreeMap::new(),
-            log: Vec::new(),
             pending: BTreeMap::new(),
             busy_until: Time::ZERO,
             writes: 0,
@@ -107,7 +93,6 @@ impl Clone for ObjectStore {
         ObjectStore {
             cfg: self.cfg,
             committed: self.committed.clone(),
-            log: self.log.clone(),
             pending: self.pending.clone(),
             busy_until: self.busy_until,
             writes: self.writes,
@@ -189,12 +174,6 @@ impl ObjectStore {
                             locked_at: Time::ZERO,
                         },
                     );
-                    if !self.log.iter().any(|e| e.key == *key && e.op == *op) {
-                        self.log.push(LogEntry {
-                            key: key.clone(),
-                            op: *op,
-                        });
-                    }
                 }
                 WalRecord::Commit { key, op, ts } => {
                     let Some(p) = self.pending.get(key) else {
@@ -205,7 +184,6 @@ impl ObjectStore {
                     }
                     let value = p.value.clone();
                     self.pending.remove(key);
-                    self.log.retain(|e| !(e.key == *key && e.op == *op));
                     if self.committed.get(key).is_none_or(|c| *ts > c.ts) {
                         self.committed
                             .insert(key.clone(), Committed { value, ts: *ts });
@@ -225,7 +203,6 @@ impl ObjectStore {
                 WalRecord::Release { key, op } => {
                     if self.pending.get(key).is_some_and(|p| p.op == *op) {
                         self.pending.remove(key);
-                        self.log.retain(|e| !(e.key == *key && e.op == *op));
                     }
                 }
             }
@@ -296,10 +273,6 @@ impl ObjectStore {
                         locked_at: now,
                     },
                 );
-                self.log.push(LogEntry {
-                    key: key.to_owned(),
-                    op,
-                });
                 self.wal.append(&WalRecord::Lock {
                     key: key.to_owned(),
                     op,
@@ -323,7 +296,6 @@ impl ObjectStore {
             self.pending.insert(key.to_owned(), p);
             return false;
         }
-        self.log.retain(|e| !(e.key == key && e.op == op));
         let newer = self.committed.get(key).is_none_or(|c| ts > c.ts);
         if newer {
             self.committed
@@ -360,7 +332,6 @@ impl ObjectStore {
             Some(p) if p.op.client == ts.client && p.op.client_seq == ts.client_seq => {
                 let op = p.op;
                 self.pending.remove(key);
-                self.log.retain(|e| !(e.key == key && e.op == op));
                 self.wal.append(&WalRecord::Release {
                     key: key.to_owned(),
                     op,
@@ -383,7 +354,6 @@ impl ObjectStore {
         match self.pending.get(key) {
             Some(p) if p.op == op && p.locked_at <= issued => {
                 self.pending.remove(key);
-                self.log.retain(|e| !(e.key == key && e.op == op));
                 self.wal.append(&WalRecord::Release {
                     key: key.to_owned(),
                     op,
@@ -429,11 +399,6 @@ impl ObjectStore {
             .unwrap_or(0)
     }
 
-    /// The persistent log (full-cluster recovery reads this).
-    pub fn log(&self) -> &[LogEntry] {
-        &self.log
-    }
-
     /// Crash semantics. Locks are volatile ("Object locks are maintained
     /// in memory only"), but the W step of Figure 3 *persisted* the
     /// tentative value and +L persisted the log entry — so pending puts
@@ -443,13 +408,6 @@ impl ObjectStore {
     /// simply gone.
     pub fn on_crash(&mut self) {
         self.pending.retain(|_, p| p.written);
-        let keep: Vec<(String, OpId)> = self
-            .pending
-            .iter()
-            .map(|(k, p)| (k.clone(), p.op))
-            .collect();
-        self.log
-            .retain(|e| keep.iter().any(|(k, o)| *k == e.key && *o == e.op));
         self.busy_until = Time::ZERO;
     }
 
@@ -500,12 +458,10 @@ mod tests {
     fn lock_commit_roundtrip() {
         let mut s = ObjectStore::new(StorageCfg::default());
         assert!(s.lock("k", op(1), Value::from_bytes(vec![1]), Time::ZERO));
-        assert!(s.locked("k"));
-        assert_eq!(s.log().len(), 1);
+        assert_eq!(s.pending("k").map(|p| p.op), Some(op(1)));
         assert!(s.get("k").is_none(), "pending value invisible to gets");
         assert!(s.commit("k", op(1), ts(1, 1)));
-        assert!(!s.locked("k"));
-        assert!(s.log().is_empty(), "-L removed the entry");
+        assert!(!s.locked("k"), "-L removed the entry");
         assert_eq!(*s.get("k").unwrap().value.bytes, vec![1]);
     }
 
@@ -521,8 +477,8 @@ mod tests {
             s.lock("k", op(1), Value::from_bytes(vec![3]), Time::ZERO),
             "same op may retry"
         );
-        assert_eq!(*s.pending("k").unwrap().value.bytes, vec![3]);
-        assert_eq!(s.log().len(), 1, "retry does not duplicate the log entry");
+        let p = s.pending("k").unwrap();
+        assert_eq!((p.op, &*p.value.bytes), (op(1), &vec![3]), "one entry");
     }
 
     #[test]
@@ -544,7 +500,6 @@ mod tests {
         assert!(s.abort("k", op(1), Time::MAX));
         assert!(!s.locked("k"));
         assert!(s.get("k").is_none());
-        assert!(s.log().is_empty());
         // aborting a non-pending key is a no-op
         assert!(!s.abort("k", op(1), Time::MAX));
     }
@@ -579,9 +534,11 @@ mod tests {
         assert!(s.get("a").is_some(), "committed survives");
         assert!(!s.locked("b"), "unwritten pending is volatile");
         assert!(s.locked("c"), "written pending survives (it is on disk)");
-        assert_eq!(s.log().len(), 1, "log identifies exactly the in-doubt put");
-        assert_eq!(s.log()[0].key, "c");
-        assert_eq!(s.in_doubt(), vec![("c".to_string(), op(3))]);
+        assert_eq!(
+            s.in_doubt(),
+            vec![("c".to_string(), op(3))],
+            "exactly the in-doubt put"
+        );
     }
 
     #[test]
@@ -646,17 +603,12 @@ mod tests {
             "recovered pending counts as written (its +L is on disk)"
         );
         assert_eq!(once.in_doubt(), vec![("c".to_string(), op(3))]);
-        assert_eq!(
-            once.log().len(),
-            1,
-            "log identifies exactly the in-doubt put"
-        );
         // Recover → recover again ⇒ identical store (replay idempotence;
         // recovery appends nothing, so the file is unchanged too).
         let twice = recover(&path);
         assert_eq!(
-            format!("{:?}", (once.iter().collect::<Vec<_>>(), once.log())),
-            format!("{:?}", (twice.iter().collect::<Vec<_>>(), twice.log())),
+            format!("{:?}", once.iter().collect::<Vec<_>>()),
+            format!("{:?}", twice.iter().collect::<Vec<_>>()),
         );
         assert_eq!(twice.in_doubt(), once.in_doubt());
         std::fs::remove_file(&path).ok();

@@ -15,8 +15,8 @@
 //! `lock_interleavings.rs` demonstrates end to end.
 
 use kv_core::{
-    conflict_dependence, Effect, EngineCfg, EngineRole, Footprint, LogEntry, OpId, StorageCfg,
-    Timestamp, TwoPcEngine, Value,
+    conflict_dependence, Effect, EngineCfg, EngineRole, Footprint, OpId, StorageCfg, Timestamp,
+    TwoPcEngine, Value,
 };
 use node_rt::{Ipv4, Time};
 
@@ -51,14 +51,10 @@ fn ts_of(o: u8, seq: u64) -> Timestamp {
 }
 
 /// The protocol-visible state of one engine over `keys`: pending lock
-/// holder + written flag, committed bytes + timestamp, and the
-/// persistent log. Two engines with equal signatures are
+/// holder (also the persistent log's entry) + written flag, and
+/// committed bytes + timestamp. Two engines with equal signatures are
 /// indistinguishable to every later delivery.
-type Sig = Vec<(
-    Option<(OpId, bool)>,
-    Option<(Vec<u8>, Timestamp)>,
-    Vec<LogEntry>,
-)>;
+type Sig = Vec<(Option<(OpId, bool)>, Option<(Vec<u8>, Timestamp)>)>;
 
 fn sig(e: &TwoPcEngine, keys: &[&str]) -> Sig {
     keys.iter()
@@ -67,14 +63,6 @@ fn sig(e: &TwoPcEngine, keys: &[&str]) -> Sig {
             (
                 s.pending(k).map(|p| (p.op, p.written)),
                 s.get(k).map(|c| (c.value.bytes.to_vec(), c.ts)),
-                // Per-key log content: the log is one append-ordered vec
-                // for the whole engine, so its *global* order encodes
-                // arrival order even for keys that never interact.
-                s.log()
-                    .iter()
-                    .filter(|l| l.key == *k)
-                    .cloned()
-                    .collect::<Vec<LogEntry>>(),
             )
         })
         .collect()

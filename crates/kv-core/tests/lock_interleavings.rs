@@ -66,8 +66,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use kv_core::{
     conflict_dependence, normal_form, Effect, EngineCfg, EngineRole, Explorer, Footprint, Group,
-    LockResolution, LogEntry, Model, NodeIdx, OpId, Schedule, StorageCfg, Timestamp, TwoPcEngine,
-    Value, Visit,
+    LockResolution, Model, NodeIdx, OpId, Schedule, StorageCfg, Timestamp, TwoPcEngine, Value,
+    Visit,
 };
 use node_rt::{Ipv4, Time};
 
@@ -365,7 +365,7 @@ impl Run {
                 .collect(),
             stranded: self.engines.iter().any(|e| {
                 let s = e.store();
-                s.locked(KEY) || !s.log().is_empty() || !s.in_doubt().is_empty()
+                s.locked(KEY) || !s.in_doubt().is_empty()
             }),
         }
     }
@@ -376,9 +376,9 @@ impl Run {
 // observed by diffing replica signatures across each step.
 // ---------------------------------------------------------------------
 
-/// One replica engine's protocol-visible signature: the lock holder (and
-/// whether its write completed), the committed copy, the persistent log,
-/// and the sequence floor. This is exactly the state a step of *another*
+/// One replica engine's protocol-visible signature: the lock holder
+/// (also the persistent log's entry) and whether its write completed,
+/// the committed copy, and the sequence floor. This is exactly the state a step of *another*
 /// put can observe — coordinator records, ack counts, and queued waiters
 /// are keyed per `(key, op)` and only ever touched by their own put's
 /// program-ordered steps, so they cannot carry cross-put dependences.
@@ -386,19 +386,13 @@ impl Run {
 /// empirically; the read footprint is the step's home replica (a
 /// delivery consults that replica's lock/committed state to decide what
 /// to do).
-type RepSig = (
-    Option<(OpId, bool)>,
-    Option<(Vec<u8>, Timestamp)>,
-    Vec<LogEntry>,
-    u64,
-);
+type RepSig = (Option<(OpId, bool)>, Option<(Vec<u8>, Timestamp)>, u64);
 
 fn rep_sig(e: &TwoPcEngine) -> RepSig {
     let s = e.store();
     (
         s.pending(KEY).map(|p| (p.op, p.written)),
         s.get(KEY).map(|c| (c.value.bytes.to_vec(), c.ts)),
-        s.log().to_vec(),
         e.lock_report(&|_| false).1,
     )
 }
@@ -842,18 +836,14 @@ fn catch_up(run: &mut Run, winner: &Option<(Vec<u8>, Timestamp)>) -> Vec<usize> 
     resynced
 }
 
-/// Assert the post-resolution invariants: quiescence (no stranded lock,
-/// log, or in-doubt entry anywhere), replica convergence, and no lost
+/// Assert the post-resolution invariants: quiescence (no stranded lock
+/// or in-doubt entry anywhere), replica convergence, and no lost
 /// update (a commit that reached any replica before the fault survives
 /// with a final timestamp at least as new).
 fn assert_resolved(run: &Run, applied_pre: &[bool], what: &str) {
     for (r, e) in run.engines.iter().enumerate() {
         let s = e.store();
         assert!(!s.locked(KEY), "stranded lock on replica {r} after {what}");
-        assert!(
-            s.log().is_empty(),
-            "undrained log on replica {r} after {what}"
-        );
         assert!(
             s.in_doubt().is_empty(),
             "in-doubt entry left on replica {r} after {what}"

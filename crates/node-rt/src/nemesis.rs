@@ -20,6 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use nice_workload::splitmix64;
+
 use crate::fault::FaultPlan;
 use crate::net::Ipv4;
 use crate::time::Time;
@@ -46,14 +48,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
-}
-
-/// splitmix64 finalizer: decorrelates the combined verdict key.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A [`FaultPlan`] armed for the socket: its probabilities converted
@@ -89,10 +83,12 @@ impl Nemesis {
         if !self.plan.window.contains(&now) {
             return Verdict::Deliver;
         }
-        let key = mix(self.plan.seed
-            ^ mix(u64::from(src.0))
-            ^ mix(u64::from(dst.0).rotate_left(32))
-            ^ fnv1a64(frame));
+        let key = splitmix64(
+            self.plan.seed
+                ^ splitmix64(u64::from(src.0))
+                ^ splitmix64(u64::from(dst.0).rotate_left(32))
+                ^ fnv1a64(frame),
+        );
         let draw = (key % 1_000_000) as u32;
         if draw < self.loss_ppm {
             return Verdict::Drop;
@@ -105,7 +101,7 @@ impl Nemesis {
             .saturating_add(self.dup_ppm)
             .saturating_add(self.delay_ppm);
         if draw < delay_edge && self.plan.delay_max > Time::ZERO {
-            let ns = 1 + mix(key) % self.plan.delay_max.as_ns().max(1);
+            let ns = 1 + splitmix64(key) % self.plan.delay_max.as_ns().max(1);
             return Verdict::Delay(Time(ns));
         }
         Verdict::Deliver

@@ -204,20 +204,14 @@ impl UdpRuntime {
     /// (records, histories) from live nodes.
     ///
     /// # Panics
-    /// If the node was killed or never existed.
+    /// If the node never existed, was killed, or is crashed.
     pub fn with<R: Send + 'static>(
         &self,
         ip: Ipv4,
         f: impl FnOnce(&mut dyn NodeApp) -> R + Send + 'static,
     ) -> R {
-        let node = self.nodes.get(&ip).expect("with: unknown node");
-        let (tx, rx) = mpsc::channel();
-        node.ctl
-            .send(Ctl::Run(Box::new(move |app| {
-                let _ = tx.send(f(app));
-            })))
-            .expect("with: node is not running");
-        rx.recv().expect("with: node died mid-call")
+        self.try_with(ip, f)
+            .expect("with: node is unknown, killed or down")
     }
 
     /// Like [`UdpRuntime::with`], but tolerant of crashed or killed

@@ -198,19 +198,29 @@ impl RealNoobCluster {
         }
     }
 
+    /// Run `f` inside the node thread at `ip` against its app, if the
+    /// node is up and hosts a `T`.
+    fn visit<T: 'static, R: Send + 'static>(
+        &self,
+        ip: Ipv4,
+        f: impl FnOnce(&mut T) -> R + Send + 'static,
+    ) -> Option<R> {
+        self.runtime
+            .try_with(ip, move |app| {
+                let any: &mut dyn Any = app;
+                any.downcast_mut::<T>().map(f)
+            })
+            .flatten()
+    }
+
     /// Run `f` against client `j`'s app inside its node thread.
     pub fn with_client<R: Send + 'static>(
         &self,
         j: usize,
         f: impl FnOnce(&mut NoobClientApp) -> R + Send + 'static,
     ) -> R {
-        self.runtime.with(client_ip(j), move |app| {
-            let any: &mut dyn Any = app;
-            let client = any
-                .downcast_mut::<NoobClientApp>()
-                .expect("node hosts a NoobClientApp");
-            f(client)
-        })
+        self.visit(client_ip(j), f)
+            .expect("client node is up and hosts a NoobClientApp")
     }
 
     /// Queue more work on a live client (picked up by its idle poll).
@@ -270,20 +280,12 @@ impl RealNoobCluster {
     pub fn metrics(&self) -> MetricsRegistry {
         let mut m = MetricsRegistry::default();
         for i in 0..self.server_ips.len() {
-            let snap = self.runtime.try_with(server_ip(i), |app| {
-                let any: &mut dyn Any = app;
-                any.downcast_mut::<NoobServerApp>().map(|s| s.metrics())
-            });
-            if let Some(Some(sm)) = snap {
+            if let Some(sm) = self.visit(server_ip(i), |s: &mut NoobServerApp| s.metrics()) {
                 m.merge(&sm);
             }
         }
         for j in 0..self.client_ips.len() {
-            let snap = self.runtime.try_with(client_ip(j), |app| {
-                let any: &mut dyn Any = app;
-                any.downcast_mut::<NoobClientApp>().map(|c| c.metrics())
-            });
-            if let Some(Some(cm)) = snap {
+            if let Some(cm) = self.visit(client_ip(j), |c: &mut NoobClientApp| c.metrics()) {
                 m.merge(&cm);
             }
         }
@@ -314,20 +316,12 @@ impl RealNoobCluster {
     /// WAL records server `i`'s current incarnation replayed at boot
     /// (`None` while the node is down).
     pub fn server_recovered(&self, i: usize) -> Option<usize> {
-        self.runtime.try_with(server_ip(i), |app| {
-            let any: &mut dyn Any = app;
-            any.downcast_mut::<NoobServerApp>().map(|s| s.recovered())
-        })?
+        self.visit(server_ip(i), |s: &mut NoobServerApp| s.recovered())
     }
 
     /// Is server `i` up and past its rejoin sync phase?
     pub fn server_ready(&self, i: usize) -> bool {
-        self.runtime
-            .try_with(server_ip(i), |app| {
-                let any: &mut dyn Any = app;
-                any.downcast_mut::<NoobServerApp>()
-                    .is_some_and(|s| !s.is_syncing())
-            })
+        self.visit(server_ip(i), |s: &mut NoobServerApp| !s.is_syncing())
             .unwrap_or(false)
     }
 

@@ -684,7 +684,6 @@ impl Simulation {
         };
         let view = SwitchView {
             switch: sw.0,
-            num_ports: node.ports.len() as u16,
             controller: node.controller,
         };
         let actions = logic.handle(view, port, pkt, now);

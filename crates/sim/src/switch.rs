@@ -49,8 +49,6 @@ pub enum SwitchAction {
 pub struct SwitchView {
     /// This switch's id (as a raw u32 to avoid import cycles in callers).
     pub switch: u32,
-    /// Number of ports currently connected.
-    pub num_ports: u16,
     /// The controller host, if one is attached.
     pub controller: Option<HostId>,
 }

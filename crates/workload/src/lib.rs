@@ -12,6 +12,6 @@ pub mod ycsb;
 pub mod zipf;
 
 pub use ops::{Op, OpKind};
-pub use rng::XorShiftRng;
+pub use rng::{splitmix64, XorShiftRng};
 pub use ycsb::{KeyDist, Workload, WorkloadRun};
 pub use zipf::Zipf;

@@ -14,6 +14,16 @@
 //! constant. Seeds are pre-mixed through SplitMix64 so that small,
 //! correlated seeds (0, 1, 2, ...) still land in well-separated states.
 
+/// The SplitMix64 finalizer (Steele, Lea and Flood): a stateless
+/// avalanche hash of `x`. Seeds, nemesis verdicts and retry jitter all
+/// derive from it, so its output must never change.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 /// Integer types that can be drawn uniformly from a `Range`.
 pub trait RangeSample: Copy {
     /// A uniform draw from `[r.start, r.end)`; panics if the range is empty.
@@ -59,11 +69,8 @@ pub struct XorShiftRng {
 impl XorShiftRng {
     /// A generator deterministically derived from `seed`.
     pub fn seed_from_u64(seed: u64) -> XorShiftRng {
-        // SplitMix64 finalizer: decorrelates adjacent seeds.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        // Decorrelate adjacent seeds.
+        let z = splitmix64(seed);
         // xorshift64* requires a non-zero state.
         XorShiftRng {
             s: if z == 0 { 0x9E37_79B9_7F4A_7C15 } else { z },
@@ -129,6 +136,14 @@ mod tests {
             hi = hi.max(x);
         }
         assert!(lo < 0.01 && hi > 0.99, "poor spread: [{lo}, {hi}]");
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_outputs() {
+        // The first two outputs of the reference SplitMix64 stream seeded
+        // with 0: the finalizer of 1x and 2x the golden-ratio increment.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(0x9E37_79B9_7F4A_7C15), 0x6E78_9E6A_A1B9_65F4);
     }
 
     #[test]
