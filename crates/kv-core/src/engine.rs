@@ -60,9 +60,9 @@ pub struct Counters {
 pub struct EngineCfg {
     /// Storage device model.
     pub storage: StorageCfg,
-    /// 2PC coordination deadline. `Some` arms a [`Effect::Deadline`] per
-    /// coordination round (NICE, §4.4 failure handling); `None` runs
-    /// without coordinator timeouts (the NOOB baseline has none).
+    /// 2PC coordination deadline. `Some`: a coordinator gives up on a
+    /// round still open `2 × op_timeout` after it opened (NICE, §4.4
+    /// failure handling); `None` runs without (the NOOB baseline).
     pub op_timeout: Option<Time>,
     /// Where the coordinator gives queued writers their turn. `true`:
     /// when the round retires (NOOB's primary drains inline, having no
@@ -172,17 +172,14 @@ pub enum Effect {
         /// Whether the put committed.
         ok: bool,
     },
-    /// Arm (or re-arm) the coordination deadline for `at`.
+    /// Arm the engine's one timer: feed [`TwoPcEngine::on_deadline`]
+    /// back at `at`.
     Deadline {
-        /// When the deadline fires.
+        /// When the timer fires.
         at: Time,
-        /// The key.
-        key: String,
-        /// The attempt.
-        op: OpId,
     },
-    /// These members never acknowledged within two deadlines — report
-    /// them to the failure detector (§4.4).
+    /// These members never acknowledged before the round's deadline —
+    /// report them to the failure detector (§4.4).
     Unresponsive {
         /// The silent members.
         members: Vec<NodeIdx>,
@@ -225,12 +222,14 @@ struct Coord {
     /// phase 2).
     ts: Option<Timestamp>,
     replied: bool,
-    timeouts: u32,
+    /// When the coordinator gives up on the round, then its open order;
+    /// `None` for explicitly coordinated rounds (no deadline).
+    due: Option<(Time, u64)>,
     kind: CoordKind,
 }
 
 impl Coord {
-    fn new(client: Ipv4, kind: CoordKind) -> Coord {
+    fn new(client: Ipv4, kind: CoordKind, due: Option<(Time, u64)>) -> Coord {
         Coord {
             client,
             acks1: BTreeSet::new(),
@@ -239,7 +238,7 @@ impl Coord {
             committed: false,
             ts: None,
             replied: false,
-            timeouts: 0,
+            due,
             kind,
         }
     }
@@ -278,10 +277,15 @@ pub struct TwoPcEngine {
     tel: Telemetry,
     /// Lock time of each live round, for phase-duration histograms.
     started: BTreeMap<(String, OpId), Time>,
+    /// Rounds opened with a deadline so far.
+    opened: u64,
+    /// Whether the [`Effect::Deadline`] timer is armed. A round opened
+    /// later is never due before it: every round is due `open + 2 × t`.
+    timer_armed: bool,
     /// Latest `now` any transition saw — the timestamp source for the
-    /// transitions that carry no clock (`on_ack2`, `on_commit`,
-    /// `check_commit`). Deterministic: it only ever holds values the
-    /// host clock handed in.
+    /// transitions that carry no clock (`on_ack2` and the
+    /// `check_commit`/`direct_advance` it reaches). Telemetry only, and
+    /// deterministic: it only ever holds values the host clock handed in.
     clock: Time,
 }
 
@@ -331,6 +335,8 @@ impl TwoPcEngine {
             last_internal_error: None,
             tel: Telemetry::default(),
             started: BTreeMap::new(),
+            opened: 0,
+            timer_armed: false,
             clock: Time::ZERO,
         };
         e.rebuild_floors();
@@ -651,6 +657,29 @@ impl TwoPcEngine {
         }
     }
 
+    /// The coordinator record of `(key, op)`. A deadline-running engine
+    /// (NICE) opens it on the first primary-side event, due `2 × op_timeout`
+    /// later, and arms its timer unless armed; NOOB coordinates explicitly.
+    fn open_round(
+        &mut self,
+        key: &str,
+        op: OpId,
+        now: Time,
+        fx: &mut Vec<Effect>,
+    ) -> Option<&mut Coord> {
+        let k = (key.to_owned(), op);
+        if !self.coords.contains_key(&k) {
+            let at = now + self.cfg.op_timeout? * 2;
+            self.opened += 1;
+            let c = Coord::new(op.client, CoordKind::TwoPc, Some((at, self.opened)));
+            self.coords.insert(k.clone(), c);
+            if !std::mem::replace(&mut self.timer_armed, true) {
+                fx.push(Effect::Deadline { at });
+            }
+        }
+        self.coords.get_mut(&k)
+    }
+
     /// Coordinator/replica 2PC phase 1: lock `key` for `op`, append the
     /// forced log entry (+L), and start the object write (W). Returns
     /// false when another attempt holds the lock — the op is queued and
@@ -717,12 +746,12 @@ impl TwoPcEngine {
             Some(q) => CoordKind::Direct { quorum: q },
             None => CoordKind::TwoPc,
         };
-        self.coords.insert(k, Coord::new(client, kind));
+        self.coords.insert(k, Coord::new(client, kind, None));
     }
 
     /// The local object write for `(key, op)` finished. A primary
-    /// advances its coordination round (arming a deadline when the
-    /// engine runs with `op_timeout`); a peer acks; an observer only
+    /// advances its coordination round (opening it with a deadline when
+    /// the engine runs with `op_timeout`); a peer acks; an observer only
     /// records the write.
     pub fn on_written(
         &mut self,
@@ -761,27 +790,10 @@ impl TwoPcEngine {
         }
         match role {
             EngineRole::Primary(g) => {
-                let k = (key.to_owned(), op);
-                if !self.coords.contains_key(&k) {
-                    // NICE-style engines coordinate implicitly on the
-                    // first primary-side event and arm the deadline.
-                    let Some(t) = self.cfg.op_timeout else {
-                        return;
-                    };
-                    self.coords
-                        .insert(k.clone(), Coord::new(op.client, CoordKind::TwoPc));
-                    fx.push(Effect::Deadline {
-                        at: now + t,
-                        key: key.to_owned(),
-                        op,
-                    });
-                }
-                match self.coords.get_mut(&k) {
-                    Some(c) => c.self_written = true,
-                    None => {
-                        return self.note_internal(KvError::CoordinatorMissing { key: k.0, op })
-                    }
-                }
+                let Some(c) = self.open_round(key, op, now, fx) else {
+                    return;
+                };
+                c.self_written = true;
                 self.advance(key, op, g, fx);
             }
             EngineRole::Peer => {
@@ -812,28 +824,11 @@ impl TwoPcEngine {
             self.tel
                 .record("engine.lock_to_ack1", now.saturating_sub(t0));
         }
-        let k = (key.to_owned(), op);
-        if !self.coords.contains_key(&k) {
-            // An ack can outrun the primary's own write completion: a
-            // deadline-running engine opens the record here (NICE); the
-            // NOOB baseline only tracks explicitly coordinated puts.
-            let Some(t) = self.cfg.op_timeout else {
-                return;
-            };
-            self.coords
-                .insert(k.clone(), Coord::new(op.client, CoordKind::TwoPc));
-            fx.push(Effect::Deadline {
-                at: now + t,
-                key: key.to_owned(),
-                op,
-            });
-        }
-        match self.coords.get_mut(&k) {
-            Some(c) => {
-                c.acks1.insert(from);
-            }
-            None => return self.note_internal(KvError::CoordinatorMissing { key: k.0, op }),
-        }
+        // An ack can outrun the primary's own write completion.
+        let Some(c) = self.open_round(key, op, now, fx) else {
+            return;
+        };
+        c.acks1.insert(from);
         self.advance(key, op, g, fx);
     }
 
@@ -866,8 +861,10 @@ impl TwoPcEngine {
         op: OpId,
         ts: Timestamp,
         role: EngineRole<'_>,
+        now: Time,
         fx: &mut Vec<Effect>,
     ) -> bool {
+        self.touch(now);
         let applied = self.store.commit(key, op, ts);
         if applied {
             self.counters.puts_committed += 1;
@@ -875,10 +872,9 @@ impl TwoPcEngine {
         // Track the failover sequence floor and the per-client settled
         // floor: the timestamp is a globally decided commit.
         self.note_commit_ts(ts);
-        let at = self.clock;
         if let Some(t0) = self.started.remove(&(key.to_owned(), op)) {
             self.tel
-                .record("engine.lock_to_commit", at.saturating_sub(t0));
+                .record("engine.lock_to_commit", now.saturating_sub(t0));
         }
         match role {
             EngineRole::Primary(g) => self.check_done(key, op, g, fx),
@@ -912,12 +908,36 @@ impl TwoPcEngine {
         applied
     }
 
-    /// A coordination deadline fired. The first timeout re-arms; the
-    /// second gives up: report silent members, and — if no commit
-    /// decision was reached — abort the round and fail the client
-    /// (§4.4 "Failures during Put Operation"). `g` may be `None` when
-    /// the membership view vanished meanwhile.
+    /// The engine's timer fired: give up every round due by `now`, in
+    /// the order the rounds opened, then re-arm for the earliest round
+    /// still open (no timer while none is). `group_of` names a key's
+    /// replica group, `None` when the membership view vanished meanwhile.
     pub fn on_deadline(
+        &mut self,
+        now: Time,
+        group_of: &dyn Fn(&str) -> Option<Group>,
+        fx: &mut Vec<Effect>,
+    ) {
+        let due: BTreeMap<_, _> = self
+            .coords
+            .iter()
+            .filter_map(|(k, c)| Some((c.due.filter(|d| d.0 <= now)?, k.clone())))
+            .collect();
+        for (key, op) in due.into_values() {
+            self.give_up(&key, op, group_of(&key).as_ref(), now, fx);
+        }
+        let next = self.coords.values().filter_map(|c| c.due).min();
+        self.timer_armed = next.is_some();
+        if let Some((at, _)) = next {
+            fx.push(Effect::Deadline { at });
+        }
+    }
+
+    /// Give up on the open round `(key, op)`: report the members whose ack
+    /// is missing and, with no commit decided, abort the round and fail the
+    /// client (§4.4 "Failures during Put Operation"). `g` may be `None`
+    /// when the membership view vanished meanwhile.
+    pub fn give_up(
         &mut self,
         key: &str,
         op: OpId,
@@ -926,29 +946,10 @@ impl TwoPcEngine {
         fx: &mut Vec<Effect>,
     ) {
         self.touch(now);
-        let k = (key.to_owned(), op);
-        {
-            let Some(c) = self.coords.get_mut(&k) else {
-                return; // completed
-            };
-            c.timeouts += 1;
-            self.tel.add("engine.deadlines", 1);
-            if c.timeouts < 2 {
-                if let Some(t) = self.cfg.op_timeout {
-                    fx.push(Effect::Deadline {
-                        at: now + t,
-                        key: key.to_owned(),
-                        op,
-                    });
-                }
-                return;
-            }
-        }
-        // Two timeouts: report the unresponsive members, abort, fail the
-        // client (§4.4 "Failures during Put Operation").
-        let Some(c) = self.coords.remove(&k) else {
-            return self.note_internal(KvError::CoordinatorMissing { key: k.0, op });
+        let Some(c) = self.coords.remove(&(key.to_owned(), op)) else {
+            return; // completed
         };
+        self.tel.add("engine.deadlines", 1);
         let Some(g) = g else {
             return;
         };
@@ -1098,6 +1099,7 @@ impl TwoPcEngine {
     pub fn reset(&mut self) {
         self.store.on_crash();
         self.coords.clear();
+        self.timer_armed = false; // the host forgets its timers too
         self.waiting.clear();
         // Rounds die with the process; their phase timers mean nothing
         // after a restart. The telemetry itself survives like the
@@ -1222,6 +1224,45 @@ mod tests {
         }
     }
 
+    /// Run one 2PC round of `o` on `key` to completion at `now`, as the
+    /// primary of `g`.
+    fn complete_round(
+        e: &mut TwoPcEngine,
+        key: &str,
+        o: OpId,
+        g: &Group,
+        now: Time,
+    ) -> Vec<Effect> {
+        let mut fx = Vec::new();
+        assert!(e.prepare(key, Value::from_bytes(vec![1]), o, now, &mut fx));
+        e.on_written(key, o, EngineRole::Primary(g), now, &mut fx);
+        for &n in &g.peers {
+            e.on_ack1(key, o, n, g, now, &mut fx);
+        }
+        for &n in &g.peers {
+            e.on_ack2(key, o, n, Some(g), &mut fx);
+        }
+        assert!(!e.coordinating(key, o), "the round closed");
+        fx
+    }
+
+    /// Open a round of `o` on `key` at `now` that no peer ever acks.
+    fn wedge_round(e: &mut TwoPcEngine, key: &str, o: OpId, g: &Group, now: Time) -> Vec<Effect> {
+        let mut fx = Vec::new();
+        assert!(e.prepare(key, Value::from_bytes(vec![1]), o, now, &mut fx));
+        e.on_written(key, o, EngineRole::Primary(g), now, &mut fx);
+        fx
+    }
+
+    fn deadlines(fx: &[Effect]) -> Vec<Time> {
+        fx.iter()
+            .filter_map(|e| match e {
+                Effect::Deadline { at } => Some(*at),
+                _ => None,
+            })
+            .collect()
+    }
+
     fn commit_effect(fx: &[Effect]) -> Option<Timestamp> {
         fx.iter().find_map(|e| match e {
             Effect::Commit { ts, .. } => Some(*ts),
@@ -1255,7 +1296,7 @@ mod tests {
         assert_eq!(e.counters.puts_committed, 1);
         fx.clear();
         // The loopback re-delivery is a no-op (already applied).
-        assert!(!e.on_commit("k", op(1), ts, EngineRole::Primary(&g), &mut fx));
+        assert!(!e.on_commit("k", op(1), ts, EngineRole::Primary(&g), Time::ZERO, &mut fx));
         assert_eq!(e.counters.puts_committed, 1);
         fx.clear();
         e.on_ack2("k", op(1), NodeIdx(1), Some(&g), &mut fx);
@@ -1310,23 +1351,127 @@ mod tests {
     }
 
     #[test]
-    fn second_deadline_aborts_and_fails_the_client() {
+    fn rounds_closed_in_time_arm_one_timer() {
         let mut e = TwoPcEngine::new(nice_cfg());
         let g = group(&[1, 2]);
         let mut fx = Vec::new();
-        e.prepare("k", Value::from_bytes(vec![1]), op(1), Time::ZERO, &mut fx);
+        for i in 0..10 {
+            let now = Time::from_ms(40 * i);
+            fx.extend(complete_round(&mut e, &format!("k{i}"), op(i + 1), &g, now));
+        }
+        assert_eq!(
+            deadlines(&fx),
+            [Time::from_secs(1)],
+            "one timer for ten rounds"
+        );
+        // It fires with nothing open: no give-up, and no timer after it.
         fx.clear();
-        e.on_written("k", op(1), EngineRole::Primary(&g), Time::ZERO, &mut fx);
+        e.on_deadline(Time::from_secs(1), &|_| Some(g.clone()), &mut fx);
+        assert!(fx.is_empty(), "{fx:?}");
+        assert_eq!(e.counters.puts_aborted, 0);
+    }
+
+    #[test]
+    fn wedged_round_gives_up_at_twice_op_timeout() {
+        let mut e = TwoPcEngine::new(nice_cfg());
+        let g = group(&[1, 2]);
+        let fx = complete_round(&mut e, "a", op(1), &g, Time::ZERO);
+        assert_eq!(deadlines(&fx), [Time::from_secs(1)]);
+        let fx = wedge_round(&mut e, "k", op(2), &g, Time::from_ms(300));
+        assert!(deadlines(&fx).is_empty(), "the armed timer fires first");
+        // The timer armed for the closed round finds the wedged one not
+        // yet due and re-arms for its deadline.
+        let mut fx = Vec::new();
+        e.on_deadline(Time::from_secs(1), &|_| Some(g.clone()), &mut fx);
+        assert_eq!(deadlines(&fx), [Time::from_ms(1300)]);
+        assert_eq!(fx.len(), 1);
+        assert!(e.coordinating("k", op(2)));
         fx.clear();
-        e.on_deadline("k", op(1), Some(&g), Time::from_ms(500), &mut fx);
-        assert!(matches!(fx[0], Effect::Deadline { .. }), "first re-arms");
-        fx.clear();
-        e.on_deadline("k", op(1), Some(&g), Time::from_secs(1), &mut fx);
+        e.on_deadline(Time::from_ms(1300), &|_| Some(g.clone()), &mut fx);
         assert!(matches!(&fx[0], Effect::Unresponsive { members } if members.len() == 2));
-        assert!(matches!(fx[1], Effect::Abort { .. }));
+        assert!(
+            matches!(&fx[1], Effect::Abort { key, op: o, issued } if key == "k" && *o == op(2) && *issued == Time::from_ms(1300))
+        );
         assert!(matches!(fx[2], Effect::Reply { ok: false, .. }));
+        assert_eq!(fx.len(), 3, "nothing left open: no timer re-armed");
         assert!(!e.store().locked("k"), "lock released");
+        assert!(!e.coordinating("k", op(2)));
         assert_eq!(e.counters.puts_aborted, 1);
+    }
+
+    #[test]
+    fn rounds_due_together_give_up_in_open_order() {
+        let mut e = TwoPcEngine::new(nice_cfg());
+        let g = group(&[1, 2]);
+        let rival = OpId {
+            client: OTHER_CLIENT,
+            client_seq: 1,
+        };
+        // "b" opens before "a": not the order the coordinator table keeps.
+        wedge_round(&mut e, "b", op(1), &g, Time::ZERO);
+        wedge_round(&mut e, "a", rival, &g, Time::ZERO);
+        let mut fx = Vec::new();
+        e.on_deadline(Time::from_secs(1), &|_| Some(g.clone()), &mut fx);
+        let aborted: Vec<&str> = fx
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Abort { key, .. } => Some(key.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(aborted, ["b", "a"]);
+    }
+
+    #[test]
+    fn reset_disarms_the_timer() {
+        let mut e = TwoPcEngine::new(nice_cfg());
+        let g = group(&[1, 2]);
+        let fx = wedge_round(&mut e, "k", op(1), &g, Time::ZERO);
+        assert_eq!(deadlines(&fx), [Time::from_secs(1)]);
+        // The crash takes the host's timer with it: the next round arms.
+        e.reset();
+        let fx = wedge_round(&mut e, "k", op(2), &g, Time::from_ms(100));
+        assert_eq!(deadlines(&fx), [Time::from_ms(1100)]);
+    }
+
+    #[test]
+    fn reopened_round_gives_up_at_its_own_deadline() {
+        let mut e = TwoPcEngine::new(nice_cfg());
+        let g = group(&[1, 2]);
+        complete_round(&mut e, "k", op(1), &g, Time::ZERO);
+        // A late duplicate ack reopens the closed (key, op) at 400 ms.
+        let mut fx = Vec::new();
+        e.on_ack1("k", op(1), NodeIdx(1), &g, Time::from_ms(400), &mut fx);
+        assert!(e.coordinating("k", op(1)));
+        // The earlier round's deadline passes without touching it.
+        for at in [Time::from_ms(500), Time::from_secs(1)] {
+            fx.clear();
+            e.on_deadline(at, &|_| Some(g.clone()), &mut fx);
+            assert_eq!(deadlines(&fx), [Time::from_ms(1400)], "at {at}");
+            assert!(e.coordinating("k", op(1)));
+        }
+        fx.clear();
+        e.on_deadline(Time::from_ms(1400), &|_| Some(g.clone()), &mut fx);
+        assert!(!e.coordinating("k", op(1)));
+        assert!(matches!(&fx[0], Effect::Unresponsive { members } if members == &[NodeIdx(2)]));
+    }
+
+    #[test]
+    fn commit_records_lock_to_commit_at_its_own_time() {
+        let mut e = TwoPcEngine::new(nice_cfg());
+        let mut fx = Vec::new();
+        e.accept("k", Value::from_bytes(vec![1]), op(1), Time::ZERO, &mut fx);
+        e.on_written("k", op(1), EngineRole::Peer, Time::from_ms(1), &mut fx);
+        let ts = Timestamp {
+            primary_seq: 1,
+            primary: PRIMARY,
+            client_seq: 1,
+            client: CLIENT,
+        };
+        assert!(e.on_commit("k", op(1), ts, EngineRole::Peer, Time::from_ms(5), &mut fx));
+        let m = e.metrics();
+        let h = m.hist("engine.lock_to_commit").expect("recorded");
+        assert_eq!((h.count(), h.max()), (1, Time::from_ms(5)));
     }
 
     #[test]
@@ -1370,7 +1515,7 @@ mod tests {
             client_seq: 1,
             client: CLIENT,
         };
-        assert!(e.on_commit("k", op(1), ts, EngineRole::Observer, &mut fx));
+        assert!(e.on_commit("k", op(1), ts, EngineRole::Observer, Time::ZERO, &mut fx));
         assert_eq!(*e.store().get("k").unwrap().value.bytes, vec![1]);
         // A current abort (issued after the lock) still works.
         e.accept(
@@ -1403,7 +1548,7 @@ mod tests {
             client_seq: 1,
             client: CLIENT,
         };
-        e.on_commit("k", op(1), ts, EngineRole::Observer, &mut fx);
+        e.on_commit("k", op(1), ts, EngineRole::Observer, Time::ZERO, &mut fx);
         let redrive = fx
             .iter()
             .any(|e| matches!(e, Effect::Redrive { op: o, .. } if o.client_seq == 2));
@@ -1504,7 +1649,7 @@ mod tests {
             client_seq: 3,
             client: CLIENT,
         };
-        e.on_commit("k", op(3), ts, EngineRole::Observer, &mut fx);
+        e.on_commit("k", op(3), ts, EngineRole::Observer, Time::ZERO, &mut fx);
         assert!(e.op_settled(op(3)), "the committed attempt is settled");
         assert!(e.op_settled(op(2)), "older attempts from the client too");
         assert!(!e.op_settled(op(4)), "future attempts are not");
@@ -1532,7 +1677,7 @@ mod tests {
             client_seq: 1,
             client: CLIENT,
         };
-        e.on_commit("k", op(1), ts, EngineRole::Observer, &mut fx);
+        e.on_commit("k", op(1), ts, EngineRole::Observer, Time::ZERO, &mut fx);
         fx.clear();
         // A retry of the already-committed attempt writes again (the
         // primary never saw our ack): the peer must still ack1 so the
@@ -1575,7 +1720,7 @@ mod tests {
             client_seq: 1,
             client: CLIENT,
         };
-        e.on_commit("k", op(1), ts, EngineRole::Observer, &mut fx);
+        e.on_commit("k", op(1), ts, EngineRole::Observer, Time::ZERO, &mut fx);
         e.prepare("k", Value::from_bytes(vec![2]), op(2), Time::ZERO, &mut fx);
         let (locked, max_seq) = e.lock_report(&|_| true);
         assert_eq!(locked.len(), 1);
@@ -1616,7 +1761,7 @@ mod tests {
         let mut fx = Vec::new();
         e.prepare("k", Value::from_bytes(vec![1]), op(1), Time::ZERO, &mut fx);
         let ts = e.next_ts(op(1), PRIMARY);
-        e.on_commit("k", op(1), ts, EngineRole::Observer, &mut fx);
+        e.on_commit("k", op(1), ts, EngineRole::Observer, Time::ZERO, &mut fx);
         e.prepare("x", Value::from_bytes(vec![2]), op(2), Time::ZERO, &mut fx);
         e.coordinate("x", op(2), CLIENT, None);
         e.reset();

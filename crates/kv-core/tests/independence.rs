@@ -127,7 +127,14 @@ fn commit_and_abort_on_distinct_keys_commute() {
         &base,
         &["a", "b"],
         &|e, fx| {
-            e.on_commit("a", op(0), ts_of(0, 1), EngineRole::Observer, fx);
+            e.on_commit(
+                "a",
+                op(0),
+                ts_of(0, 1),
+                EngineRole::Observer,
+                Time::ZERO,
+                fx,
+            );
         },
         &|e, fx| {
             e.on_abort("b", op(1), Time::MAX, fx);
@@ -153,7 +160,14 @@ fn commit_and_abort_of_one_put_do_not_commute() {
         &base,
         &["obj"],
         &|e, fx| {
-            e.on_commit("obj", op(0), ts_of(0, 1), EngineRole::Observer, fx);
+            e.on_commit(
+                "obj",
+                op(0),
+                ts_of(0, 1),
+                EngineRole::Observer,
+                Time::ZERO,
+                fx,
+            );
         },
         &|e, fx| {
             e.on_abort("obj", op(0), Time::MAX, fx);
@@ -183,10 +197,24 @@ fn commits_of_rival_puts_on_one_key_commute_but_stay_ordered() {
         &base,
         &["obj"],
         &|e, fx| {
-            e.on_commit("obj", op(0), ts_of(0, 1), EngineRole::Observer, fx);
+            e.on_commit(
+                "obj",
+                op(0),
+                ts_of(0, 1),
+                EngineRole::Observer,
+                Time::ZERO,
+                fx,
+            );
         },
         &|e, fx| {
-            e.on_commit("obj", op(1), ts_of(1, 2), EngineRole::Observer, fx);
+            e.on_commit(
+                "obj",
+                op(1),
+                ts_of(1, 2),
+                EngineRole::Observer,
+                Time::ZERO,
+                fx,
+            );
         },
     );
     assert_eq!(ab, ba, "rival commits resolve to the lock holder's value");
@@ -204,7 +232,14 @@ fn reads_commute_with_everything_that_reads() {
     let mut e = engine();
     let mut fx = Vec::new();
     e.accept("a", val(b'A'), op(0), Time::ZERO, &mut fx);
-    e.on_commit("a", op(0), ts_of(0, 1), EngineRole::Observer, &mut fx);
+    e.on_commit(
+        "a",
+        op(0),
+        ts_of(0, 1),
+        EngineRole::Observer,
+        Time::ZERO,
+        &mut fx,
+    );
     let before = sig(&e, &["a", "b"]);
     let g1 = e.store().get("a").map(|c| c.value.bytes.to_vec());
     let g2 = e.store().get("b").map(|c| c.value.bytes.to_vec());

@@ -17,10 +17,11 @@
 //! ([`TwoPcEngine::accept`], with write-completion and PutAck1
 //! effects pumped through the engine as they would be on the wire),
 //! `Decide` is the coordinator's decision point (the engine has either
-//! emitted its `Commit` effect by then, or the put deadline fires twice
-//! and aborts, mirroring §4.3), and `Finish(r)` delivers the buffered
-//! commit/abort to replica `r` ([`TwoPcEngine::on_commit`] /
-//! [`TwoPcEngine::on_abort`]). Replica 0 hosts the coordinator.
+//! emitted its `Commit` effect by then, or its put deadline passes and
+//! the coordinator gives up on it ([`TwoPcEngine::give_up`]), mirroring
+//! §4.3), and `Finish(r)` delivers the buffered commit/abort to replica
+//! `r` ([`TwoPcEngine::on_commit`] / [`TwoPcEngine::on_abort`]).
+//! Replica 0 hosts the coordinator.
 //! Every schedule must uphold:
 //!
 //! 1. **no stranded locks / no deadlock** — at quiescence no replica
@@ -113,7 +114,7 @@ fn group(replicas: usize) -> Group {
     }
 }
 
-/// The NICE-style engine configuration: armed put deadlines, commit on
+/// The NICE-style engine configuration: put deadlines, commit on
 /// delivery (not inline), durable pending writes.
 fn engine() -> TwoPcEngine {
     TwoPcEngine::new(EngineCfg {
@@ -297,15 +298,13 @@ impl Run {
             }
             Step::Decide => {
                 if self.decision[o].is_none() {
-                    // Undecided by now: the coordinator's put deadline
-                    // fires twice (§4.3 — the first re-arms, the second
-                    // aborts and fails the client).
-                    for _ in 0..2 {
-                        let g = group(replicas);
-                        let mut fx = Vec::new();
-                        self.engines[0].on_deadline(KEY, op, Some(&g), Time::ZERO, &mut fx);
-                        self.pump(0, fx);
-                    }
+                    // Undecided by now: the round's deadline passes and
+                    // the coordinator gives up on it (§4.3 — it aborts
+                    // and fails the client).
+                    let g = group(replicas);
+                    let mut fx = Vec::new();
+                    self.engines[0].give_up(KEY, op, Some(&g), Time::ZERO, &mut fx);
+                    self.pump(0, fx);
                     if self.decision[o].is_none() {
                         // No replica ever locked or acked, so no
                         // coordinator record exists: nothing to settle.
@@ -319,9 +318,23 @@ impl Run {
                         let mut fx = Vec::new();
                         let applied = if r == 0 {
                             let g = group(replicas);
-                            self.engines[0].on_commit(KEY, op, ts, EngineRole::Primary(&g), &mut fx)
+                            self.engines[0].on_commit(
+                                KEY,
+                                op,
+                                ts,
+                                EngineRole::Primary(&g),
+                                Time::ZERO,
+                                &mut fx,
+                            )
                         } else {
-                            self.engines[r].on_commit(KEY, op, ts, EngineRole::Peer, &mut fx)
+                            self.engines[r].on_commit(
+                                KEY,
+                                op,
+                                ts,
+                                EngineRole::Peer,
+                                Time::ZERO,
+                                &mut fx,
+                            )
                         };
                         self.pump(r, fx);
                         if applied {
@@ -764,7 +777,14 @@ fn settle_all(run: &mut Run, acting: usize) -> Settled {
                     settled.commits += 1;
                     for r in 0..replicas {
                         let mut fx = Vec::new();
-                        if run.engines[r].on_commit(&key, op, ts, EngineRole::Observer, &mut fx) {
+                        if run.engines[r].on_commit(
+                            &key,
+                            op,
+                            ts,
+                            EngineRole::Observer,
+                            Time::ZERO,
+                            &mut fx,
+                        ) {
                             run.applied[o] = true;
                         }
                     }
@@ -898,7 +918,7 @@ fn put_while_down(run: &mut Run) {
     for r in 1..replicas {
         let mut fx = Vec::new();
         assert!(
-            run.engines[r].on_commit(KEY, id, ts, EngineRole::Observer, &mut fx),
+            run.engines[r].on_commit(KEY, id, ts, EngineRole::Observer, Time::ZERO, &mut fx),
             "surviving replica {r} rejected the new primary's commit"
         );
     }

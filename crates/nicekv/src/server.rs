@@ -39,14 +39,13 @@ use crate::msg::{KvMsg, LoadStats, OpId, PartitionView, Role, Timestamp, Value};
 const TOK_HEARTBEAT: u64 = 1;
 const TOK_SWEEP: u64 = 2;
 const TOK_REJOIN_RETRY: u64 = 3;
+/// The engine's coordinator timer ([`Effect::Deadline`]).
+const TOK_DEADLINE: u64 = 4;
 
-/// Deferred work resumed by a timer (storage-write completions and
-/// coordination deadlines).
+/// Deferred work resumed by a timer.
 enum Cont {
     /// The local object write (W) finished.
     Written { key: String, op: OpId },
-    /// A 2PC coordination round deadline.
-    CoordDeadline { key: String, op: OpId },
     /// A recovery drain waiting for its gate: the fetcher must be in our
     /// view and the put rounds that predate it must retire first.
     FetchGate {
@@ -152,20 +151,6 @@ impl ServerApp {
         }
     }
 
-    /// The engine's view of a partition's replica group: every member
-    /// that must ack, excluding this node.
-    fn group_of(&self, view: &PartitionView, ctx: &dyn NodeIo) -> Group {
-        Group {
-            peers: view
-                .members
-                .iter()
-                .map(|&(n, _)| n)
-                .filter(|&n| n != self.node)
-                .collect(),
-            self_addr: ctx.ip(),
-        }
-    }
-
     /// Run one engine transition under this node's role in `view`. The
     /// replica group is built only where the engine reads it (primary).
     fn as_role(
@@ -176,7 +161,7 @@ impl ServerApp {
     ) {
         match self.my_role(view) {
             Some(Role::Primary) => {
-                let g = self.group_of(view, ctx);
+                let g = group_of(view, self.node, ctx.ip());
                 f(&mut self.engine, EngineRole::Primary(&g));
             }
             Some(Role::Secondary | Role::Handoff) => f(&mut self.engine, EngineRole::Peer),
@@ -213,8 +198,8 @@ impl ServerApp {
                 Effect::WriteDone { at, key, op } => {
                     self.ep.defer(ctx, at, Cont::Written { key, op });
                 }
-                Effect::Deadline { at, key, op } => {
-                    self.ep.defer(ctx, at, Cont::CoordDeadline { key, op });
+                Effect::Deadline { at } => {
+                    ctx.set_timer(at.saturating_sub(ctx.now()), TOK_DEADLINE);
                 }
                 Effect::Ack1 { key, op } => {
                     let (p, from) = (self.cfg.partition_of(&key), self.node);
@@ -348,7 +333,7 @@ impl ServerApp {
         if self.my_role(&view) != Some(Role::Primary) {
             return; // stale: we are no longer primary
         }
-        let g = self.group_of(&view, ctx);
+        let g = group_of(&view, self.node, ctx.ip());
         let mut fx = Vec::new();
         self.engine.on_ack1(&key, op, from, &g, ctx.now(), &mut fx);
         self.apply_effects(fx, ctx);
@@ -360,29 +345,27 @@ impl ServerApp {
             return;
         };
         let mut fx = Vec::new();
+        let now = ctx.now();
         // As primary this is our own multicast copy: the ack2 path.
         self.as_role(&view, ctx, |e, role| {
-            e.on_commit(&key, op, ts, role, &mut fx);
+            e.on_commit(&key, op, ts, role, now, &mut fx);
         });
         self.apply_effects(fx, ctx);
     }
 
     fn on_ack2(&mut self, key: String, op: OpId, from: NodeIdx, ctx: &mut dyn NodeIo) {
         let p = self.cfg.partition_of(&key);
-        let view = self.views.get(&p).cloned();
-        let g = view.as_ref().map(|v| self.group_of(v, ctx));
+        let g = self.views.get(&p).map(|v| group_of(v, self.node, ctx.ip()));
         let mut fx = Vec::new();
         self.engine.on_ack2(&key, op, from, g.as_ref(), &mut fx);
         self.apply_effects(fx, ctx);
     }
 
-    fn on_coord_deadline(&mut self, key: String, op: OpId, ctx: &mut dyn NodeIo) {
-        let p = self.cfg.partition_of(&key);
-        let view = self.views.get(&p).cloned();
-        let g = view.as_ref().map(|v| self.group_of(v, ctx));
+    fn on_coord_deadline(&mut self, ctx: &mut dyn NodeIo) {
+        let (cfg, views, node, ip) = (&self.cfg, &self.views, self.node, ctx.ip());
+        let group = |key: &str| Some(group_of(views.get(&cfg.partition_of(key))?, node, ip));
         let mut fx = Vec::new();
-        self.engine
-            .on_deadline(&key, op, g.as_ref(), ctx.now(), &mut fx);
+        self.engine.on_deadline(ctx.now(), &group, &mut fx);
         self.apply_effects(fx, ctx);
     }
 
@@ -922,6 +905,20 @@ impl ServerApp {
     }
 }
 
+/// The engine's view of a partition's replica group: every member that
+/// must ack, excluding `node` (whose address is `self_addr`).
+fn group_of(view: &PartitionView, node: NodeIdx, self_addr: Ipv4) -> Group {
+    Group {
+        peers: view
+            .members
+            .iter()
+            .map(|&(n, _)| n)
+            .filter(|&n| n != node)
+            .collect(),
+        self_addr,
+    }
+}
+
 /// CPU cost of processing one message: full requests (data-carrying
 /// or storage-touching) vs small control messages.
 fn msg_cost(msg: &KvMsg) -> Time {
@@ -950,7 +947,6 @@ impl NodeApp for ServerApp {
             Some(Fired::Message { msg, src }) => self.on_kv(msg, src, ctx),
             Some(Fired::Cont(cont)) => match cont {
                 Cont::Written { key, op } => self.on_written(key, op, ctx),
-                Cont::CoordDeadline { key, op } => self.on_coord_deadline(key, op, ctx),
                 Cont::FetchGate {
                     partition,
                     from,
@@ -962,6 +958,7 @@ impl NodeApp for ServerApp {
             Some(Fired::App(TOK_HEARTBEAT)) => self.heartbeat(ctx),
             Some(Fired::App(TOK_SWEEP)) => self.sweep_stale_locks(ctx),
             Some(Fired::App(TOK_REJOIN_RETRY)) => self.rejoin_retry(ctx),
+            Some(Fired::App(TOK_DEADLINE)) => self.on_coord_deadline(ctx),
             Some(Fired::App(_)) | None => {}
         }
     }

@@ -594,7 +594,7 @@ impl NoobServerApp {
             NoobMsg::RepTs { key, op, ts } => {
                 let mut fx = Vec::new();
                 self.engine
-                    .on_commit(&key, op, ts, EngineRole::Peer, &mut fx);
+                    .on_commit(&key, op, ts, EngineRole::Peer, ctx.now(), &mut fx);
                 self.apply_effects(fx, src, ctx);
             }
             NoobMsg::RepAck2 { key, op, from } => self.on_ack2(key, op, from, ctx),

@@ -414,21 +414,32 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Digests of the seed-5 and seed-6 replay traces. They pin replay
-/// across commits, not just within one: a change that claims to leave
-/// simulated behaviour alone must leave these alone. These cells inject
-/// loss and outages, so client retry timers really do come due. A
-/// behaviour-changing commit updates them and says why.
-const REPLAY_DIGESTS: [(Cell, u64, u64); 2] = [
+/// Digests of the seed-5 and seed-6 replay traces, one pair per cell of
+/// the matrix. They pin replay across commits, not just within one: a
+/// change that claims to leave simulated behaviour alone must leave these
+/// alone. These cells inject loss and outages, so client retry timers and
+/// coordinator deadlines really do come due. A behaviour-changing commit
+/// updates them and says why.
+const REPLAY_DIGESTS: [(Cell, u64, u64); 4] = [
     (
         Cell::NiceTwoPc,
-        0x6d0a_a052_4994_dd28,
+        0x366f_8358_cb30_977b,
         0x5be8_db07_dc16_50b3,
+    ),
+    (
+        Cell::NiceQuorum,
+        0x6a08_f510_566e_1af7,
+        0x035c_9184_b292_37a9,
     ),
     (
         Cell::NoobTwoPc,
         0x58a7_f508_0036_d320,
         0x6ab9_10c4_9b24_5801,
+    ),
+    (
+        Cell::NoobPrimary,
+        0x1c60_48eb_df5e_49b3,
+        0x23ad_f71d_6020_01d8,
     ),
 ];
 
