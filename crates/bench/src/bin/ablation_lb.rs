@@ -18,7 +18,7 @@ fn main() {
     let args = ArgSpec::parse(500, 25);
     let mut out = CsvOut::new(
         "ablation_lb",
-        "Ablation: NICE load balancing off / static divisions / adaptive (future work) — get throughput under zipf skew",
+        "Ablation: NICE load balancing off / static divisions — get throughput under zipf skew",
     );
     out.header(&[
         "lb",
@@ -28,14 +28,14 @@ fn main() {
         "flow_entries",
     ]);
 
-    // mode: 0 = off, 1 = static divisions (the paper), 2 = adaptive LPT
+    // lb: off, or the paper's static source-prefix divisions
     let mut jobs = Vec::new();
-    for mode in [0u8, 1, 2] {
+    for lb in [false, true] {
         for clients in [2usize, 6, 10] {
-            jobs.push((mode, clients));
+            jobs.push((lb, clients));
         }
     }
-    let results = par_map(jobs, |(mode, clients)| {
+    let results = par_map(jobs, |(lb, clients)| {
         // preload from client 0, then all clients read zipf-hot keys
         let mut per_client: Vec<Vec<ClientOp>> = vec![Vec::new(); clients];
         for i in 0..RECORDS {
@@ -54,7 +54,7 @@ fn main() {
                 });
             }
         }
-        let mut spec = RunSpec::new(System::Nice { lb: mode > 0 }, 3, per_client);
+        let mut spec = RunSpec::new(System::Nice { lb }, 3, per_client);
         spec.skip = *loads.iter().max().unwrap();
         spec.seed = args.seed;
         spec.retry_not_found = true;
@@ -65,11 +65,10 @@ fn main() {
         );
         cfg.spec.seed = spec.seed;
         cfg.spec.retry_not_found = true;
-        cfg.kv.load_balancing = mode > 0;
-        cfg.kv.adaptive_lb = mode == 2;
+        cfg.kv.load_balancing = lb;
         let mut c = nice_kv::NiceCluster::build(cfg);
         let done = c.run_until_done(Time::from_secs(3600));
-        assert!(done, "mode={mode} clients={clients}");
+        assert!(done, "lb={lb} clients={clients}");
         let mut lats = Vec::new();
         let mut start = Time::MAX;
         let mut finish = Time::ZERO;
@@ -84,12 +83,11 @@ fn main() {
         }
         let tput = lats.len() as f64 / (finish.saturating_sub(start)).as_secs_f64();
         let entries = c.meta_app().table_occupancy(c.sim.now()).0;
-        (mode, clients, tput, Stats::of(&lats), entries)
+        (lb, clients, tput, Stats::of(&lats), entries)
     });
-    for (mode, clients, tput, st, entries) in results {
-        let label = ["off", "static", "adaptive"][mode as usize];
+    for (lb, clients, tput, st, entries) in results {
         out.row(&[
-            label.to_string(),
+            if lb { "static" } else { "off" }.to_string(),
             clients.to_string(),
             format!("{tput:.0}"),
             format!("{:.1}", st.mean_us),

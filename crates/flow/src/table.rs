@@ -155,7 +155,7 @@ impl FlowTable {
     /// identical (priority, match): OpenFlow flow-mod semantics.
     ///
     /// Long-dead entries are purged on an amortized schedule so repeated
-    /// replacements (failure handling, load-balancer rebalancing) do not
+    /// replacements (failure handling, rejoins, reconfiguration) do not
     /// grow the table, or the lookup's candidate lists, without bound.
     pub fn install(&mut self, rule: FlowRule, at: Time) {
         self.installs_since_purge += 1;

@@ -282,11 +282,6 @@ pub struct TwoPcEngine {
     /// Whether the [`Effect::Deadline`] timer is armed. A round opened
     /// later is never due before it: every round is due `open + 2 × t`.
     timer_armed: bool,
-    /// Latest `now` any transition saw — the timestamp source for the
-    /// transitions that carry no clock (`on_ack2` and the
-    /// `check_commit`/`direct_advance` it reaches). Telemetry only, and
-    /// deterministic: it only ever holds values the host clock handed in.
-    clock: Time,
 }
 
 impl TwoPcEngine {
@@ -337,7 +332,6 @@ impl TwoPcEngine {
             started: BTreeMap::new(),
             opened: 0,
             timer_armed: false,
-            clock: Time::ZERO,
         };
         e.rebuild_floors();
         e
@@ -361,22 +355,21 @@ impl TwoPcEngine {
     /// Force the WAL before an acknowledgement leaves the node; a
     /// failed sync is an internal error (the ack still goes out — the
     /// protocol must progress — but the node records that it is no
-    /// longer crash-safe). Records the modeled device sync cost into
-    /// the `wal.sync` histogram.
+    /// longer crash-safe). Each barrier the log counts (one that covered
+    /// a new record) records the modeled device sync cost into the
+    /// `wal.sync` histogram, so its count equals `wal.syncs`.
     fn wal_barrier(&mut self, key: &str) {
-        let cost = self.store.sync_cost();
-        self.tel.record("wal.sync", cost);
+        let synced = self.store.wal().syncs();
         if !self.store.wal_sync() {
             self.tel.add("wal.sync_failed", 1);
             self.note_internal(KvError::WalFailed {
                 key: key.to_owned(),
             });
         }
-    }
-
-    /// Advance the engine's view of the host clock (monotone).
-    fn touch(&mut self, now: Time) {
-        self.clock = self.clock.max(now);
+        if self.store.wal().syncs() > synced {
+            let cost = self.store.sync_cost();
+            self.tel.record("wal.sync", cost);
+        }
     }
 
     /// The local object store (read-only inspection; mutation goes
@@ -508,23 +501,23 @@ impl TwoPcEngine {
     }
 
     /// Dispatch on the coordinator kind after new information arrived.
-    fn advance(&mut self, key: &str, op: OpId, g: &Group, fx: &mut Vec<Effect>) {
+    fn advance(&mut self, key: &str, op: OpId, g: &Group, now: Time, fx: &mut Vec<Effect>) {
         let kind = match self.coords.get(&(key.to_owned(), op)) {
             Some(c) => c.kind,
             None => return,
         };
         match kind {
             CoordKind::TwoPc => {
-                self.check_commit(key, op, g, fx);
+                self.check_commit(key, op, g, now, fx);
                 self.check_done(key, op, g, fx);
             }
-            CoordKind::Direct { quorum } => self.direct_advance(key, op, quorum, g, fx),
+            CoordKind::Direct { quorum } => self.direct_advance(key, op, quorum, g, now, fx),
         }
     }
 
     /// All replicas hold the data and so does the coordinator: generate
     /// the timestamp quadruplet and distribute it.
-    fn check_commit(&mut self, key: &str, op: OpId, g: &Group, fx: &mut Vec<Effect>) {
+    fn check_commit(&mut self, key: &str, op: OpId, g: &Group, now: Time, fx: &mut Vec<Effect>) {
         let k = (key.to_owned(), op);
         let Some(c) = self.coords.get(&k) else {
             return;
@@ -555,10 +548,9 @@ impl TwoPcEngine {
         }
         self.note_commit_ts(ts);
         self.wal_barrier(key);
-        let at = self.clock;
         if let Some(t0) = self.started.remove(&k) {
             self.tel
-                .record("engine.lock_to_commit", at.saturating_sub(t0));
+                .record("engine.lock_to_commit", now.saturating_sub(t0));
         }
         fx.push(Effect::Commit {
             key: key.to_owned(),
@@ -601,6 +593,7 @@ impl TwoPcEngine {
         op: OpId,
         quorum: usize,
         g: &Group,
+        now: Time,
         fx: &mut Vec<Effect>,
     ) {
         let k = (key.to_owned(), op);
@@ -618,10 +611,9 @@ impl TwoPcEngine {
             // The client-visible ack of the direct path: the local copy
             // it counts on must be on stable storage first.
             self.wal_barrier(key);
-            let at = self.clock;
             if let Some(&t0) = self.started.get(&k) {
                 self.tel
-                    .record("engine.lock_to_commit", at.saturating_sub(t0));
+                    .record("engine.lock_to_commit", now.saturating_sub(t0));
             }
             fx.push(Effect::Reply {
                 client,
@@ -692,7 +684,6 @@ impl TwoPcEngine {
         now: Time,
         fx: &mut Vec<Effect>,
     ) -> bool {
-        self.touch(now);
         self.break_stale_lock(key, op, now);
         if !self.store.lock(key, op, value.clone(), now) {
             // Locked by another op: queue behind it.
@@ -722,7 +713,6 @@ impl TwoPcEngine {
         // resolve (the coordinator's timestamp decides), but a provably
         // stale holder is broken first so an abandoned attempt cannot
         // wedge the replica.
-        self.touch(now);
         self.break_stale_lock(key, op, now);
         self.store.lock(key, op, value.clone(), now);
         let done = self.stage_write(now, value.size());
@@ -761,7 +751,6 @@ impl TwoPcEngine {
         now: Time,
         fx: &mut Vec<Effect>,
     ) {
-        self.touch(now);
         if let Some(&t0) = self.started.get(&(key.to_owned(), op)) {
             self.tel
                 .record("engine.lock_to_write", now.saturating_sub(t0));
@@ -794,7 +783,7 @@ impl TwoPcEngine {
                     return;
                 };
                 c.self_written = true;
-                self.advance(key, op, g, fx);
+                self.advance(key, op, g, now, fx);
             }
             EngineRole::Peer => {
                 // The ack vouches for the +L lock record: force it down
@@ -819,7 +808,6 @@ impl TwoPcEngine {
         now: Time,
         fx: &mut Vec<Effect>,
     ) {
-        self.touch(now);
         if let Some(&t0) = self.started.get(&(key.to_owned(), op)) {
             self.tel
                 .record("engine.lock_to_ack1", now.saturating_sub(t0));
@@ -829,7 +817,7 @@ impl TwoPcEngine {
             return;
         };
         c.acks1.insert(from);
-        self.advance(key, op, g, fx);
+        self.advance(key, op, g, now, fx);
     }
 
     /// A phase-2 ack from `from` arrived at the coordinator. `g` may be
@@ -841,13 +829,14 @@ impl TwoPcEngine {
         op: OpId,
         from: NodeIdx,
         g: Option<&Group>,
+        now: Time,
         fx: &mut Vec<Effect>,
     ) {
         if let Some(c) = self.coords.get_mut(&(key.to_owned(), op)) {
             c.acks2.insert(from);
         }
         if let Some(g) = g {
-            self.advance(key, op, g, fx);
+            self.advance(key, op, g, now, fx);
         }
     }
 
@@ -864,7 +853,6 @@ impl TwoPcEngine {
         now: Time,
         fx: &mut Vec<Effect>,
     ) -> bool {
-        self.touch(now);
         let applied = self.store.commit(key, op, ts);
         if applied {
             self.counters.puts_committed += 1;
@@ -945,7 +933,6 @@ impl TwoPcEngine {
         now: Time,
         fx: &mut Vec<Effect>,
     ) {
-        self.touch(now);
         let Some(c) = self.coords.remove(&(key.to_owned(), op)) else {
             return; // completed
         };
@@ -996,7 +983,6 @@ impl TwoPcEngine {
     /// Store a replica copy directly (no lock round): one forced device
     /// write plus an ordered commit. Returns the write completion time.
     pub fn apply_copy(&mut self, key: &str, value: Value, ts: Timestamp, now: Time) -> Time {
-        self.touch(now);
         let done = self.store.write_delay(now, value.size(), true);
         self.store.commit_direct(key, value, ts);
         self.note_commit_ts(ts);
@@ -1012,7 +998,6 @@ impl TwoPcEngine {
     /// `prepare` and `accept` pay it for their locked write; chain heads
     /// stage the write before passing the baton.
     pub fn stage_write(&mut self, now: Time, size: u32) -> Time {
-        self.touch(now);
         self.store.write_delay(now, 100, true);
         self.store.write_delay(now, size, false)
     }
@@ -1031,7 +1016,6 @@ impl TwoPcEngine {
     /// Bulk-apply recovered objects (handoff drain): one forced device
     /// write for the batch, then ordered commits.
     pub fn ingest(&mut self, now: Time, objects: Vec<(String, Value, Timestamp)>) {
-        self.touch(now);
         // Peer-supplied: saturate rather than overflow.
         let total = objects
             .iter()
@@ -1240,7 +1224,7 @@ mod tests {
             e.on_ack1(key, o, n, g, now, &mut fx);
         }
         for &n in &g.peers {
-            e.on_ack2(key, o, n, Some(g), &mut fx);
+            e.on_ack2(key, o, n, Some(g), now, &mut fx);
         }
         assert!(!e.coordinating(key, o), "the round closed");
         fx
@@ -1299,9 +1283,9 @@ mod tests {
         assert!(!e.on_commit("k", op(1), ts, EngineRole::Primary(&g), Time::ZERO, &mut fx));
         assert_eq!(e.counters.puts_committed, 1);
         fx.clear();
-        e.on_ack2("k", op(1), NodeIdx(1), Some(&g), &mut fx);
+        e.on_ack2("k", op(1), NodeIdx(1), Some(&g), Time::ZERO, &mut fx);
         assert!(fx.is_empty());
-        e.on_ack2("k", op(1), NodeIdx(2), Some(&g), &mut fx);
+        e.on_ack2("k", op(1), NodeIdx(2), Some(&g), Time::ZERO, &mut fx);
         assert!(
             matches!(fx[0], Effect::Reply { ok: true, .. }),
             "reply once every peer committed"
@@ -1327,7 +1311,7 @@ mod tests {
             "inline commit applied before the timestamp fan-out"
         );
         fx.clear();
-        e.on_ack2("k", op(1), NodeIdx(1), Some(&g), &mut fx);
+        e.on_ack2("k", op(1), NodeIdx(1), Some(&g), Time::ZERO, &mut fx);
         assert!(matches!(fx[0], Effect::Reply { ok: true, .. }));
     }
 
@@ -1703,8 +1687,8 @@ mod tests {
         let ts = e.round_commit_ts("k", op(1)).expect("decided");
         assert_eq!(ts, commit_effect(&fx).unwrap());
         // Phase 2 completes: the record retires and the getter goes dark.
-        e.on_ack2("k", op(1), NodeIdx(1), Some(&g), &mut fx);
-        e.on_ack2("k", op(1), NodeIdx(2), Some(&g), &mut fx);
+        e.on_ack2("k", op(1), NodeIdx(1), Some(&g), Time::ZERO, &mut fx);
+        e.on_ack2("k", op(1), NodeIdx(2), Some(&g), Time::ZERO, &mut fx);
         assert!(e.round_commit_ts("k", op(1)).is_none());
     }
 

@@ -73,8 +73,6 @@ pub enum KvError {
         /// The partition needing a member, if the failure is per-partition.
         partition: Option<PartitionId>,
     },
-    /// A gateway had no live backend to forward a request to.
-    NoBackend,
     /// The durable log could not force appended records to stable
     /// storage before an acknowledgement (an I/O error on the WAL):
     /// the ack discipline is broken and the node is no longer
@@ -109,7 +107,6 @@ impl fmt::Display for KvError {
                 Some(p) => write!(f, "no eligible node for partition {}", p.0),
                 None => write!(f, "no eligible node"),
             },
-            KvError::NoBackend => write!(f, "gateway has no live backend"),
             KvError::WalFailed { key } => {
                 write!(f, "WAL sync failed before acknowledging key {key:?}")
             }

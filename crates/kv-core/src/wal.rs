@@ -202,7 +202,9 @@ pub trait DurableLog: fmt::Debug {
     /// Force every appended record to stable storage. Returns false if
     /// durability can no longer be guaranteed (an I/O error on the
     /// backing file); the caller surfaces that as an internal error
-    /// rather than acking a write that may not survive.
+    /// rather than acking a write that may not survive. With nothing
+    /// appended since the last successful sync there is nothing to
+    /// force: no barrier is issued and none is counted.
     fn sync(&mut self) -> bool;
 
     /// A throwaway in-memory branch of this log for explorer clones.
@@ -211,7 +213,7 @@ pub trait DurableLog: fmt::Debug {
     /// Records appended so far.
     fn appends(&self) -> u64;
 
-    /// Syncs performed so far.
+    /// Barriers issued so far; each covered at least one new record.
     fn syncs(&self) -> u64;
 }
 
@@ -222,15 +224,21 @@ pub trait DurableLog: fmt::Debug {
 pub struct MemLog {
     appends: u64,
     syncs: u64,
+    /// A record was appended since the last sync.
+    dirty: bool,
 }
 
 impl DurableLog for MemLog {
     fn append(&mut self, _rec: &WalRecord) {
         self.appends += 1;
+        self.dirty = true;
     }
 
     fn sync(&mut self) -> bool {
-        self.syncs += 1;
+        if self.dirty {
+            self.dirty = false;
+            self.syncs += 1;
+        }
         true
     }
 
@@ -257,8 +265,11 @@ impl DurableLog for MemLog {
 pub struct FileWal {
     file: File,
     path: PathBuf,
-    /// Appended-but-unsynced frames.
+    /// Appended-but-unwritten frames.
     buf: Vec<u8>,
+    /// A frame was appended since the last successful sync (it may
+    /// already be written if only the `fdatasync` failed).
+    dirty: bool,
     appends: u64,
     syncs: u64,
     io_errors: u64,
@@ -288,6 +299,7 @@ impl FileWal {
                 file,
                 path: path.to_path_buf(),
                 buf: Vec::new(),
+                dirty: false,
                 appends: 0,
                 syncs: 0,
                 io_errors: 0,
@@ -317,9 +329,13 @@ impl DurableLog for FileWal {
         frame.extend_from_slice(&payload);
         self.buf.extend_from_slice(&frame);
         self.appends += 1;
+        self.dirty = true;
     }
 
     fn sync(&mut self) -> bool {
+        if !self.dirty {
+            return self.io_errors == 0;
+        }
         if !self.buf.is_empty() {
             if self.file.write_all(&self.buf).is_err() {
                 self.io_errors += 1;
@@ -331,6 +347,7 @@ impl DurableLog for FileWal {
             self.io_errors += 1;
             return false;
         }
+        self.dirty = false;
         self.syncs += 1;
         self.io_errors == 0
     }
@@ -341,6 +358,7 @@ impl DurableLog for FileWal {
         Box::new(MemLog {
             appends: self.appends,
             syncs: self.syncs,
+            dirty: self.dirty,
         })
     }
 
@@ -556,6 +574,22 @@ mod tests {
             render(&sample_records()[..1]),
             "replay stops at the CRC-rejected record"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_sync_with_nothing_appended_issues_no_barrier() {
+        let path = temp_wal("idle_sync");
+        let (mut file, _) = FileWal::open(&path).expect("fresh wal");
+        let mut mem = MemLog::default();
+        let logs: [&mut dyn DurableLog; 2] = [&mut file, &mut mem];
+        for log in logs {
+            assert!(log.sync(), "an idle sync succeeds");
+            log.append(&sample_records().remove(0));
+            assert!(log.sync());
+            assert!(log.sync());
+            assert_eq!((log.appends(), log.syncs()), (1, 1), "{log:?}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -231,7 +231,14 @@ impl Run {
                 }
                 Effect::Ack2 { key, op } => {
                     let g = group(replicas);
-                    self.engines[0].on_ack2(&key, op, NodeIdx(r as u32), Some(&g), &mut fx);
+                    self.engines[0].on_ack2(
+                        &key,
+                        op,
+                        NodeIdx(r as u32),
+                        Some(&g),
+                        Time::ZERO,
+                        &mut fx,
+                    );
                     q.extend(fx.into_iter().map(|e| (0, e)));
                 }
                 Effect::Commit { op, ts, .. } => {

@@ -52,10 +52,6 @@ pub struct KvConfig {
     pub put_mode: PutMode,
     /// Whether the in-network get load balancer (§4.5) is enabled.
     pub load_balancing: bool,
-    /// Workload-informed adaptive rebalancing (the paper's stated future
-    /// work): reassign client divisions to replicas using the per-range
-    /// get statistics from heartbeats, instead of static round-robin.
-    pub adaptive_lb: bool,
 }
 
 impl KvConfig {
@@ -72,7 +68,6 @@ impl KvConfig {
             break_rejoin_get_hiding: false,
             put_mode: PutMode::TwoPc,
             load_balancing: true,
-            adaptive_lb: false,
         }
     }
 

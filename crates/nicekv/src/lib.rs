@@ -41,5 +41,5 @@ pub use kv_core::ClusterSpec;
 pub use kv_core::{KvClient, KvError, MetricsRegistry, ObjectStore, StorageCfg};
 pub use metadata::{AdminOp, MetaEvent, MetaRole, MetadataApp, SwitchHandle};
 pub use msg::{HandoffRecord, NodeState};
-pub use msg::{KvMsg, LoadStats, OpId, PartitionView, Role, Timestamp, Value};
+pub use msg::{KvMsg, OpId, PartitionView, Role, Timestamp, Value};
 pub use server::ServerApp;

@@ -22,12 +22,10 @@ use nice_sim::{App, Ctx, Ipv4, Mac, NodeIo, Packet, Port, SwitchId, Time, CTRL_L
 use nice_transport::{Msg, Transport, TransportEvent, TRANSPORT_TICK};
 
 use crate::config::{KvConfig, CLIENT_SPACE, PORT};
-use crate::msg::{HandoffRecord, KvMsg, LoadStats, PartitionView};
+use crate::msg::{HandoffRecord, KvMsg, PartitionView};
 use kv_core::{KvError, CTRL_MSG_BYTES};
 
 const TOK_HBCHECK: u64 = 1;
-/// Rebalance the adaptive load balancer every this many heartbeat ticks.
-const REBALANCE_EVERY: u32 = 4;
 
 /// Cookie namespace for unicast vring rules.
 const COOKIE_UNICAST: u64 = 0x1000_0000;
@@ -110,8 +108,6 @@ pub struct MetadataApp {
     /// failed; a replacement for a dead stand-in is incomplete, so the
     /// original's rejoin drains from the primary instead.
     handoffs: BTreeMap<PartitionId, Vec<HandoffRecord>>,
-    /// Aggregated per-node load statistics from heartbeats (§4.5).
-    pub load: BTreeMap<NodeIdx, LoadStats>,
     /// Event log.
     pub events: Vec<(Time, MetaEvent)>,
     /// Administrator commands queued by the harness; processed at the
@@ -125,14 +121,6 @@ pub struct MetadataApp {
     /// to the hot standby — losing it on failover leaks invisible
     /// stale copies on ex-members, which is harmless.)
     admin_gc: BTreeMap<PartitionId, Vec<NodeIdx>>,
-    /// Observed get load per (partition, client /26 bucket), decayed on
-    /// every rebalance.
-    range_load: BTreeMap<(PartitionId, Ipv4), u64>,
-    /// Adaptive division→replica assignments (indices into the partition's
-    /// current get-eligible target list), when adaptive LB is active.
-    lb_overrides: BTreeMap<PartitionId, Vec<usize>>,
-    /// Heartbeat ticks until the next rebalance.
-    rebalance_in: u32,
     /// Role of this instance (active, or hot standby of another).
     role: MetaRole,
     /// Set when this instance promoted itself: keep announcing the
@@ -201,13 +189,9 @@ impl MetadataApp {
             learner,
             views: BTreeMap::new(),
             handoffs: BTreeMap::new(),
-            load: BTreeMap::new(),
             events: Vec::new(),
             pending_admin: Vec::new(),
-            range_load: BTreeMap::new(),
-            lb_overrides: BTreeMap::new(),
             admin_gc: BTreeMap::new(),
-            rebalance_in: REBALANCE_EVERY,
             role: MetaRole::Active,
             took_over: false,
             suspicions: BTreeMap::new(),
@@ -401,9 +385,7 @@ impl MetadataApp {
             }
             // Load-balancing rules: (src division, dst subgroup) → replica.
             if let Some(lb) = &lb {
-                let overrides = self.lb_overrides.get(&p);
-                for (d, ((src_net, src_len), idx)) in lb.assignments().enumerate() {
-                    let idx = overrides.and_then(|o| o.get(d).copied()).unwrap_or(idx);
+                for ((src_net, src_len), idx) in lb.assignments() {
                     // `lb` is only built for len > 1; `.max(1)` keeps the
                     // modulus total anyway.
                     let Some(&(n, ip)) = get_targets.get(idx % get_targets.len().max(1)) else {
@@ -962,13 +944,6 @@ impl MetadataApp {
         for n in dead {
             self.fail_node(n, ctx);
         }
-        if self.cfg.adaptive_lb && self.cfg.load_balancing {
-            self.rebalance_in = self.rebalance_in.saturating_sub(1);
-            if self.rebalance_in == 0 {
-                self.rebalance_in = REBALANCE_EVERY;
-                self.rebalance(ctx);
-            }
-        }
         // Replicate state to the hot standby (the metadata is small and
         // changes infrequently, §4.1).
         if let Some(standby) = self.standby {
@@ -1008,57 +983,6 @@ impl MetadataApp {
         self.announce_failover(|state| state != NodeState::Down, ctx);
     }
 
-    /// Workload-informed rebalancing (the paper's §4.5 future work):
-    /// assign client divisions to replicas with an LPT greedy so the
-    /// heaviest observed source ranges spread across replicas, instead of
-    /// static round-robin. Loads decay by half each round so the balancer
-    /// tracks shifting workloads.
-    fn rebalance(&mut self, ctx: &mut Ctx) {
-        let parts: Vec<PartitionId> = self.views.keys().copied().collect();
-        for p in parts {
-            let Some(view) = self.views.get(&p) else {
-                self.note_internal(KvError::ViewMissing { partition: p });
-                continue;
-            };
-            let targets: Vec<NodeIdx> = view
-                .members
-                .iter()
-                .map(|&(n, _)| n)
-                .filter(|&n| self.is_get_eligible(n) && !view.syncing.contains(&n))
-                .collect();
-            if targets.len() < 2 {
-                continue;
-            }
-            let div = ClientDivisions::new(CLIENT_SPACE.0, CLIENT_SPACE.1, targets.len() as u32);
-            // Per-division observed load: sum the /26 buckets inside each
-            // division prefix.
-            let loads: Vec<u64> = div
-                .assignments()
-                .map(|((net, len), _)| {
-                    self.range_load
-                        .iter()
-                        .filter(|(&(pp, bucket), _)| pp == p && bucket.in_prefix(net, len))
-                        .map(|(_, &n)| n)
-                        .sum()
-                })
-                .collect();
-            if loads.iter().sum::<u64>() == 0 {
-                continue;
-            }
-            let assignment = assign_divisions_lpt(&loads, targets.len());
-            if self.lb_overrides.get(&p).map(std::vec::Vec::as_slice) != Some(assignment.as_slice())
-            {
-                self.lb_overrides.insert(p, assignment);
-                let now = ctx.now();
-                self.install_partition(p, now);
-            }
-        }
-        for v in self.range_load.values_mut() {
-            *v /= 2;
-        }
-        self.range_load.retain(|_, &mut v| v > 0);
-    }
-
     fn on_kv(&mut self, msg: &KvMsg, _src: Ipv4, ctx: &mut Ctx) {
         if let KvMsg::MetaSync {
             views,
@@ -1093,19 +1017,12 @@ impl MetadataApp {
             return; // passive: the active instance handles the cluster
         }
         match msg {
-            KvMsg::Heartbeat { node, stats } => {
+            KvMsg::Heartbeat { node } => {
                 let Some(info) = self.nodes.get_mut(node.0 as usize) else {
                     return; // heartbeat from outside the cluster roster
                 };
                 info.last_hb = ctx.now();
                 let was_down = info.state == NodeState::Down;
-                let agg = self.load.entry(*node).or_default();
-                agg.gets += stats.gets;
-                agg.puts += stats.puts;
-                agg.bytes_out += stats.bytes_out;
-                for &(p, bucket, n) in &stats.gets_by_range {
-                    *self.range_load.entry((p, bucket)).or_insert(0) += n;
-                }
                 // A heartbeat from a `Down` node means the declaration was
                 // wrong (e.g. a partitioned peer's failure reports) or the
                 // node restarted and its rejoin request was lost. Either
@@ -1213,80 +1130,5 @@ impl App for MetadataApp {
 
     fn on_packet_in(&mut self, sw: SwitchId, in_port: Port, pkt: Packet, ctx: &mut Ctx) {
         let _ = self.learner.on_packet_in(sw, in_port, pkt, ctx);
-    }
-}
-
-/// Longest-processing-time greedy: assign each division (heaviest first)
-/// to the replica with the least accumulated load. Returns, per division
-/// index, the chosen replica index in `0..targets`.
-pub fn assign_divisions_lpt(loads: &[u64], targets: usize) -> Vec<usize> {
-    // Total over any input: `targets == 0` degrades to one phantom
-    // replica (everything maps to 0) instead of panicking.
-    let targets = targets.max(1);
-    let load = |d: usize| loads.get(d).copied().unwrap_or(0);
-    let mut order: Vec<usize> = (0..loads.len()).collect();
-    order.sort_by_key(|&d| std::cmp::Reverse(load(d)));
-    let mut acc = vec![0u64; targets];
-    let mut out = vec![0usize; loads.len()];
-    for d in order {
-        let t = acc
-            .iter()
-            .enumerate()
-            .min_by_key(|&(t, &a)| (a, t))
-            .map_or(0, |(t, _)| t);
-        if let Some(slot) = out.get_mut(d) {
-            *slot = t;
-        }
-        if let Some(a) = acc.get_mut(t) {
-            *a += load(d);
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lpt_spreads_uniform_load_round_robin_like() {
-        let a = assign_divisions_lpt(&[10, 10, 10, 10], 4);
-        let mut targets = a.clone();
-        targets.sort_unstable();
-        assert_eq!(targets, vec![0, 1, 2, 3], "each replica gets one division");
-    }
-
-    #[test]
-    fn lpt_isolates_the_heavy_division() {
-        // one division carries almost everything: it must get a replica
-        // to itself while the light ones share.
-        let a = assign_divisions_lpt(&[1000, 10, 10, 10], 3);
-        let heavy = a[0];
-        assert!(a[1..].iter().all(|&t| t != heavy), "{a:?}");
-    }
-
-    #[test]
-    fn lpt_minimizes_makespan_on_known_case() {
-        // classic LPT instance: loads 7,6,5,4 on 2 targets -> 11 vs 11.
-        let a = assign_divisions_lpt(&[7, 6, 5, 4], 2);
-        let mut acc = [0u64; 2];
-        for (d, &t) in a.iter().enumerate() {
-            acc[t] += [7u64, 6, 5, 4][d];
-        }
-        assert_eq!(acc[0].max(acc[1]), 11);
-    }
-
-    #[test]
-    fn lpt_handles_more_targets_than_divisions() {
-        let a = assign_divisions_lpt(&[5, 3], 8);
-        assert_eq!(a.len(), 2);
-        assert_ne!(a[0], a[1]);
-    }
-
-    #[test]
-    fn lpt_zero_loads_are_stable() {
-        let a = assign_divisions_lpt(&[0, 0, 0], 2);
-        assert_eq!(a.len(), 3);
-        assert!(a.iter().all(|&t| t < 2));
     }
 }

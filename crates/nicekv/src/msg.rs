@@ -9,23 +9,6 @@ use node_rt::{Ipv4, Time};
 
 pub use kv_core::{OpId, Timestamp, Value};
 
-/// Per-node load statistics shipped in heartbeats (§4.5: "the metadata
-/// service collects, through heartbeats, periodic workload statistics,
-/// including the range of client IP addresses accessing each partition").
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LoadStats {
-    /// Gets served since the last heartbeat.
-    pub gets: u64,
-    /// Puts served since the last heartbeat.
-    pub puts: u64,
-    /// Bytes sent to clients since the last heartbeat.
-    pub bytes_out: u64,
-    /// Gets per (partition, client source-range base): the raw material
-    /// for workload-informed load balancing. Source ranges are /26
-    /// buckets of the client space.
-    pub gets_by_range: Vec<(PartitionId, Ipv4, u64)>,
-}
-
 /// Everything that travels between NICEKV processes.
 #[derive(Debug, Clone)]
 pub enum KvMsg {
@@ -108,12 +91,11 @@ pub enum KvMsg {
     },
 
     // -------------------- membership & fault tolerance ------------------
-    /// Storage node → metadata service, periodic (UDP).
+    /// Storage node → metadata service, periodic (UDP): the node is
+    /// alive.
     Heartbeat {
         /// Reporting node.
         node: NodeIdx,
-        /// Load since last heartbeat.
-        stats: LoadStats,
     },
     /// Storage node → metadata service: peer looks dead ("a node reports
     /// to the metadata service that another node is irresponsive").

@@ -34,7 +34,7 @@ use nice_transport::{Endpoint, Fired, Msg};
 use node_rt::{Ipv4, NodeApp, NodeIo, Packet, Time};
 
 use crate::config::{KvConfig, PutMode, PORT};
-use crate::msg::{KvMsg, LoadStats, OpId, PartitionView, Role, Timestamp, Value};
+use crate::msg::{KvMsg, OpId, PartitionView, Role, Timestamp, Value};
 
 const TOK_HEARTBEAT: u64 = 1;
 const TOK_SWEEP: u64 = 2;
@@ -73,7 +73,6 @@ pub struct ServerApp {
     /// Outstanding rejoin syncs: partitions we still owe a handoff fetch.
     rejoin_pending: BTreeSet<PartitionId>,
     rejoining: bool,
-    stats: LoadStats,
     reported_down: BTreeSet<NodeIdx>,
 }
 
@@ -102,7 +101,6 @@ impl ServerApp {
             resolve_started: BTreeMap::new(),
             rejoin_pending: BTreeSet::new(),
             rejoining: false,
-            stats: LoadStats::default(),
             reported_down: BTreeSet::new(),
         }
     }
@@ -284,7 +282,6 @@ impl ServerApp {
             };
             // Device model advanced; no protocol round.
             self.engine.apply_copy(&key, value, ts, ctx.now());
-            self.stats.puts += 1;
             return;
         }
         if self.engine.op_settled(op) {
@@ -306,9 +303,7 @@ impl ServerApp {
             return;
         }
         let mut fx = Vec::new();
-        if self.engine.prepare(&key, value, op, ctx.now(), &mut fx) {
-            self.stats.puts += 1;
-        }
+        self.engine.prepare(&key, value, op, ctx.now(), &mut fx);
         self.apply_effects(fx, ctx);
     }
 
@@ -357,7 +352,8 @@ impl ServerApp {
         let p = self.cfg.partition_of(&key);
         let g = self.views.get(&p).map(|v| group_of(v, self.node, ctx.ip()));
         let mut fx = Vec::new();
-        self.engine.on_ack2(&key, op, from, g.as_ref(), &mut fx);
+        self.engine
+            .on_ack2(&key, op, from, g.as_ref(), ctx.now(), &mut fx);
         self.apply_effects(fx, ctx);
     }
 
@@ -373,25 +369,8 @@ impl ServerApp {
     // Get path
     // -----------------------------------------------------------------
 
-    fn record_get_source(&mut self, p: PartitionId, client: Ipv4) {
-        // /26 buckets of the client space — the "range of client IP
-        // addresses accessing each partition" of §4.5.
-        let bucket = client.network(26);
-        if let Some(e) = self
-            .stats
-            .gets_by_range
-            .iter_mut()
-            .find(|(pp, b, _)| *pp == p && *b == bucket)
-        {
-            e.2 += 1;
-        } else {
-            self.stats.gets_by_range.push((p, bucket, 1));
-        }
-    }
-
     fn on_get_request(&mut self, key: String, op: OpId, ctx: &mut dyn NodeIo) {
         let p = self.cfg.partition_of(&key);
-        self.record_get_source(p, op.client);
         let view = self.views.get(&p).cloned();
         if let Some(c) = self.engine.store().get(&key) {
             let size = c.value.size() + CTRL_MSG_BYTES;
@@ -401,8 +380,6 @@ impl ServerApp {
                 ts: Some(c.ts),
             };
             self.engine.counters_mut().gets_served += 1;
-            self.stats.gets += 1;
-            self.stats.bytes_out += size as u64;
             self.ep.send(ctx, op.client, reply, size);
             return;
         }
@@ -417,7 +394,6 @@ impl ServerApp {
                 }
             }
         }
-        self.stats.gets += 1;
         self.ep.send(
             ctx,
             op.client,
@@ -450,8 +426,6 @@ impl ServerApp {
             ),
         };
         self.engine.counters_mut().gets_served += 1;
-        self.stats.gets += 1;
-        self.stats.bytes_out += size as u64;
         self.ep.send(ctx, op.client, reply, size);
     }
 
@@ -779,10 +753,7 @@ impl ServerApp {
     // -----------------------------------------------------------------
 
     fn heartbeat(&mut self, ctx: &mut dyn NodeIo) {
-        let msg = KvMsg::Heartbeat {
-            node: self.node,
-            stats: std::mem::take(&mut self.stats),
-        };
+        let msg = KvMsg::Heartbeat { node: self.node };
         self.ep
             .transport()
             .udp_send(ctx, self.meta, PORT, Msg::new(msg, CTRL_MSG_BYTES));

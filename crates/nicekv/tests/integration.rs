@@ -487,69 +487,3 @@ fn flow_table_occupancy_matches_section_4_6() {
     assert_eq!(entries, 2 * n + phys, "entries={entries}");
     assert_eq!(groups, n, "one multicast group per partition");
 }
-
-#[test]
-fn adaptive_lb_rebalances_skewed_divisions() {
-    // The paper's stated future work, implemented: static round-robin
-    // pins client divisions 0 and 3 to the same replica (both map to
-    // index 0 mod 3); when all traffic comes from those two divisions,
-    // the workload-informed balancer must split them apart.
-    let probe = NiceCluster::build(ClusterCfg::new(8, 3, vec![]));
-    let p = PartitionId(0);
-    let keys = probe.keys_in_partition(p, 5);
-    let replicas: Vec<usize> = probe
-        .sys
-        .ring
-        .replica_set(p)
-        .iter()
-        .map(|n| n.0 as usize)
-        .collect();
-    drop(probe);
-
-    let run = |adaptive: bool| -> Vec<u64> {
-        // clients 0..8: only j=0,3,4,7 (divisions 0,3,0,3) issue gets
-        let mut all: Vec<Vec<ClientOp>> = vec![Vec::new(); 8];
-        all[0] = keys.iter().map(|k| put(k, b"hot")).collect();
-        // enough gets that the run spans several heartbeat/rebalance
-        // rounds (~1.2 s at ~400 us per get)
-        for j in [0usize, 3, 4, 7] {
-            for _ in 0..3000 {
-                all[j].push(get(&keys[0]));
-            }
-        }
-        let mut cfg = ClusterCfg::new(8, 3, all);
-        cfg.kv.hb_interval = Time::from_ms(100);
-        cfg.kv.load_balancing = true;
-        cfg.kv.adaptive_lb = adaptive;
-        cfg.spec.retry_not_found = true;
-        let mut c = NiceCluster::build(cfg);
-        assert!(
-            c.run_until_done(Time::from_secs(120)),
-            "adaptive={adaptive}"
-        );
-        replicas
-            .iter()
-            .map(|&i| c.server(i).metrics().counter("engine.gets_served"))
-            .collect()
-    };
-
-    let static_served = run(false);
-    let adaptive_served = run(true);
-    let busy = |v: &Vec<u64>| v.iter().filter(|&&s| s > 200).count();
-    assert_eq!(
-        busy(&static_served),
-        1,
-        "static pins both divisions to one replica: {static_served:?}"
-    );
-    assert!(
-        busy(&adaptive_served) >= 2,
-        "adaptive must split the hot divisions: {adaptive_served:?} (static was {static_served:?})"
-    );
-    // and the hottest replica's absolute load must drop
-    let max_static = static_served.iter().max().copied().unwrap_or(0);
-    let max_adaptive = adaptive_served.iter().max().copied().unwrap_or(0);
-    assert!(
-        max_adaptive < max_static,
-        "adaptive should reduce the peak: {max_adaptive} vs {max_static}"
-    );
-}

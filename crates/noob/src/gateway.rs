@@ -7,7 +7,6 @@
 
 use std::convert::Infallible;
 
-use nice_kv::KvError;
 use nice_transport::{Endpoint, Fired, Msg};
 use node_rt::{NodeApp, NodeIo, Packet, Time};
 
@@ -39,10 +38,6 @@ pub struct GatewayApp {
     ep: Endpoint<NoobMsg, Infallible>,
     /// Requests forwarded.
     pub forwarded: u64,
-    /// Requests dropped because no backend was available.
-    pub dropped_no_backend: u64,
-    /// The most recent forwarding error, for diagnostics.
-    pub last_error: Option<KvError>,
 }
 
 impl GatewayApp {
@@ -53,36 +48,30 @@ impl GatewayApp {
             ring,
             policy,
             forwarded: 0,
-            dropped_no_backend: 0,
-            last_error: None,
         }
     }
 
-    fn target(
-        &self,
-        key: &str,
-        is_get: bool,
-        ctx: &mut dyn NodeIo,
-    ) -> Result<node_rt::Ipv4, KvError> {
+    /// The backend for a request, if any is live.
+    fn target(&self, key: &str, is_get: bool, ctx: &mut dyn NodeIo) -> Option<node_rt::Ipv4> {
         match self.policy {
             GatewayPolicy::RandomNode => {
                 if self.ring.addrs.is_empty() {
-                    return Err(KvError::NoBackend);
+                    return None;
                 }
                 let i = ctx.rng().random_range(0..self.ring.addrs.len());
-                self.ring.addrs.get(i).copied().ok_or(KvError::NoBackend)
+                self.ring.addrs.get(i).copied()
             }
-            GatewayPolicy::Primary => Ok(self.ring.primary_addr(key)),
+            GatewayPolicy::Primary => Some(self.ring.primary_addr(key)),
             GatewayPolicy::BalancedReplicas => {
                 if is_get {
                     let replicas = self.ring.replica_addrs(key);
                     if replicas.is_empty() {
-                        return Err(KvError::NoBackend);
+                        return None;
                     }
                     let i = ctx.rng().random_range(0..replicas.len());
-                    replicas.get(i).copied().ok_or(KvError::NoBackend)
+                    replicas.get(i).copied()
                 } else {
-                    Ok(self.ring.primary_addr(key))
+                    Some(self.ring.primary_addr(key))
                 }
             }
         }
@@ -94,16 +83,11 @@ impl GatewayApp {
             NoobMsg::Get { key, .. } => (key, true, key.len() as u32 + 64),
             _ => return,
         };
-        match self.target(key, is_get, ctx) {
-            Ok(dst) => {
-                self.forwarded += 1;
-                let msg = Msg::new(m, size);
-                self.ep.transport().tcp_send(ctx, dst, self.ring.port, msg);
-            }
-            Err(e) => {
-                self.dropped_no_backend += 1;
-                self.last_error = Some(e);
-            }
+        // With no backend to forward to, the request is dropped.
+        if let Some(dst) = self.target(key, is_get, ctx) {
+            self.forwarded += 1;
+            let msg = Msg::new(m, size);
+            self.ep.transport().tcp_send(ctx, dst, self.ring.port, msg);
         }
     }
 }

@@ -479,7 +479,8 @@ impl NoobServerApp {
         let g = self.group_for(&key, ctx);
         let me = ctx.ip();
         let mut fx = Vec::new();
-        self.engine.on_ack2(&key, op, from, Some(&g), &mut fx);
+        self.engine
+            .on_ack2(&key, op, from, Some(&g), ctx.now(), &mut fx);
         self.apply_effects(fx, me, ctx);
     }
 

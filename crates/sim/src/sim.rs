@@ -29,12 +29,8 @@ pub struct HostStats {
     pub bytes_recv: u64,
     /// Packets transmitted.
     pub pkts_sent: u64,
-    /// Packets received.
-    pub pkts_recv: u64,
     /// Packets dropped because the host was down.
     pub drops_down: u64,
-    /// Packets discarded by NIC/kernel filtering (not addressed to us).
-    pub filtered: u64,
 }
 
 struct HostNode {
@@ -650,11 +646,9 @@ impl Simulation {
         // even for vring traffic because the switch rewrites the virtual
         // destination to the physical address before forwarding (§3.2).
         if pkt.proto != Proto::Arp && pkt.dst != h.cfg.ip && !pkt.dst_mac.is_broadcast() {
-            h.stats.filtered += 1;
             return;
         }
         h.stats.bytes_recv += pkt.wire_size as u64;
-        h.stats.pkts_recv += 1;
         // Kernel-level ARP handling: requests are answered without
         // involving the app; replies and everything else go up the stack.
         if pkt.proto == Proto::Arp {

@@ -55,8 +55,6 @@ pub enum TransportEvent {
     Sent {
         /// The send this resolves.
         token: MsgToken,
-        /// Receivers known to have completed, in completion order.
-        acked_by: Vec<Ipv4>,
     },
     /// A reliable send exhausted its retries.
     Failed {

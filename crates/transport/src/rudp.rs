@@ -105,7 +105,7 @@ pub enum SendOutcome {
     /// Nothing to report.
     Quiet,
     /// The send completed (quorum reached).
-    Sent(Vec<Ipv4>),
+    Sent,
     /// The send failed (stalled too long).
     Failed,
 }
@@ -245,7 +245,7 @@ impl SendState {
         self.pump(ctx, src_port);
         if !self.done && self.completed.len() >= self.quorum {
             self.done = true;
-            return SendOutcome::Sent(self.completed.clone());
+            return SendOutcome::Sent;
         }
         SendOutcome::Quiet
     }

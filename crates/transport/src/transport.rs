@@ -376,7 +376,7 @@ impl Transport {
                     self.senders.remove(msg_id);
                 }
                 match outcome {
-                    SendOutcome::Sent(acked_by) => Some(TransportEvent::Sent { token, acked_by }),
+                    SendOutcome::Sent => Some(TransportEvent::Sent { token }),
                     // Failed is unreachable for acks (an ack never
                     // expands the send window); treat it like Quiet to
                     // keep the datapath panic-free.
@@ -428,10 +428,7 @@ impl Transport {
         for (&id, s) in self.senders.iter_mut() {
             let (outcome, drop) = s.on_tick(ctx, self.port, &mut self.stats.probes);
             match outcome {
-                SendOutcome::Sent(acked_by) => events.push(TransportEvent::Sent {
-                    token: s.token,
-                    acked_by,
-                }),
+                SendOutcome::Sent => events.push(TransportEvent::Sent { token: s.token }),
                 SendOutcome::Failed => events.push(TransportEvent::Failed { token: s.token }),
                 SendOutcome::Quiet => {}
             }

@@ -21,7 +21,8 @@ pub enum KeyDist {
     Latest,
 }
 
-/// A YCSB workload: an operation mix over a keyspace.
+/// A YCSB workload: an operation mix over a keyspace. Whatever share
+/// `read`, `update` and `rmw` leave is inserts of new keys.
 #[derive(Debug, Clone)]
 pub struct Workload {
     /// Human-readable name ("YCSB-C").
@@ -30,8 +31,6 @@ pub struct Workload {
     pub read: f64,
     /// Fraction of blind updates.
     pub update: f64,
-    /// Fraction of inserts (new keys).
-    pub insert: f64,
     /// Fraction of read-modify-writes.
     pub rmw: f64,
     /// Popularity distribution.
@@ -49,7 +48,6 @@ impl Workload {
             name: "YCSB-A",
             read: 0.5,
             update: 0.5,
-            insert: 0.0,
             rmw: 0.0,
             dist: KeyDist::Zipfian,
             records,
@@ -63,7 +61,6 @@ impl Workload {
             name: "YCSB-B",
             read: 0.95,
             update: 0.05,
-            insert: 0.0,
             rmw: 0.0,
             dist: KeyDist::Zipfian,
             records,
@@ -77,7 +74,6 @@ impl Workload {
             name: "YCSB-C",
             read: 1.0,
             update: 0.0,
-            insert: 0.0,
             rmw: 0.0,
             dist: KeyDist::Zipfian,
             records,
@@ -91,7 +87,6 @@ impl Workload {
             name: "YCSB-D",
             read: 0.95,
             update: 0.0,
-            insert: 0.05,
             rmw: 0.0,
             dist: KeyDist::Latest,
             records,
@@ -106,7 +101,6 @@ impl Workload {
             name: "YCSB-E",
             read: 0.95,
             update: 0.0,
-            insert: 0.05,
             rmw: 0.0,
             dist: KeyDist::Zipfian,
             records,
@@ -122,7 +116,6 @@ impl Workload {
             name: "YCSB-F",
             read: 0.5,
             update: 0.0,
-            insert: 0.0,
             rmw: 0.5,
             dist: KeyDist::Zipfian,
             records,

@@ -43,6 +43,8 @@
 //!     acknowledged write.
 //! 11. **stale_allow** — a waiver that no longer suppresses a finding
 //!     is itself a finding.
+//! 12. **write_only** — a struct field that is assigned but that no code
+//!     in the crates, tests, examples or benchmark reads.
 //!
 //! Findings are compared against the committed `lint_baseline.json`
 //! ([`baseline`]): new findings fail, fixed findings auto-shrink the
@@ -111,6 +113,7 @@ pub fn collect_findings(root: &Path) -> Vec<Finding> {
     rules::determinism_taint::run(&ctx, &mut pre);
     rules::dead_effect::run(&ctx, &mut pre);
     rules::fsync_discipline::run(&ctx, &mut pre);
+    rules::write_only::run(&ctx, &mut pre);
 
     // Waiver pass: rules emit unconditionally; `lint:allow` markers are
     // applied here so stale_allow can see the pre-waiver set.

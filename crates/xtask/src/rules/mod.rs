@@ -8,6 +8,8 @@
 //!   request-path / engine / render roots over [`crate::callgraph`].
 //! * [`dead_effect`] — cross-file reference rule: every `Effect` enum
 //!   variant must be interpreted by some host adapter.
+//! * [`write_only`] — cross-file reference rule: every struct field
+//!   must be read somewhere.
 //! * [`stale_allow`] — meta-rule: a waiver whose line no longer
 //!   triggers the waived rule is itself a finding.
 //!
@@ -22,6 +24,7 @@ pub mod fsync_discipline;
 pub mod panic_path;
 pub mod stale_allow;
 pub mod textual;
+pub mod write_only;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -43,6 +46,7 @@ pub const ALL_RULES: &[&str] = &[
     "dead_effect",
     "fsync_discipline",
     "stale_allow",
+    "write_only",
 ];
 
 /// Crate source dirs excluded from the call graph: `xtask` is the lint

@@ -237,6 +237,25 @@ fn fsync_discipline_silent_on_good() {
 }
 
 #[test]
+fn write_only_fires_on_bad_and_names_the_fields() {
+    let hits = assert_fires("write_only");
+    let fields: Vec<(&str, &str)> = hits
+        .iter()
+        .map(|f| (f.ctx.as_str(), f.detail.as_str()))
+        .collect();
+    assert_eq!(
+        fields,
+        [("Gateway", "dropped"), ("Gateway", "last_error")],
+        "only the two unread fields, not the one a method reads: {hits:?}"
+    );
+}
+
+#[test]
+fn write_only_silent_on_good() {
+    assert_silent("write_only");
+}
+
+#[test]
 fn stale_allow_fires_on_bad() {
     let hits = assert_fires("stale_allow");
     assert!(hits[0].msg.contains("determinism"), "got: {}", hits[0].msg);
